@@ -25,15 +25,7 @@ from .quiver import (
     tau_weight,
     weight_eval,
 )
-from .schofield import box
-
-
-@dataclass(frozen=True)
-class IsoPair:
-    """(beta, gamma) with alpha = beta + gamma + tau.beta for the ambient alpha."""
-
-    beta: DimVector
-    gamma: DimVector
+from .schofield import IsoPair  # noqa: F401  (re-exported; the I0 pairs are table reads)
 
 
 @dataclass(frozen=True)
@@ -79,34 +71,9 @@ def primitive_row(row):
     return tuple(c // g for c in row) if g else tuple(row)
 
 
-def _inductive_normals(t, a):
-    """All beta <= a with beta o (a - beta) nonzero, lexicographic, cached."""
-    key = ("inductive", t._as_tuple(a))
-    cached = t._derived.get(key)
-    if cached is None:
-        cached = [b for b in box(t.quiver, a) if t.circ_nonzero(b, a - b)]
-        t._derived[key] = cached
-    return cached
-
-
 def enumerate_I0(t, a, inv):
     """The pairs (beta, gamma): gamma = a - beta - tau.beta >= 0, both pairings nonzero."""
-    if tau_dim(inv, a) != a:
-        raise NotSymmetricDimensionError(f"{a.values} is not tau-symmetric")
-    key = ("I0", t._as_tuple(a), inv.name, tuple(sorted(inv.vmap.items())))
-    cached = t._derived.get(key)
-    if cached is not None:
-        return cached
-    pairs = []
-    for beta in box(t.quiver, a):
-        tb = tau_dim(inv, beta)
-        if not all(x + y <= z for x, y, z in zip(beta.values, tb.values, a.values)):
-            continue
-        gamma = a - beta - tb
-        if t.circ_nonzero(beta, gamma) and t.circ_nonzero(beta, tb):
-            pairs.append(IsoPair(beta, gamma))
-    t._derived[key] = pairs
-    return pairs
+    return t.iso_pairs(a, inv)
 
 
 def member_dw(t, s, a):
@@ -124,7 +91,7 @@ def member_inductive(t, s, a):
     """Inductive test over beta <= alpha with <beta,.> in the cone of alpha - beta."""
     if weight_eval(s, a) != 0:
         return MembershipResult(False, reason=f"sigma(alpha) = {weight_eval(s, a)} != 0")
-    for beta in _inductive_normals(t, a):
+    for beta in t.inductive_normals(a):
         if weight_eval(s, beta) > 0:
             return MembershipResult(
                 False, reason=f"sigma({beta.values}) > 0", witness=beta
@@ -158,7 +125,7 @@ def inequalities(t, a, method, inv=None, basis=None, dedup=True):
     if method == "dw":
         return InequalitySystem(a, tuple(t.generic_subdims(a)))
     if method == "inductive":
-        return InequalitySystem(a, tuple(_inductive_normals(t, a)))
+        return InequalitySystem(a, tuple(t.inductive_normals(a)))
     if method != "antiinv":
         raise ValueError(f"unknown method {method!r}")
     if inv is None:
@@ -191,6 +158,6 @@ def counts(t, a, involutions=()):
     """
     subs = t.generic_subdims(a)
     n1 = len(subs)
-    n2 = len(_inductive_normals(t, a))
+    n2 = len(t.inductive_normals(a))
     n3s = [len(enumerate_I0(t, a, inv)) for inv in involutions]
     return n1, n2, n3s

@@ -1,29 +1,137 @@
 """Generic ext/hom, generic subdimensions and discrepancy.
 
-The engine is the recursion ext(a, b) = max_{a' generic subdim of a} -<a', b>,
-with generic subdimensions of a determined by ext(a', a - a') = 0.  All
-values for one quiver are memoized in an ExtTable; the per-dimension sets of
-generic subdimensions are kept as integer matrices so that the inner maxima
-are single matrix-vector products.
+Schofield's criterion (General representations of quivers, Proc. LMS 1992,
+Thm 5.4) decides generic subdimensions: b is a generic subdimension of t
+(b -> t) iff <s, t - b> >= 0 for every generic subdimension s of b.  An
+ExtTable evaluates it bottom-up, once per root a that a caller asks about,
+over box(a) = {b : 0 <= b <= a} in mixed-radix (lexicographic) order, where
+every b <= t with b != t comes before t:
+
+* top-down, mark the keys the root needs: the root, any extra keys the caller
+  asks for, and for each needed t the candidates b <= t with <b, t - b> >= 0
+  (the criterion at s = b, which prunes most of the box);
+* bottom-up, decide each candidate b of t with one vectorised segment minimum
+  of <s, t - b> over s in S_b, the generic subdimensions of b.  Only the
+  active rows of S_b take part: as t - b >= 0, a row <s, .> with no negative
+  entry, or with another row of S_b entrywise below it, cannot make the
+  minimum negative on its own;
+* S_t is a slice of flat indices into one buffer per build, and keys built
+  for one root are reused by every later root.
+
+Every other question is a read of those sets: ext(a, b) is
+max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
+inductive normals are the b in S_a with <b, a - b> = 0, and the I0 pairs are
+decided on S_beta.
 """
 
 import itertools
+import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValueOverflowError
+from .errors import DimensionTooLargeError, NotSymmetricDimensionError, ValueOverflowError
 from .quiver import DimVector, Weight, euler_form, weight_eval
 
-# keeps every int64 product/sum inside the internal numpy path exact
+# largest entry of a dimension vector or weight passed in (see _check_int64)
 _ENTRY_BOUND = 2**20
+# most points of box(a) one table build may index; checked before allocating
+_MAX_BOX_POINTS = 2**20
+# (s, b) pairs gathered per segment-minimum step
+_CHUNK = 2**16
+# rows of least sum each new S_t is screened against in _active_rows
+_DOMINATORS = 16
+
+
+@dataclass(frozen=True)
+class IsoPair:
+    """(beta, gamma) with alpha = beta + gamma + tau.beta for the ambient alpha."""
+
+    beta: DimVector
+    gamma: DimVector
+
+
+class _Box:
+    """box(root) = {b : 0 <= b <= root}, flat-indexed in mixed-radix order
+    with the last vertex fastest."""
+
+    def __init__(self, root):
+        self.shape = tuple(x + 1 for x in root)
+        self.size = math.prod(self.shape)
+        if self.size > _MAX_BOX_POINTS:
+            raise DimensionTooLargeError(
+                f"box of {root} has {self.size} points, above the budget of {_MAX_BOX_POINTS}"
+            )
+        self.radix = np.array(self.shape, dtype=np.int64)
+        self.strides = np.cumprod(self.radix[::-1])[::-1] // self.radix
+
+    def flat(self, coords):
+        return coords @ self.strides
+
+    def coords(self, flat):
+        return flat[..., None] // self.strides % self.radix
+
+    def points(self):
+        """Every point as a row, in flat order."""
+        return np.indices(self.shape).reshape(len(self.shape), -1).T
+
+
+def _rowdot(x, y):
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _active_rows(rows):
+    """Mask of rows enough to decide min(rows @ c) >= 0 for every c >= 0.
+
+    A row with no negative entry is >= 0 at every such c, and a row r with
+    another row u <= r entrywise has u @ c <= r @ c, so both can go.  The
+    first row, zero, starts in the mask, so the mask is never empty; each row
+    is screened against the few of least sum (the rows are distinct)."""
+    active = (rows < 0).any(axis=1)
+    active[0] = True
+    live = np.flatnonzero(active)
+    top = live[np.argsort(rows[live].sum(axis=1))[:_DOMINATORS]]
+    tops, lives = rows[top], rows[live]
+    below = tops[:, None, 0] <= lives[None, :, 0]
+    for i in range(1, rows.shape[1]):
+        below &= tops[:, None, i] <= lives[None, :, i]
+    below[np.arange(len(top)), np.searchsorted(live, top)] = False
+    active[live[below.any(axis=0)]] = False
+    return active
+
+
+def _all_nonneg(buf, start, stop, pe, c):
+    """For each j: whether <s, c_j> >= 0 for every box point s at flat index
+    buf[start_j:stop_j], where row s of pe is <s, .>.
+
+    With those points the generic subdimensions of b_j, this is ext(b_j, c_j) = 0.
+    The active rows of S_b_j (see _active_rows) decide the same for c_j >= 0.
+    The (s, j) pairs are gathered about _CHUNK at a time and reduced with one
+    segment minimum per chunk; no segment is empty.
+    """
+    length = stop - start
+    ends = np.cumsum(length)
+    out = np.empty(len(start), dtype=bool)
+    lo = 0
+    while lo < len(start):
+        base = ends[lo] - length[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+        seg = length[lo:hi]
+        offsets = ends[lo:hi] - seg - base
+        pos = np.arange(ends[hi - 1] - base) + np.repeat(start[lo:hi] - offsets, seg)
+        values = _rowdot(pe[buf[pos]], np.repeat(c[lo:hi], seg, axis=0))
+        out[lo:hi] = np.minimum.reduceat(values, offsets) >= 0
+        lo = hi
+    return out
 
 
 class ExtTable:
-    """Memoized generic ext values for one fixed quiver.
+    """Generic ext values and generic subdimensions for one fixed quiver.
 
-    Entries are write-once: values depend only on the quiver, so recomputing
-    a key always yields the same number.  All operations are pure; a
-    single-threaded caller is the supported mode.
+    Everything cached is write-once: values depend only on the quiver, so
+    recomputing a key always yields the same answer.  All operations are
+    pure; a single-threaded caller is the supported mode.
     """
 
     def __init__(self, quiver):
@@ -34,50 +142,116 @@ class ExtTable:
         for _, t, h in quiver.arrows:
             E[idx(t), idx(h)] -= 1
         self._euler = E
-        self._subs = {}  # tuple(a) -> (S, M) with S rows the generic subdims, M = S @ E
-        self._ext = {}   # (tuple(a), tuple(b)) -> int
-        self._derived = {}  # scratch cache for higher layers (inequality systems)
+        # int64 bound: |<s, c>| <= (1 + m) * |s|_1 * |c|_1 for s, c >= 0, where m
+        # is the largest number of parallel arrows, so every value a build for
+        # root alpha forms (s, c <= alpha) is at most (1 + m) * |alpha|_1**2;
+        # _check_int64 keeps that below 2**63 before any product is taken
+        self._multiplicity = max(Counter((t, h) for _, t, h in quiver.arrows).values(), default=0)
+        zero = (0,) * n
+        # tuple(t) -> (box, buffer, start, mid, stop): S_t is the box points at
+        # buffer[start:stop], the rows _active_rows keeps first, up to mid
+        self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1, 1)}
+        self._dense = {}  # tuple(a) -> (S, S @ E) for the keys a public call asked about
+        self._ext = {}    # (tuple(a), tuple(b)) -> int
+        self._reads = {}  # cached answer lists: inductive normals, I0 pairs
 
     # -- internal ----------------------------------------------------------
 
     def _as_tuple(self, a):
-        if isinstance(a, DimVector):
-            if a.quiver != self.quiver:
-                raise ValueError("dimension vector bound to a different quiver")
-            vals = a.values
-        else:
-            vals = tuple(int(v) for v in a)
-        if any(v >= _ENTRY_BOUND for v in vals):
+        if not isinstance(a, DimVector):
+            a = DimVector(self.quiver, a)  # rejects a wrong length or a negative entry
+        elif a.quiver != self.quiver:
+            raise ValueError("dimension vector bound to a different quiver")
+        if any(v >= _ENTRY_BOUND for v in a.values):
             raise ValueOverflowError("dimension entries too large for the exact int64 path")
-        return vals
+        return a.values
 
-    def _sub_matrices(self, key):
-        """(S, M) for the generic subdimensions of key, in lexicographic order."""
-        cached = self._subs.get(key)
-        if cached is not None:
-            return cached
-        n = len(key)
-        grids = np.meshgrid(*(np.arange(k + 1) for k in key), indexing="ij")
-        allb = np.stack(grids, axis=-1).reshape(-1, n).astype(np.int64)
-        rest = np.asarray(key, dtype=np.int64) - allb
-        # necessary condition <b, key-b> >= 0 prunes most candidates cheaply
-        eb = allb @ self._euler
-        survivors = np.nonzero(np.einsum("ij,ij->i", eb, rest) >= 0)[0]
-        total = sum(key)
-        rows = []
-        for i in survivors:
-            b = tuple(int(v) for v in allb[i])
-            s = sum(b)
-            if s == 0 or s == total:
-                rows.append(b)
+    def _weight(self, s):
+        if not isinstance(s, Weight):
+            s = Weight(self.quiver, s)
+        elif s.quiver != self.quiver:
+            raise ValueError("weight bound to a different quiver")
+        if any(abs(v) >= _ENTRY_BOUND for v in s.values):
+            raise ValueOverflowError("weight entries too large for the exact int64 path")
+        return s
+
+    def _check_int64(self, mass_a, mass_b):
+        if (1 + self._multiplicity) * mass_a * mass_b >= 2**63:
+            raise ValueOverflowError("Euler form values may exceed the exact int64 path")
+
+    def _build(self, root, extras=None):
+        """Decide S_t for root, for extras (flat indices into box(root)) and
+        for every key they need that no earlier build decided.
+
+        Returns (pe, buf, start, mid): for each of those keys t, the active
+        rows of S_t (see _active_rows) are the box points at flat indices
+        buf[start[t]:mid[t]], and row b of pe is <b, .>.
+        """
+        self._check_int64(sum(root), sum(root))
+        box = _Box(root)
+        n, N = len(root), box.size
+        points = box.points()
+        pe = points @ self._euler
+        slack_base = _rowdot(pe, points)  # <b, b>
+        del points
+        needed = np.zeros(N, dtype=bool)
+        needed[N - 1] = True
+        if extras is not None:
+            needed[extras] = True
+        start, mid, stop = (np.zeros(N, dtype=np.int64) for _ in range(3))
+        known, new = [], []  # (t, S_t, active rows) and (t, key, candidates of t)
+        for t in range(N - 1, -1, -1):
+            if not needed[t]:
                 continue
-            _, mb = self._sub_matrices(b)  # strictly smaller mass: terminates
-            if int((mb @ rest[i]).min()) >= 0:
-                rows.append(b)
-        S = np.array(rows, dtype=np.int64)
-        result = (S, S @ self._euler)
-        self._subs[key] = result
-        return result
+            key = tuple(int(v) for v in box.coords(np.int64(t)))
+            hit = self._subs.get(key)
+            if hit is not None:
+                src, src_buf, lo, lo_mid, hi = hit
+                known.append((t, box.flat(src.coords(src_buf[lo:hi])), lo_mid - lo))
+                continue
+            grid = np.indices(tuple(v + 1 for v in key)).reshape(n, -1)
+            idx = box.strides @ grid
+            slack = (self._euler @ np.asarray(key, dtype=np.int64)) @ grid - slack_base[idx]
+            cands = idx[slack >= 0][1:-1]  # <b, t - b> >= 0, without 0 and t
+            needed[cands] = True
+            new.append((t, key, cands))
+        # S_t is 0, t and some of the candidates of t
+        buf = np.empty(sum(len(f) for _, f, _ in known) + sum(len(c) + 2 for _, _, c in new),
+                       dtype=np.int64)
+        end = 0
+
+        def put(t, subs, active):
+            nonlocal end
+            start[t], mid[t], stop[t] = end, end + active, end + len(subs)
+            buf[end:stop[t]] = subs
+            end = stop[t]
+
+        for t, subs, active in known:
+            put(t, subs, active)
+        reused = end
+        for t, key, cands in reversed(new):
+            if len(cands):
+                c = np.asarray(key, dtype=np.int64) - box.coords(cands)
+                cands = cands[_all_nonneg(buf, start[cands], mid[cands], pe, c)]
+            subs = np.concatenate(([0], cands, [t]))
+            active = _active_rows(pe[subs])
+            put(t, np.concatenate((subs[active], subs[~active])), np.count_nonzero(active))
+        # the slices copied from earlier builds stay with those builds
+        owned = buf[reused:end].copy()
+        for t, key, _ in new:
+            self._subs[key] = (box, owned, *(int(x) - reused for x in (start[t], mid[t], stop[t])))
+        return pe, buf, start, mid
+
+    def _subdim_rows(self, key):
+        """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""
+        dense = self._dense.get(key)
+        if dense is None:
+            if key not in self._subs:
+                self._build(key)
+            box, buf, lo, _, hi = self._subs[key]
+            S = box.coords(np.sort(buf[lo:hi]))
+            dense = self._dense[key] = (S, S @ self._euler)
+        return dense
 
     # -- operations ---------------------------------------------------------
 
@@ -90,7 +264,8 @@ class ExtTable:
         if sum(ka) == 0 or sum(kb) == 0:
             val = 0
         else:
-            _, M = self._sub_matrices(ka)
+            self._check_int64(sum(ka), sum(kb))
+            _, M = self._subdim_rows(ka)
             val = max(0, -int((M @ np.asarray(kb, dtype=np.int64)).min()))
         self._ext[(ka, kb)] = val
         return val
@@ -112,26 +287,62 @@ class ExtTable:
 
     def generic_subdims(self, a):
         """All generic subdimensions of a, in mixed-radix lexicographic order."""
-        S, _ = self._sub_matrices(self._as_tuple(a))
-        return [DimVector(self.quiver, tuple(int(v) for v in row)) for row in S]
+        S, _ = self._subdim_rows(self._as_tuple(a))
+        return [DimVector(self.quiver, row) for row in S.tolist()]
+
+    def inductive_normals(self, a):
+        """The b <= a with b o (a - b) nonzero, lexicographic: the generic
+        subdimensions b of a with <b, a - b> = 0."""
+        key = self._as_tuple(a)
+        normals = self._reads.get(("inductive", key))
+        if normals is None:
+            S, M = self._subdim_rows(key)
+            isotropic = M @ np.asarray(key, dtype=np.int64) == _rowdot(M, S)  # <b, a> = <b, b>
+            normals = [DimVector(self.quiver, row) for row in S[isotropic].tolist()]
+            self._reads[("inductive", key)] = normals
+        return normals
+
+    def iso_pairs(self, a, inv):
+        """The I0 pairs (beta, gamma) of a tau-symmetric a, lexicographic in beta:
+        gamma = a - beta - tau.beta >= 0 with beta o gamma and beta o tau.beta nonzero."""
+        key = self._as_tuple(a)
+        pairs = self._reads.get(("I0", key, inv))
+        if pairs is not None:
+            return pairs
+        q = self.quiver
+        perm = [q.vertex_index(inv.vertex(v)) for v in q.vertices]
+        if tuple(key[p] for p in perm) != key:
+            raise NotSymmetricDimensionError(f"{key} is not tau-symmetric")
+        self._check_int64(sum(key), sum(key))
+        points = _Box(key).points()
+        root = np.asarray(key, dtype=np.int64)
+        cands = np.flatnonzero((points + points[:, perm] <= root).all(axis=1))
+        beta = points[cands]
+        del points
+        tbeta = beta[:, perm]
+        gamma = root - beta - tbeta
+        # beta o c is nonzero iff <beta, c> = 0 (here) and ext(beta, c) = 0 (on S_beta)
+        be = beta @ self._euler
+        iso = (_rowdot(be, gamma) == 0) & (_rowdot(be, tbeta) == 0)
+        cands, beta, tbeta, gamma = cands[iso], beta[iso], tbeta[iso], gamma[iso]
+        pe, buf, start, mid = self._build(key, extras=cands)
+        lo, hi = start[cands], mid[cands]
+        ok = _all_nonneg(buf, lo, hi, pe, gamma) & _all_nonneg(buf, lo, hi, pe, tbeta)
+        pairs = [IsoPair(DimVector(q, b), DimVector(q, g))
+                 for b, g in zip(beta[ok].tolist(), gamma[ok].tolist())]
+        self._reads[("I0", key, inv)] = pairs
+        return pairs
 
     def disc(self, a, s):
         """disc(a, s) = max of s(b) over generic subdims b of a; >= 0 since 0 is one."""
-        if isinstance(s, Weight):
-            if s.quiver != self.quiver:
-                raise ValueError("weight bound to a different quiver")
-            svals = s.values
-        else:
-            svals = tuple(int(v) for v in s)
-        if any(abs(v) >= _ENTRY_BOUND for v in svals):
-            raise ValueOverflowError("weight entries too large for the exact int64 path")
-        S, _ = self._sub_matrices(self._as_tuple(a))
-        return int((S @ np.asarray(svals, dtype=np.int64)).max())
+        w = np.asarray(self._weight(s).values, dtype=np.int64)
+        S, _ = self._subdim_rows(self._as_tuple(a))
+        return int((S @ w).max())
 
     def disc_witness(self, a, s):
         """A generic subdimension attaining disc(a, s) (first in canonical order)."""
-        subs = self.generic_subdims(a)
-        best = max(subs, key=lambda b: weight_eval(s, b))
+        s = self._weight(s)
+        best = max(self.generic_subdims(a), key=lambda b: weight_eval(s, b))
         return weight_eval(s, best), best
 
     def circ_nonzero(self, a, b):

@@ -29,6 +29,9 @@ SUN61_TABLE = [
     ((3, 3, 3, 3, 3, 3), 571, 20, 10, 12),
 ]
 
+# (6,2)-Sun at (1,2) x 6 (vertices 0.1, 0.2, 1.1, ..., 5.2): (n1, n2, n3(tau), n3(rho)).
+SUN62_ROW = ((1, 2) * 6, 673, 377, 84, 128)
+
 # Example 1 at alpha = (2,3,4,4,3,2): the 9 inequalities in coordinates
 # (sigma(x4), sigma(x5), sigma(x6)), each row c meaning c.sigma <= 0.
 EXAMPLE1_ROWS = {

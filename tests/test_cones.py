@@ -8,11 +8,14 @@ from quiver_cones import (
     counts,
     enumerate_I0,
     inequalities,
+    make_sun,
     member_antiinv,
     member_dw,
     member_inductive,
 )
 from quiver_cones.errors import NotAntiSymmetricError, NotSymmetricDimensionError
+
+from goldens import SUN62_ROW
 
 ALPHA_BIG = (2, 3, 4, 4, 3, 2)
 
@@ -101,6 +104,12 @@ def test_counts_d5hat_big(d5hat, d5hat_table):
     q, inv = d5hat
     n1, n2, n3s = counts(d5hat_table, DimVector(q, ALPHA_BIG), [inv])
     assert (n1, n2, n3s) == (244, 57, [10])
+
+
+def test_counts_sun62_golden_row():
+    q, invs = make_sun(3, 2)
+    alpha, n1, n2, n3_tau, n3_rho = SUN62_ROW
+    assert counts(ExtTable(q), DimVector(q, alpha), invs) == (n1, n2, [n3_tau, n3_rho])
 
 
 def test_counts_monotone(d5hat, d5hat_table):

@@ -1,0 +1,193 @@
+"""The box-indexed subdimension table against the recursive reference, its
+input checks and its box budget."""
+
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from quiver_cones import (
+    DimVector,
+    ExtTable,
+    Quiver,
+    Weight,
+    make_d5hat,
+    make_kronecker,
+    make_line,
+    make_sun,
+    serialize_quiver,
+)
+from quiver_cones import cli, schofield
+from quiver_cones.errors import DimensionTooLargeError, ValueOverflowError
+
+import reference_schofield as ref
+
+
+def _listed(quiver_and_involution):
+    q, inv = quiver_and_involution
+    return q, [inv]
+
+
+# (family, quiver, involutions, largest entry of a random alpha, alphas drawn)
+ZOO = [
+    ("line", *_listed(make_line(4)), 3, 8),
+    ("kronecker", *_listed(make_kronecker(3)), 5, 8),
+    ("sun4", *make_sun(2, 1), 3, 6),
+    ("sun6", *make_sun(3, 1), 2, 6),
+    ("d5hat", *_listed(make_d5hat()), 2, 6),
+]
+
+
+def _perm(q, inv):
+    return [q.vertex_index(inv.vertex(v)) for v in q.vertices]
+
+
+def _symmetrize(a, perm):
+    return tuple(max(a[i], a[p]) for i, p in enumerate(perm))
+
+
+@pytest.mark.parametrize("family, q, invs, hi, draws", ZOO, ids=[z[0] for z in ZOO])
+def test_table_matches_recursion_on_zoo(family, q, invs, hi, draws):
+    rng = random.Random(f"table-vs-recursion:{family}")
+    t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    alphas = [tuple(rng.randint(0, hi) for _ in q.vertices) for _ in range(draws)]
+    alphas += [_symmetrize(a, _perm(q, inv)) for a in alphas[:3] for inv in invs]
+    for a in alphas:
+        subs = [b.values for b in t.generic_subdims(a)]
+        assert subs == oracle.generic_subdims(a), (family, a)  # n1 and the order
+        normals = [b.values for b in t.inductive_normals(a)]
+        assert normals == ref.inductive_normals(oracle, a), (family, a)  # n2
+        for inv in invs:
+            if _symmetrize(a, _perm(q, inv)) != a:
+                continue
+            pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
+            assert pairs == ref.iso_pairs(oracle, a, inv), (family, a, inv.name)  # n3
+
+
+@pytest.mark.parametrize("chunk, dominators", [(1, 1), (5, 2), (64, 3)])
+def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk, dominators):
+    # tiny settings push every key through the multi-chunk and screening paths
+    monkeypatch.setattr(schofield, "_CHUNK", chunk)
+    monkeypatch.setattr(schofield, "_DOMINATORS", dominators)
+    q, inv = make_d5hat()
+    t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    for a in [(1, 2, 3, 3, 2, 1), (2, 1, 2, 2, 1, 2), (0, 2, 1, 1, 2, 0)]:
+        assert [b.values for b in t.generic_subdims(a)] == oracle.generic_subdims(a)
+        assert [b.values for b in t.inductive_normals(a)] == ref.inductive_normals(oracle, a)
+        pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
+        assert pairs == ref.iso_pairs(oracle, a, inv)
+
+
+def _random_acyclic_quiver(rng, index):
+    n = rng.randint(2, 4)
+    order = rng.sample(range(n), n)  # arrows run forward in this order
+    arrows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+                arrows.append((f"a{len(arrows)}", f"v{order[i]}", f"v{order[j]}"))
+    return Quiver(f"R{index}", [f"v{i}" for i in range(n)], arrows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ext_matches_recursion_on_random_quivers(seed):
+    rng = random.Random(f"random-quiver:{seed}")
+    q = _random_acyclic_quiver(rng, seed)
+    t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    n = len(q.vertices)
+    for _ in range(60):
+        a = tuple(rng.randint(0, 3) for _ in range(n))
+        b = tuple(rng.randint(0, 3) for _ in range(n))
+        assert t.ext(a, b) == oracle.ext(a, b), (q.arrows, a, b)
+    for _ in range(5):
+        a = tuple(rng.randint(0, 3) for _ in range(n))
+        assert [s.values for s in t.generic_subdims(a)] == oracle.generic_subdims(a)
+
+
+@pytest.mark.parametrize("case", ["d5hat", "sun6"])
+def test_disc_witness_is_first_maximizer(case):
+    if case == "d5hat":
+        q, _ = make_d5hat()
+        alpha = (2, 3, 4, 4, 3, 2)
+    else:
+        q, _ = make_sun(3, 1)
+        alpha = (2, 2, 2, 2, 2, 2)
+    t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    rng = random.Random(f"disc-witness:{case}")
+    for _ in range(200):
+        s = tuple(rng.randint(-4, 4) for _ in q.vertices)
+        val, witness = t.disc_witness(alpha, Weight(q, s))
+        assert (val, witness.values) == ref.disc_witness(oracle, alpha, s)
+        assert val == t.disc(alpha, Weight(q, s))
+
+
+def test_raw_tuples_are_validated(d5hat_table):
+    t = d5hat_table
+    with pytest.raises(ValueError, match="negative"):
+        t.ext((1, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0))
+    with pytest.raises(ValueError, match="negative"):
+        t.generic_subdims((1, -1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="length"):
+        t.ext((1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="length"):
+        t.is_generic_subdim((1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="length"):
+        t.disc((1, 1, 1, 1, 1, 1), (1, -1))
+    with pytest.raises(ValueError, match="length"):
+        t.disc_witness((1, 1, 1, 1, 1, 1), (1, -1))
+
+
+def test_box_budget_is_checked_before_building(monkeypatch):
+    q, inv = make_d5hat()
+    monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 5**6 - 1)
+    t = ExtTable(q)
+    for call in (lambda: t.generic_subdims((4,) * 6),
+                 lambda: t.ext((4,) * 6, (1,) * 6),
+                 lambda: t.iso_pairs((4,) * 6, inv)):
+        with pytest.raises(DimensionTooLargeError, match="budget"):
+            call()
+    assert len(t.generic_subdims((3, 4, 4, 4, 4, 4))) > 0  # 4 * 5**5 points fit
+
+
+def test_int64_bound_is_checked(d5hat):
+    q, _ = d5hat
+    t = ExtTable(q)
+    t._multiplicity = 2**58  # as if the quiver had that many parallel arrows
+    with pytest.raises(ValueOverflowError):
+        t.generic_subdims((1,) * 6)  # (1 + m) * 6**2 >= 2**63
+    assert t.ext((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)) == 1  # (1 + m) * 1 * 1 fits
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_reports_resource_limits_with_exit_2(tmp_path, monkeypatch):
+    q, inv = make_d5hat()
+    path = tmp_path / "d5hat.quiver"
+    path.write_text(serialize_quiver(q, [inv]))
+    argv = ["counts", str(path), "--alpha", "x1=40,x2=40,x3=40,x4=40,x5=40,x6=40"]
+    code, out, err = _run_cli(argv)
+    assert (code, out) == (2, "") and "budget" in err
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "counts", exhausted)
+    code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=1"])
+    assert (code, out) == (2, "") and "out of memory" in err
+
+
+def test_keys_are_shared_across_roots(d5hat):
+    q, _ = d5hat
+    shared, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    rng = random.Random("shared-keys")
+    for _ in range(40):
+        a = tuple(rng.randint(0, 2) for _ in q.vertices)
+        assert [b.values for b in shared.generic_subdims(a)] == oracle.generic_subdims(a)
+    assert [b.values for b in shared.generic_subdims((2, 2, 2, 2, 2, 2))] == \
+        [b.values for b in ExtTable(q).generic_subdims(DimVector(q, (2,) * 6))]
