@@ -1,7 +1,8 @@
 """A first tour: Euler form, generic hom/ext, and generic subdimensions.
 
 Everything here is exact integer arithmetic; no representation is ever
-constructed.  The generic values come out of Schofield's recursion alone.
+constructed.  The generic values are reads of one integer table per quiver,
+filled bottom-up by Schofield's criterion for generic subdimensions.
 """
 
 from quiver_cones import (

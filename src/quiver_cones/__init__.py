@@ -8,7 +8,6 @@ from .quiver import (
     Weight,
     antisym_basis,
     euler_form,
-    euler_row,
     euler_col,
     tau_dim,
     tau_weight,
@@ -42,7 +41,7 @@ from . import errors
 __all__ = [
     "Quiver", "DimVector", "Weight", "Involution", "OrbitBasis",
     "validate_quiver", "validate_involution", "euler_form", "weight_eval",
-    "euler_row", "euler_col", "tau_dim", "tau_weight", "antisym_basis",
+    "euler_col", "tau_dim", "tau_weight", "antisym_basis",
     "ExtTable", "box",
     "InequalitySystem", "IsoPair", "MembershipResult",
     "member_dw", "member_inductive", "member_antiinv",

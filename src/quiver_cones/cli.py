@@ -136,7 +136,7 @@ def cmd_member(args):
     return 1
 
 
-def cmd_inequalities(args):
+def _system(args):
     q, involutions = _load(args.file)
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
@@ -144,8 +144,11 @@ def cmd_inequalities(args):
     if args.method == "antiinv":
         inv = _pick_involution(involutions, args.involution)
         basis = _basis(q, inv, args)
-    system = inequalities(t, a, args.method, inv=inv, basis=basis)
-    _print_system(system, coords=args.coords)
+    return inequalities(t, a, args.method, inv=inv, basis=basis)
+
+
+def cmd_inequalities(args):
+    _print_system(_system(args), coords=args.coords)
     return 0
 
 
@@ -153,8 +156,8 @@ def _print_system(system, coords):
     if coords:
         if system.coordinate_space is None:
             raise QuiverConesError("--coords requires an antiinv system")
-        rows = sorted(set(system.restricted_rows(primitive=True)))
-        for row in rows:
+        # inequalities(dedup=True) already made the primitive rows unique
+        for row in sorted(system.restricted_rows(primitive=True)):
             if any(row):
                 print("\t".join(str(c) for c in row))
     else:
@@ -175,16 +178,7 @@ def cmd_counts(args):
 
 
 def cmd_reduce(args):
-    q, involutions = _load(args.file)
-    t = ExtTable(q)
-    a = parse_dim_vector(q, args.alpha)
-    inv = basis = None
-    if args.method == "antiinv":
-        inv = _pick_involution(involutions, args.involution)
-        basis = _basis(q, inv, args)
-    system = inequalities(t, a, args.method, inv=inv, basis=basis)
-    core = irredundant_core(system)
-    _print_system(core, coords=args.coords)
+    _print_system(irredundant_core(_system(args)), coords=args.coords)
     return 0
 
 

@@ -142,12 +142,6 @@ class _VertexVector:
     def __getitem__(self, vertex):
         return self.values[self.quiver.vertex_index(vertex)]
 
-    def as_dict(self):
-        return {v: x for v, x in zip(self.quiver.vertices, self.values) if x}
-
-    def total(self):
-        return sum(self.values)
-
     def _same_quiver(self, other):
         if self.quiver is not other.quiver and self.quiver != other.quiver:
             raise ValueError("vectors bound to different quivers")
@@ -225,19 +219,6 @@ def weight_eval(s, a):
     for x, y in zip(s.values, a.values):
         acc = _check64(acc + _check64(x * y))
     return acc
-
-
-def euler_row(q, a):
-    """The weight <a,.> : b |-> euler_form(a, b)."""
-    cols = []
-    idx = q.vertex_index
-    for j, y in enumerate(q.vertices):
-        c = a.values[j]
-        for _, t, h in q.arrows:
-            if idx(h) == j:
-                c -= a.values[idx(t)]
-        cols.append(_check64(c))
-    return Weight(q, cols)
 
 
 def euler_col(q, b):

@@ -15,7 +15,7 @@ Vector literals are comma-separated 'vertex=value' assignments with omitted
 vertices defaulting to 0.
 """
 
-from .errors import QuiverFileSyntaxError
+from .errors import DuplicateIdError, QuiverFileSyntaxError
 from .quiver import DimVector, Involution, Quiver, Weight, validate_involution
 
 
@@ -49,6 +49,8 @@ def parse_quiver_file(text):
         elif kw == "involution":
             if len(args) != 1:
                 raise QuiverFileSyntaxError(line_no, "expected: involution <name>")
+            if any(block[0] == args[0] for block in inv_blocks):
+                raise DuplicateIdError(f"line {line_no}: duplicate involution name {args[0]!r}")
             current = (args[0], [], [])
             inv_blocks.append(current)
         elif kw in ("vmap", "amap"):

@@ -2,11 +2,13 @@
 
 An inequality row c_i.x <= 0 of a cone is redundant iff maximizing c_i.x over
 the remaining rows plus the normalization c_i.x <= 1 yields optimum <= 0.
-The LP is solved by a dense tableau simplex over fractions.Fraction with
-Bland's rule, so every pivot is exact and the method terminates.
+The cone lies in the hyperplane sigma(alpha) = 0 (Derksen-Weyman), so the LPs
+are solved in coordinates of alpha^perp and carry no equality rows.  Each LP
+is solved by a dense tableau simplex over fractions.Fraction with Bland's
+rule, so every pivot is exact and the method terminates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionTooLargeError, LPInvariantError
@@ -17,13 +19,11 @@ _MAX_AMBIENT_DIM = 8
 
 @dataclass
 class RationalLP:
-    """max objective.x  s.t.  rows.x <= rhs, eq_rows.x = eq_rhs, x free."""
+    """max objective.x  s.t.  rows.x <= rhs, x free."""
 
     objective: list
     rows: list
     rhs: list
-    eq_rows: list = field(default_factory=list)
-    eq_rhs: list = field(default_factory=list)
 
 
 def _frac(x):
@@ -37,14 +37,8 @@ def solve_max(lp):
     c = [_frac(x) for x in lp.objective]
     rows = [[_frac(x) for x in r] for r in lp.rows]
     rhs = [_frac(x) for x in lp.rhs]
-    for r, b in zip(lp.eq_rows, lp.eq_rhs):
-        rows.append([_frac(x) for x in r])
-        rhs.append(_frac(b))
-        rows.append([-_frac(x) for x in r])
-        rhs.append(-_frac(b))
     if any(b < 0 for b in rhs):
         raise LPInvariantError("origin-infeasible system; this solver assumes rhs >= 0")
-    n = len(c)
     # free x -> x = u - v with u, v >= 0
     A = [r + [-x for x in r] for r in rows]
     obj = c + [-x for x in c]
@@ -83,46 +77,51 @@ def _bland_simplex(c, A, b):
 
 
 def _system_rows(system):
-    """(rows, eq_rows) over the system's working coordinates."""
+    """Integer rows of the system in coordinates of alpha^perp.
+
+    For ambient rows take the first k with alpha_k > 0: the entries sigma_j,
+    j != k, parametrise alpha^perp (sigma_k follows from sigma(alpha) = 0),
+    and row c becomes alpha_k * c(sigma) = (alpha_k c_j - c_k alpha_j)_{j != k},
+    a positive multiple of the same functional, so every LP flags the same
+    rows as redundant.  With alpha = 0 there is no hyperplane to remove.
+    """
     if system.coordinate_space is not None:
         # sigma(alpha) = 0 is automatic for anti-symmetric sigma on symmetric alpha
-        return system.restricted_rows(), []
-    dim = len(system.quiver.vertices)
-    if dim - 1 > _MAX_AMBIENT_DIM:
+        return system.restricted_rows()
+    alpha = system.alpha.values
+    if len(alpha) - 1 > _MAX_AMBIENT_DIM:
         raise DimensionTooLargeError(
-            f"ambient dimension {dim - 1} exceeds the exact-LP guard ({_MAX_AMBIENT_DIM})"
+            f"ambient dimension {len(alpha) - 1} exceeds the exact-LP guard ({_MAX_AMBIENT_DIM})"
         )
-    return system.ambient_rows(), [system.alpha.values]
+    rows = system.ambient_rows()
+    k = next((j for j, a in enumerate(alpha) if a > 0), None)
+    if k is None:
+        return rows
+    others = [j for j in range(len(alpha)) if j != k]
+    return [tuple(alpha[k] * c[j] - c[k] * alpha[j] for j in others) for c in rows]
 
 
-def redundant_row(rows, index, eq_rows=()):
-    """Whether rows[index].x <= 0 is implied by the other rows (plus equalities)."""
+def redundant_row(rows, index):
+    """Whether rows[index].x <= 0 is implied by the other rows."""
     target = list(rows[index])
     other = [list(r) for i, r in enumerate(rows) if i != index]
-    lp = RationalLP(
-        objective=target,
-        rows=other + [target],
-        rhs=[0] * len(other) + [1],
-        eq_rows=[list(r) for r in eq_rows],
-        eq_rhs=[0] * len(list(eq_rows)),
-    )
+    lp = RationalLP(objective=target, rows=other + [target], rhs=[0] * len(other) + [1])
     return solve_max(lp) <= 0
 
 
 def is_redundant(system, index):
     """Whether the index-th inequality of the system is implied by the others."""
-    rows, eq_rows = _system_rows(system)
-    return redundant_row(rows, index, eq_rows)
+    return redundant_row(_system_rows(system), index)
 
 
 def irredundant_core(system):
     """Greedy removal, in canonical order, of rows redundant against the survivors."""
-    rows, eq_rows = _system_rows(system)
+    rows = _system_rows(system)
     keep = list(range(len(rows)))
     i = 0
     while i < len(keep):
         current = [rows[j] for j in keep]
-        if redundant_row(current, i, eq_rows):
+        if redundant_row(current, i):
             del keep[i]
         else:
             i += 1

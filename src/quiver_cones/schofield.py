@@ -152,7 +152,6 @@ class ExtTable:
         # buffer[start:stop], the rows _active_rows keeps first, up to mid
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1, 1)}
         self._dense = {}  # tuple(a) -> (S, S @ E) for the keys a public call asked about
-        self._ext = {}    # (tuple(a), tuple(b)) -> int
         self._reads = {}  # cached answer lists: inductive normals, I0 pairs
 
     # -- internal ----------------------------------------------------------
@@ -258,17 +257,11 @@ class ExtTable:
     def ext(self, a, b):
         """Generic ext value; max(0, max over generic subdims a' of a of -<a', b>)."""
         ka, kb = self._as_tuple(a), self._as_tuple(b)
-        cached = self._ext.get((ka, kb))
-        if cached is not None:
-            return cached
         if sum(ka) == 0 or sum(kb) == 0:
-            val = 0
-        else:
-            self._check_int64(sum(ka), sum(kb))
-            _, M = self._subdim_rows(ka)
-            val = max(0, -int((M @ np.asarray(kb, dtype=np.int64)).min()))
-        self._ext[(ka, kb)] = val
-        return val
+            return 0
+        self._check_int64(sum(ka), sum(kb))
+        _, M = self._subdim_rows(ka)
+        return max(0, -int((M @ np.asarray(kb, dtype=np.int64)).min()))
 
     def hom(self, a, b):
         """Generic hom value: <a, b> + ext(a, b); always >= 0."""
@@ -350,15 +343,6 @@ class ExtTable:
         da = a if isinstance(a, DimVector) else DimVector(self.quiver, a)
         db = b if isinstance(b, DimVector) else DimVector(self.quiver, b)
         return euler_form(self.quiver, da, db) == 0 and self.ext(a, b) == 0
-
-    def filtration_necessary(self, parts):
-        """Necessary condition for a generic filtration dimension: sum_{i<j} <p_i, p_j> >= 0."""
-        parts = list(parts)
-        acc = 0
-        for i, p in enumerate(parts):
-            for q in parts[i + 1:]:
-                acc += euler_form(self.quiver, p, q)
-        return acc >= 0
 
 
 def box(quiver, a):

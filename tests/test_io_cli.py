@@ -12,7 +12,7 @@ from quiver_cones import (
     serialize_quiver,
 )
 from quiver_cones.cli import main
-from quiver_cones.errors import QuiverFileSyntaxError
+from quiver_cones.errors import DuplicateIdError, QuiverFileSyntaxError
 from quiver_cones.quiverfile import format_vector
 
 GOOD_FILE = """\
@@ -72,6 +72,24 @@ def test_two_involution_blocks(sunfile):
     with open(sunfile) as fh:
         q, invs = parse_quiver_file(fh.read())
     assert [i.name for i in invs] == ["tau", "rho"]
+
+
+def test_duplicate_involution_name_rejected(sunfile, tmp_path):
+    with open(sunfile) as fh:
+        text = fh.read().replace("involution rho", "involution tau")
+    with pytest.raises(DuplicateIdError):
+        parse_quiver_file(text)
+    path = tmp_path / "dup.quiver"
+    path.write_text(text)
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "") and "duplicate involution" in err
+
+
+def test_public_names_resolve():
+    import quiver_cones
+
+    for name in quiver_cones.__all__:
+        assert getattr(quiver_cones, name, None) is not None, name
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -189,14 +207,18 @@ def test_cli_inequalities_and_reduce_coords(d5file):
             "--representatives", "x4,x5,x6", "--coords"]
     code, out, _ = run_cli(["inequalities", d5file] + base)
     assert code == 0
-    rows = {tuple(int(c) for c in line.split("\t")) for line in out.splitlines()}
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines))  # the printer relies on deduplicated systems
+    rows = {tuple(int(c) for c in line.split("\t")) for line in lines}
     assert rows == {
         (0, 0, 1), (0, 1, 0), (0, 3, 2), (1, 0, 1), (1, 0, 2),
         (1, 1, 0), (2, 3, 0), (3, 2, 1), (4, 3, 2),
     }
     code, out, _ = run_cli(["reduce", d5file] + base)
     assert code == 0
-    rows = {tuple(int(c) for c in line.split("\t")) for line in out.splitlines()}
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines))
+    rows = {tuple(int(c) for c in line.split("\t")) for line in lines}
     assert rows == {(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)}
 
 

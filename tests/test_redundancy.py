@@ -4,11 +4,15 @@ import pytest
 
 from quiver_cones import (
     DimVector,
+    ExtTable,
     RationalLP,
     antisym_basis,
     inequalities,
     irredundant_core,
     is_redundant,
+    make_d5hat,
+    make_kronecker,
+    make_line,
     redundant_row,
     solve_max,
 )
@@ -28,13 +32,6 @@ def _example1_system(d5hat, d5hat_table):
 def test_solve_max_simple():
     lp = RationalLP(objective=[1, 1], rows=[[1, 0], [0, 1]], rhs=[2, 3])
     assert solve_max(lp) == 5
-
-
-def test_solve_max_with_equality():
-    lp = RationalLP(
-        objective=[1, 0], rows=[[1, 1]], rhs=[4], eq_rows=[[0, 1]], eq_rhs=[0]
-    )
-    assert solve_max(lp) == 4
 
 
 def test_solve_max_fractional_optimum():
@@ -151,3 +148,39 @@ def test_ambient_dimension_guard():
     system = ineqs(t, DimVector(q, (1,) * 10), "dw")
     with pytest.raises(DimensionTooLargeError):
         irredundant_core(system)
+
+
+def _core_with_plane(system):
+    """The greedy core in ambient coordinates, with sigma(alpha) = 0 kept as
+    the two rows alpha and -alpha."""
+    alpha = system.alpha.values
+    plane = [alpha, tuple(-x for x in alpha)]
+    rows = system.ambient_rows()
+    keep = list(range(len(rows)))
+    i = 0
+    while i < len(keep):
+        if redundant_row([rows[j] for j in keep] + plane, i):
+            del keep[i]
+        else:
+            i += 1
+    return tuple(system.normals[j] for j in keep)
+
+
+_QUIVERS = {"line3": make_line(3)[0], "kronecker": make_kronecker(2)[0], "d5hat": make_d5hat()[0]}
+_PLANE_CASES = [
+    ("line3", (0, 2, 1)),  # alpha_0 = 0: the eliminated vertex is not the first
+    ("line3", (1, 2, 1)),
+    ("kronecker", (2, 3)),
+    ("d5hat", (0, 1, 2, 2, 1, 0)),
+    ("d5hat", (1, 1, 2, 2, 1, 1)),
+    ("d5hat", (0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("method", ["dw", "inductive"])
+@pytest.mark.parametrize("family, alpha", _PLANE_CASES,
+                         ids=[f"{f}-{''.join(map(str, a))}" for f, a in _PLANE_CASES])
+def test_core_in_alpha_perp_matches_core_with_plane(family, alpha, method):
+    q = _QUIVERS[family]
+    system = inequalities(ExtTable(q), DimVector(q, alpha), method)
+    assert irredundant_core(system).normals == _core_with_plane(system)
