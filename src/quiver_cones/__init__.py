@@ -15,7 +15,7 @@ from .quiver import (
     validate_quiver,
     weight_eval,
 )
-from .schofield import ExtTable, box
+from .schofield import ExtTable
 from .cones import (
     InequalitySystem,
     IsoPair,
@@ -42,7 +42,7 @@ __all__ = [
     "Quiver", "DimVector", "Weight", "Involution", "OrbitBasis",
     "validate_quiver", "validate_involution", "euler_form", "weight_eval",
     "euler_col", "tau_dim", "tau_weight", "antisym_basis",
-    "ExtTable", "box",
+    "ExtTable",
     "InequalitySystem", "IsoPair", "MembershipResult",
     "member_dw", "member_inductive", "member_antiinv",
     "enumerate_I0", "inequalities", "counts",

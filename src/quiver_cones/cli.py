@@ -33,6 +33,8 @@ def _pick_involution(involutions, name):
     if name is None:
         if len(involutions) == 1:
             return involutions[0]
+        if not involutions:
+            raise QuiverConesError("the quiver file has no involution")
         raise QuiverConesError(
             "ambiguous involution; pass --involution " +
             "|".join(i.name for i in involutions)
@@ -137,6 +139,8 @@ def cmd_member(args):
 
 
 def _system(args):
+    if args.coords and args.method != "antiinv":
+        raise QuiverConesError("--coords requires an antiinv system")
     q, involutions = _load(args.file)
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
@@ -154,9 +158,6 @@ def cmd_inequalities(args):
 
 def _print_system(system, coords):
     if coords:
-        if system.coordinate_space is None:
-            raise QuiverConesError("--coords requires an antiinv system")
-        # inequalities(dedup=True) already made the primitive rows unique
         for row in sorted(system.restricted_rows(primitive=True)):
             if any(row):
                 print("\t".join(str(c) for c in row))

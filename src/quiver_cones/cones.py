@@ -115,12 +115,12 @@ def member_antiinv(t, s, a, inv):
     return MembershipResult(True)
 
 
-def inequalities(t, a, method, inv=None, basis=None, dedup=True):
+def inequalities(t, a, method, inv=None, basis=None):
     """The inequality system of the chosen characterisation.
 
-    For antiinv the system carries the orbit coordinate space; when dedup is
-    set, normals whose restricted coefficient vectors coincide are emitted
-    once (first occurrence in enumeration order).
+    For antiinv the system carries the orbit coordinate space, and normals
+    whose restricted coefficient vectors coincide are emitted once (first
+    occurrence in enumeration order).
     """
     if method == "dw":
         return InequalitySystem(a, tuple(t.generic_subdims(a)))
@@ -136,17 +136,14 @@ def inequalities(t, a, method, inv=None, basis=None, dedup=True):
     for p in pairs:
         tb = tau_dim(inv, p.beta)
         assert p.beta + tb <= a
-    normals = [p.beta for p in pairs]
-    if dedup:
-        # distinct beta may cut out the same halfspace on the anti-symmetric
-        # sublattice; compare primitive coefficient vectors
-        seen, kept = set(), []
-        for b in normals:
-            row = primitive_row(basis.restrict_normal(b))
-            if row not in seen:
-                seen.add(row)
-                kept.append(b)
-        normals = kept
+    # distinct beta may cut out the same halfspace on the anti-symmetric
+    # sublattice; compare primitive coefficient vectors
+    seen, normals = set(), []
+    for p in pairs:
+        row = primitive_row(basis.restrict_normal(p.beta))
+        if row not in seen:
+            seen.add(row)
+            normals.append(p.beta)
     return InequalitySystem(a, tuple(normals), coordinate_space=basis)
 
 

@@ -1,11 +1,11 @@
 """Exact-rational redundancy elimination for cone inequality systems.
 
-An inequality row c_i.x <= 0 of a cone is redundant iff maximizing c_i.x over
-the remaining rows plus the normalization c_i.x <= 1 yields optimum <= 0.
-The cone lies in the hyperplane sigma(alpha) = 0 (Derksen-Weyman), so the LPs
-are solved in coordinates of alpha^perp and carry no equality rows.  Each LP
-is solved by a dense tableau simplex over fractions.Fraction with Bland's
-rule, so every pivot is exact and the method terminates.
+A row c.x <= 0 of a cone is redundant iff the other rows imply it, which by
+Farkas' lemma holds iff c is a nonnegative combination of them: an LP with
+one row per coordinate.  The cone lies in the hyperplane sigma(alpha) = 0
+(Derksen-Weyman), so rows are taken in coordinates of alpha^perp.  Each LP is
+solved by a dense tableau simplex over fractions.Fraction with Bland's rule,
+so every pivot is exact and the method terminates.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ _MAX_AMBIENT_DIM = 8
 
 @dataclass
 class RationalLP:
-    """max objective.x  s.t.  rows.x <= rhs, x free."""
+    """max objective.x  s.t.  rows.x <= rhs, x >= 0."""
 
     objective: list
     rows: list
@@ -33,20 +33,15 @@ def _frac(x):
 
 
 def solve_max(lp):
-    """Optimum of the LP; requires rhs >= 0 (the origin must be feasible)."""
+    """Optimum of the LP; requires rhs >= 0 (the origin must be feasible).
+
+    Tableau simplex with Bland's rule from the slack basis.
+    """
     c = [_frac(x) for x in lp.objective]
-    rows = [[_frac(x) for x in r] for r in lp.rows]
-    rhs = [_frac(x) for x in lp.rhs]
-    if any(b < 0 for b in rhs):
+    A = [[_frac(x) for x in r] for r in lp.rows]
+    b = [_frac(x) for x in lp.rhs]
+    if any(x < 0 for x in b):
         raise LPInvariantError("origin-infeasible system; this solver assumes rhs >= 0")
-    # free x -> x = u - v with u, v >= 0
-    A = [r + [-x for x in r] for r in rows]
-    obj = c + [-x for x in c]
-    return _bland_simplex(obj, A, rhs)
-
-
-def _bland_simplex(c, A, b):
-    """Tableau simplex, Bland's rule, slack starting basis; returns the optimum."""
     m, n = len(A), len(c)
     # tableau rows: [A | I | b]; objective row holds negated reduced costs
     T = [list(A[i]) + [Fraction(int(i == k)) for k in range(m)] + [b[i]] for i in range(m)]
@@ -63,7 +58,7 @@ def _bland_simplex(c, A, b):
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
         if leave is None:
-            raise LPInvariantError("unbounded LP in redundancy test")
+            raise LPInvariantError("unbounded LP")
         piv = T[leave][enter]
         T[leave] = [x / piv for x in T[leave]]
         for i in range(m):
@@ -102,11 +97,21 @@ def _system_rows(system):
 
 
 def redundant_row(rows, index):
-    """Whether rows[index].x <= 0 is implied by the other rows."""
-    target = list(rows[index])
-    other = [list(r) for i, r in enumerate(rows) if i != index]
-    lp = RationalLP(objective=target, rows=other + [target], rhs=[0] * len(other) + [1])
-    return solve_max(lp) <= 0
+    """Whether rows[index].x <= 0 is implied by the other rows.
+
+    Farkas: iff c = A.lam for some lam >= 0, A having the other rows as
+    columns.  Coordinate k is multiplied by the sign of c_k, so b = |c| >= 0
+    and sum(A.lam) <= sum(b) over A.lam <= b, with equality iff A.lam = b.
+    """
+    target = rows[index]
+    other = [r for i, r in enumerate(rows) if i != index]
+    signs = [-1 if x < 0 else 1 for x in target]
+    lp = RationalLP(
+        objective=[sum(s * x for s, x in zip(signs, r)) for r in other],
+        rows=[[s * r[k] for r in other] for k, s in enumerate(signs)],
+        rhs=[abs(x) for x in target],
+    )
+    return solve_max(lp) == sum(lp.rhs)
 
 
 def is_redundant(system, index):

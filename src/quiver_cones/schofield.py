@@ -24,7 +24,6 @@ inductive normals are the b in S_a with <b, a - b> = 0, and the I0 pairs are
 decided on S_beta.
 """
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -343,9 +342,3 @@ class ExtTable:
         da = a if isinstance(a, DimVector) else DimVector(self.quiver, a)
         db = b if isinstance(b, DimVector) else DimVector(self.quiver, b)
         return euler_form(self.quiver, da, db) == 0 and self.ext(a, b) == 0
-
-
-def box(quiver, a):
-    """Iterate all dimension vectors 0 <= b <= a in mixed-radix lexicographic order."""
-    for vals in itertools.product(*(range(v + 1) for v in a.values)):
-        yield DimVector(quiver, vals)

@@ -222,6 +222,28 @@ def test_cli_inequalities_and_reduce_coords(d5file):
     assert rows == {(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)}
 
 
+def test_cli_coords_rejected_before_any_lp(monkeypatch, d5file):
+    import quiver_cones.cli as cli
+
+    def no_lp(system):
+        raise AssertionError("irredundant_core ran before the --coords check")
+
+    monkeypatch.setattr(cli, "irredundant_core", no_lp)
+    for command in ("inequalities", "reduce"):
+        code, out, err = run_cli([command, d5file, "--alpha", "x1=1,x2=2,x3=3,x4=3,x5=2,x6=1",
+                                  "--method", "dw", "--coords"])
+        assert (code, out) == (2, "") and "--coords requires an antiinv system" in err
+
+
+def test_cli_file_without_involution(tmp_path):
+    q, _ = make_d5hat()
+    path = tmp_path / "plain.quiver"
+    path.write_text(serialize_quiver(q, []))
+    code, out, err = run_cli(["member", str(path), "--alpha", "x1=1,x2=1,x3=1,x4=1,x5=1,x6=1",
+                              "--method", "antiinv", "--sigma", "x1=1,x6=-1"])
+    assert (code, out) == (2, "") and "the quiver file has no involution" in err
+
+
 def test_cli_deterministic_output(d5file):
     argv = ["inequalities", d5file, "--alpha", "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2",
             "--method", "antiinv", "--coords"]

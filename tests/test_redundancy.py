@@ -49,6 +49,53 @@ def test_solve_max_rejects_negative_rhs():
         solve_max(RationalLP(objective=[1], rows=[[1]], rhs=[-1]))
 
 
+def test_solve_max_variables_are_nonnegative():
+    # max -x over x <= 1 is unbounded for free x; with x >= 0 it is 0
+    assert solve_max(RationalLP(objective=[-1], rows=[[1]], rhs=[1])) == 0
+    with pytest.raises(LPInvariantError):
+        solve_max(RationalLP(objective=[1], rows=[[-1]], rhs=[1]))
+
+
+def _primal_redundant(rows, index):
+    """Reference test: max c.x over the other rows and c.x <= 1 is <= 0,
+    with x free written as u - v, u, v >= 0."""
+    def split(r):
+        return list(r) + [-x for x in r]
+
+    target = rows[index]
+    other = [r for i, r in enumerate(rows) if i != index]
+    lp = RationalLP(
+        objective=split(target),
+        rows=[split(r) for r in other + [target]],
+        rhs=[0] * len(other) + [1],
+    )
+    return solve_max(lp) <= 0
+
+
+def _random_rows(rng, d):
+    rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 6))]
+    base = rng.choice(rows)
+    rows += [
+        (0,) * d,
+        tuple(rng.randint(1, 3) * x for x in base),  # parallel
+        tuple(-x for x in rng.choice(rows)),  # negated
+        rng.choice(rows),  # duplicate
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_farkas_matches_primal_reference(d):
+    import random
+
+    rng = random.Random(100 + d)
+    for _ in range(60):
+        rows = _random_rows(rng, d)
+        for i in range(len(rows)):
+            assert redundant_row(rows, i) == _primal_redundant(rows, i), (rows, i)
+
+
 def test_duplicate_row_is_redundant():
     rows = [(1, 0), (1, 0), (0, 1)]
     assert redundant_row(rows, 0)
@@ -151,15 +198,15 @@ def test_ambient_dimension_guard():
 
 
 def _core_with_plane(system):
-    """The greedy core in ambient coordinates, with sigma(alpha) = 0 kept as
-    the two rows alpha and -alpha."""
+    """The greedy core in ambient coordinates by the primal reference test,
+    with sigma(alpha) = 0 kept as the two rows alpha and -alpha."""
     alpha = system.alpha.values
     plane = [alpha, tuple(-x for x in alpha)]
     rows = system.ambient_rows()
     keep = list(range(len(rows)))
     i = 0
     while i < len(keep):
-        if redundant_row([rows[j] for j in keep] + plane, i):
+        if _primal_redundant([rows[j] for j in keep] + plane, i):
             del keep[i]
         else:
             i += 1
