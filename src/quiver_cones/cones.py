@@ -9,7 +9,8 @@ Three equivalent characterisations are implemented:
                 nonvanishing pairing);
 * antiinv    -- for symmetric alpha and anti-symmetric sigma, one inequality
                 per pair (beta, gamma) with alpha = beta + gamma + tau.beta
-                and both pairings beta o gamma, beta o tau.beta nonzero.
+                and both pairings beta o gamma, beta o tau.beta nonzero;
+                each such beta is an inductive normal, so n3 <= n2.
 """
 
 from dataclasses import dataclass

@@ -37,6 +37,8 @@ def solve_max(lp):
 
     Tableau simplex with Bland's rule from the slack basis.
     """
+    if len(lp.rhs) != len(lp.rows) or any(len(r) != len(lp.objective) for r in lp.rows):
+        raise LPInvariantError("LP needs one rhs per row and one entry per variable in each row")
     c = [_frac(x) for x in lp.objective]
     A = [[_frac(x) for x in r] for r in lp.rows]
     b = [_frac(x) for x in lp.rhs]
@@ -103,6 +105,8 @@ def redundant_row(rows, index):
     columns.  Coordinate k is multiplied by the sign of c_k, so b = |c| >= 0
     and sum(A.lam) <= sum(b) over A.lam <= b, with equality iff A.lam = b.
     """
+    if len({len(r) for r in rows}) > 1:
+        raise LPInvariantError("rows of different lengths")
     target = rows[index]
     other = [r for i, r in enumerate(rows) if i != index]
     signs = [-1 if x < 0 else 1 for x in target]

@@ -7,9 +7,8 @@ ExtTable evaluates it bottom-up, once per root a that a caller asks about,
 over box(a) = {b : 0 <= b <= a} in mixed-radix (lexicographic) order, where
 every b <= t with b != t comes before t:
 
-* top-down, mark the keys the root needs: the root, any extra keys the caller
-  asks for, and for each needed t the candidates b <= t with <b, t - b> >= 0
-  (the criterion at s = b, which prunes most of the box);
+* top-down, mark the root and, for each marked t, its candidates b <= t with
+  <b, t - b> >= 0 (the criterion at s = b, which prunes most of the box);
 * bottom-up, decide each candidate b of t with one vectorised segment minimum
   of <s, t - b> over s in S_b, the generic subdimensions of b.  Only the
   active rows of S_b take part: as t - b >= 0, a row <s, .> with no negative
@@ -21,7 +20,7 @@ every b <= t with b != t comes before t:
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
 inductive normals are the b in S_a with <b, a - b> = 0, and the I0 pairs are
-decided on S_beta.
+the normals beta with a - beta - tau.beta >= 0 passing two ext tests on S_beta.
 """
 
 import math
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLargeError, NotSymmetricDimensionError, ValueOverflowError
-from .quiver import DimVector, Weight, euler_form, weight_eval
+from .quiver import DimVector, Weight, euler_form, validate_involution, weight_eval
 
 # largest entry of a dimension vector or weight passed in (see _check_int64)
 _ENTRY_BOUND = 2**20
@@ -150,7 +149,7 @@ class ExtTable:
         # tuple(t) -> (box, buffer, start, mid, stop): S_t is the box points at
         # buffer[start:stop], the rows _active_rows keeps first, up to mid
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1, 1)}
-        self._dense = {}  # tuple(a) -> (S, S @ E) for the keys a public call asked about
+        self._dense = {}  # tuple(a) -> (S, S @ E) for keys a public call or an I0 test read
         self._reads = {}  # cached answer lists: inductive normals, I0 pairs
 
     # -- internal ----------------------------------------------------------
@@ -177,14 +176,8 @@ class ExtTable:
         if (1 + self._multiplicity) * mass_a * mass_b >= 2**63:
             raise ValueOverflowError("Euler form values may exceed the exact int64 path")
 
-    def _build(self, root, extras=None):
-        """Decide S_t for root, for extras (flat indices into box(root)) and
-        for every key they need that no earlier build decided.
-
-        Returns (pe, buf, start, mid): for each of those keys t, the active
-        rows of S_t (see _active_rows) are the box points at flat indices
-        buf[start[t]:mid[t]], and row b of pe is <b, .>.
-        """
+    def _build(self, root):
+        """Decide S_t, into _subs, for root and the keys it needs that no earlier build decided."""
         self._check_int64(sum(root), sum(root))
         box = _Box(root)
         n, N = len(root), box.size
@@ -194,8 +187,6 @@ class ExtTable:
         del points
         needed = np.zeros(N, dtype=bool)
         needed[N - 1] = True
-        if extras is not None:
-            needed[extras] = True
         start, mid, stop = (np.zeros(N, dtype=np.int64) for _ in range(3))
         known, new = [], []  # (t, S_t, active rows) and (t, key, candidates of t)
         for t in range(N - 1, -1, -1):
@@ -238,7 +229,6 @@ class ExtTable:
         owned = buf[reused:end].copy()
         for t, key, _ in new:
             self._subs[key] = (box, owned, *(int(x) - reused for x in (start[t], mid[t], stop[t])))
-        return pe, buf, start, mid
 
     def _subdim_rows(self, key):
         """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""
@@ -296,32 +286,34 @@ class ExtTable:
 
     def iso_pairs(self, a, inv):
         """The I0 pairs (beta, gamma) of a tau-symmetric a, lexicographic in beta:
-        gamma = a - beta - tau.beta >= 0 with beta o gamma and beta o tau.beta nonzero."""
+        gamma = a - beta - tau.beta >= 0 with beta o gamma and beta o tau.beta nonzero.
+
+        Each such beta is an inductive normal of a: gamma + tau.beta = a - beta,
+        so <beta, a - beta> = 0, and ext(beta, a - beta) = 0, since a general V
+        of dimension beta has Ext(V, W + W') = 0 for general W, W' of dimensions
+        gamma, tau.beta and generic ext is the least over all representations.
+        On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta (decided
+        by the build of a) holds beta, so the ext tests on S_beta imply both
+        isotropy tests; <beta, gamma> = 0 is tested first only to skip S_beta.
+        """
         key = self._as_tuple(a)
         pairs = self._reads.get(("I0", key, inv))
         if pairs is not None:
             return pairs
         q = self.quiver
+        validate_involution(q, inv)
         perm = [q.vertex_index(inv.vertex(v)) for v in q.vertices]
         if tuple(key[p] for p in perm) != key:
             raise NotSymmetricDimensionError(f"{key} is not tau-symmetric")
-        self._check_int64(sum(key), sum(key))
-        points = _Box(key).points()
-        root = np.asarray(key, dtype=np.int64)
-        cands = np.flatnonzero((points + points[:, perm] <= root).all(axis=1))
-        beta = points[cands]
-        del points
-        tbeta = beta[:, perm]
-        gamma = root - beta - tbeta
-        # beta o c is nonzero iff <beta, c> = 0 (here) and ext(beta, c) = 0 (on S_beta)
-        be = beta @ self._euler
-        iso = (_rowdot(be, gamma) == 0) & (_rowdot(be, tbeta) == 0)
-        cands, beta, tbeta, gamma = cands[iso], beta[iso], tbeta[iso], gamma[iso]
-        pe, buf, start, mid = self._build(key, extras=cands)
-        lo, hi = start[cands], mid[cands]
-        ok = _all_nonneg(buf, lo, hi, pe, gamma) & _all_nonneg(buf, lo, hi, pe, tbeta)
-        pairs = [IsoPair(DimVector(q, b), DimVector(q, g))
-                 for b, g in zip(beta[ok].tolist(), gamma[ok].tolist())]
+        root, pairs = np.asarray(key, dtype=np.int64), []
+        for beta in self.inductive_normals(key):
+            b = np.asarray(beta.values, dtype=np.int64)
+            gamma = root - b - b[perm]
+            if gamma.min() < 0 or b @ self._euler @ gamma != 0:
+                continue
+            _, M = self._subdim_rows(beta.values)  # ext(beta, c) = 0 iff min(M @ c) >= 0
+            if (M @ np.stack((gamma, b[perm]), axis=1)).min() >= 0:
+                pairs.append(IsoPair(beta, DimVector(q, gamma.tolist())))
         self._reads[("I0", key, inv)] = pairs
         return pairs
 

@@ -15,7 +15,11 @@ from quiver_cones import (
     member_dw,
     member_inductive,
 )
-from quiver_cones.errors import NotAntiSymmetricError, NotSymmetricDimensionError
+from quiver_cones.errors import (
+    DanglingEndpointError,
+    NotAntiSymmetricError,
+    NotSymmetricDimensionError,
+)
 
 from goldens import SUN62_ROW
 
@@ -80,6 +84,17 @@ def test_enumerate_I0_requires_symmetric(d5hat, d5hat_table):
     q, inv = d5hat
     with pytest.raises(NotSymmetricDimensionError):
         enumerate_I0(d5hat_table, DimVector(q, (1, 0, 0, 0, 0, 0)), inv)
+
+
+def test_foreign_involution_rejected(d5hat, sun31):
+    # D5-hat's tau names no Sun(6,1) vertex; read as the identity, each call would answer
+    (q, _), (_, tau) = sun31, d5hat
+    t, a = ExtTable(q), DimVector(q, (2,) * 6)
+    for call in (lambda: t.iso_pairs(a, tau),
+                 lambda: counts(t, a, [tau]),
+                 lambda: member_antiinv(t, Weight.zero(q), a, tau)):
+        with pytest.raises(DanglingEndpointError):
+            call()
 
 
 def test_inequalities_dw_a2(a2):

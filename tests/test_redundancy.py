@@ -56,6 +56,23 @@ def test_solve_max_variables_are_nonnegative():
         solve_max(RationalLP(objective=[1], rows=[[-1]], rhs=[1]))
 
 
+@pytest.mark.parametrize("objective, rows, rhs", [
+    ([1, 1], [[1]], [1]),  # x2 has no entry: the LP would be unbounded
+    ([1], [[1, 5]], [1]),  # a column with no variable
+    ([1], [[1]], [1, 2]),  # a rhs with no row
+    ([1], [[1], [1]], [1]),  # a row with no rhs
+], ids=["short-row", "long-row", "extra-rhs", "missing-rhs"])
+def test_solve_max_rejects_ragged_data(objective, rows, rhs):
+    with pytest.raises(LPInvariantError):
+        solve_max(RationalLP(objective=objective, rows=rows, rhs=rhs))
+
+
+@pytest.mark.parametrize("rows", [[(1,), (1, 0)], [(1, 0), (1,)]], ids=["short-target", "long-target"])
+def test_redundant_row_rejects_rows_of_different_lengths(rows):
+    with pytest.raises(LPInvariantError):
+        redundant_row(rows, 0)
+
+
 def _primal_redundant(rows, index):
     """Reference test: max c.x over the other rows and c.x <= 1 is <= 0,
     with x free written as u - v, u, v >= 0."""

@@ -12,6 +12,7 @@ from quiver_cones import (
     ExtTable,
     Quiver,
     Weight,
+    counts,
     make_d5hat,
     make_kronecker,
     make_line,
@@ -57,12 +58,16 @@ def test_table_matches_recursion_on_zoo(family, q, invs, hi, draws):
         subs = [b.values for b in t.generic_subdims(a)]
         assert subs == oracle.generic_subdims(a), (family, a)  # n1 and the order
         normals = [b.values for b in t.inductive_normals(a)]
-        assert normals == ref.inductive_normals(oracle, a), (family, a)  # n2
+        ref_normals = ref.inductive_normals(oracle, a)
+        assert normals == ref_normals, (family, a)  # n2
         for inv in invs:
             if _symmetrize(a, _perm(q, inv)) != a:
                 continue
             pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
-            assert pairs == ref.iso_pairs(oracle, a, inv), (family, a, inv.name)  # n3
+            ref_pairs = ref.iso_pairs(oracle, a, inv)
+            assert pairs == ref_pairs, (family, a, inv.name)  # n3
+            # iso_pairs filters the inductive normals; the oracle walks the box
+            assert {b for b, _ in ref_pairs} <= set(ref_normals), (family, a, inv.name)
 
 
 @pytest.mark.parametrize("chunk, dominators", [(1, 1), (5, 2), (64, 3)])
@@ -77,6 +82,20 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk, dominators
         assert [b.values for b in t.inductive_normals(a)] == ref.inductive_normals(oracle, a)
         pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
         assert pairs == ref.iso_pairs(oracle, a, inv)
+
+
+@pytest.mark.parametrize("case", ["d5hat", "sun6"])
+def test_cold_counts_builds_the_table_once(monkeypatch, case):
+    # n2 and every I0 test read the sets that the build of alpha decided
+    if case == "d5hat":
+        (q, inv), alpha = make_d5hat(), (2, 3, 4, 4, 3, 2)
+        invs = [inv]
+    else:
+        (q, invs), alpha = make_sun(3, 1), (2,) * 6
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    counts(ExtTable(q), alpha, invs)
+    assert roots == [alpha]
 
 
 def _random_acyclic_quiver(rng, index):
