@@ -133,6 +133,8 @@ def inequalities(t, a, method, inv=None, basis=None):
         raise ValueError("antiinv requires an involution")
     if basis is None:
         basis = antisym_basis(t.quiver, inv)
+    elif basis.quiver != t.quiver or basis.involution != inv:
+        raise ValueError("basis built for another quiver or involution")
     pairs = enumerate_I0(t, a, inv)
     for p in pairs:
         tb = tau_dim(inv, p.beta)

@@ -107,6 +107,8 @@ def redundant_row(rows, index):
     """
     if len({len(r) for r in rows}) > 1:
         raise LPInvariantError("rows of different lengths")
+    if not 0 <= index < len(rows):
+        raise ValueError(f"row index {index} is outside 0..{len(rows) - 1}")
     target = rows[index]
     other = [r for i, r in enumerate(rows) if i != index]
     signs = [-1 if x < 0 else 1 for x in target]

@@ -8,12 +8,17 @@ over box(a) = {b : 0 <= b <= a} in mixed-radix (lexicographic) order, where
 every b <= t with b != t comes before t:
 
 * top-down, mark the root and, for each marked t, its candidates b <= t with
-  <b, t - b> >= 0 (the criterion at s = b, which prunes most of the box);
-* bottom-up, decide each candidate b of t with one vectorised segment minimum
-  of <s, t - b> over s in S_b, the generic subdimensions of b.  Only the
-  active rows of S_b take part: as t - b >= 0, a row <s, .> with no negative
-  entry, or with another row of S_b entrywise below it, cannot make the
-  minimum negative on its own;
+  <b, t - b> >= 0 (the criterion at s = b, which prunes most of the box) and,
+  for c = t - b and each vertex v, <b|V, c> >= 0 and <b, c|W> >= 0, V (W) the
+  vertices on paths out of (into) v, v included.  V is closed under arrow
+  heads and W under arrow tails, so every representation of dimension b (c)
+  has a sub (quotient) of dimension b|V (c|W); Ext^1 over kQ is right exact,
+  so ext(b, c) >= -<b|V, c>, -<b, c|W>, and as b -> t iff ext(b, c) = 0, only
+  b that cannot be generic subdimensions of t are dropped;
+* bottom-up, decide each candidate b of t by one vectorised segment minimum
+  of <s, t - b> over 0 and the rows s of S_b, the generic subdimensions of b,
+  with a negative entry: as t - b >= 0, no other row can make it negative.
+  Every kept b meets this full test, so the filter changes no S_t;
 * S_t is a slice of flat indices into one buffer per build, and keys built
   for one root are reused by every later root.
 
@@ -31,6 +36,7 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, NotSymmetricDimensionError, ValueOverflowError
 from .quiver import DimVector, Weight, euler_form, validate_involution, weight_eval
+from .quiver import _topological_order
 
 # largest entry of a dimension vector or weight passed in (see _check_int64)
 _ENTRY_BOUND = 2**20
@@ -38,8 +44,6 @@ _ENTRY_BOUND = 2**20
 _MAX_BOX_POINTS = 2**20
 # (s, b) pairs gathered per segment-minimum step
 _CHUNK = 2**16
-# rows of least sum each new S_t is screened against in _active_rows
-_DOMINATORS = 16
 
 
 @dataclass(frozen=True)
@@ -72,31 +76,11 @@ class _Box:
 
     def points(self):
         """Every point as a row, in flat order."""
-        return np.indices(self.shape).reshape(len(self.shape), -1).T
+        return self.coords(np.arange(self.size))
 
 
 def _rowdot(x, y):
     return np.einsum("ij,ij->i", x, y)
-
-
-def _active_rows(rows):
-    """Mask of rows enough to decide min(rows @ c) >= 0 for every c >= 0.
-
-    A row with no negative entry is >= 0 at every such c, and a row r with
-    another row u <= r entrywise has u @ c <= r @ c, so both can go.  The
-    first row, zero, starts in the mask, so the mask is never empty; each row
-    is screened against the few of least sum (the rows are distinct)."""
-    active = (rows < 0).any(axis=1)
-    active[0] = True
-    live = np.flatnonzero(active)
-    top = live[np.argsort(rows[live].sum(axis=1))[:_DOMINATORS]]
-    tops, lives = rows[top], rows[live]
-    below = tops[:, None, 0] <= lives[None, :, 0]
-    for i in range(1, rows.shape[1]):
-        below &= tops[:, None, i] <= lives[None, :, i]
-    below[np.arange(len(top)), np.searchsorted(live, top)] = False
-    active[live[below.any(axis=0)]] = False
-    return active
 
 
 def _all_nonneg(buf, start, stop, pe, c):
@@ -104,7 +88,7 @@ def _all_nonneg(buf, start, stop, pe, c):
     buf[start_j:stop_j], where row s of pe is <s, .>.
 
     With those points the generic subdimensions of b_j, this is ext(b_j, c_j) = 0.
-    The active rows of S_b_j (see _active_rows) decide the same for c_j >= 0.
+    For c_j >= 0 the rows of S_b_j with a negative entry, and 0, decide the same.
     The (s, j) pairs are gathered about _CHUNK at a time and reduced with one
     segment minimum per chunk; no segment is empty.
     """
@@ -142,12 +126,18 @@ class ExtTable:
         self._euler = E
         # int64 bound: |<s, c>| <= (1 + m) * |s|_1 * |c|_1 for s, c >= 0, where m
         # is the largest number of parallel arrows, so every value a build for
-        # root alpha forms (s, c <= alpha) is at most (1 + m) * |alpha|_1**2;
-        # _check_int64 keeps that below 2**63 before any product is taken
+        # root alpha forms (0 <= s, c <= alpha, also in the closed-set tests) is
+        # at most (1 + m) * |alpha|_1**2; _check_int64 keeps it below 2**63 first
         self._multiplicity = max(Counter((t, h) for _, t, h in quiver.arrows).values(), default=0)
+        # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
+        # head-closed vertex set holding v, column v the least tail-closed one
+        pos = {v: i for i, v in enumerate(_topological_order(quiver))}
+        self._reach = np.eye(n, dtype=np.int64)
+        for t, h in sorted({(t, h) for _, t, h in quiver.arrows}, key=lambda e: -pos[e[0]]):
+            self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final
         zero = (0,) * n
         # tuple(t) -> (box, buffer, start, mid, stop): S_t is the box points at
-        # buffer[start:stop], the rows _active_rows keeps first, up to mid
+        # buffer[start:stop], 0 and those with a negative entry of <s, .> first
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1, 1)}
         self._dense = {}  # tuple(a) -> (S, S @ E) for keys a public call or an I0 test read
         self._reads = {}  # cached answer lists: inductive normals, I0 pairs
@@ -180,7 +170,7 @@ class ExtTable:
         """Decide S_t, into _subs, for root and the keys it needs that no earlier build decided."""
         self._check_int64(sum(root), sum(root))
         box = _Box(root)
-        n, N = len(root), box.size
+        N = box.size
         points = box.points()
         pe = points @ self._euler
         slack_base = _rowdot(pe, points)  # <b, b>
@@ -188,20 +178,25 @@ class ExtTable:
         needed = np.zeros(N, dtype=bool)
         needed[N - 1] = True
         start, mid, stop = (np.zeros(N, dtype=np.int64) for _ in range(3))
-        known, new = [], []  # (t, S_t, active rows) and (t, key, candidates of t)
+        known, new = [], []  # (t, S_t, rows up to mid) and (t, key, candidates of t)
         for t in range(N - 1, -1, -1):
             if not needed[t]:
                 continue
-            key = tuple(int(v) for v in box.coords(np.int64(t)))
+            top = box.coords(np.int64(t))
+            key = tuple(int(v) for v in top)
             hit = self._subs.get(key)
             if hit is not None:
                 src, src_buf, lo, lo_mid, hi = hit
                 known.append((t, box.flat(src.coords(src_buf[lo:hi])), lo_mid - lo))
                 continue
-            grid = np.indices(tuple(v + 1 for v in key)).reshape(n, -1)
-            idx = box.strides @ grid
-            slack = (self._euler @ np.asarray(key, dtype=np.int64)) @ grid - slack_base[idx]
-            cands = idx[slack >= 0][1:-1]  # <b, t - b> >= 0, without 0 and t
+            grid = _Box(key).points()
+            idx = box.flat(grid)
+            keep = np.flatnonzero(grid @ (self._euler @ top) >= slack_base[idx])[1:-1]
+            b, cands = grid[keep], idx[keep]  # <b, t - b> >= 0, without 0 and t
+            c = top - b
+            sub = (b * (c @ self._euler.T)) @ self._reach.T  # <b|V, c>
+            quot = (pe[cands] * c) @ self._reach  # <b, c|W>
+            cands = cands[(sub >= 0).all(axis=1) & (quot >= 0).all(axis=1)]
             needed[cands] = True
             new.append((t, key, cands))
         # S_t is 0, t and some of the candidates of t
@@ -219,11 +214,11 @@ class ExtTable:
             put(t, subs, active)
         reused = end
         for t, key, cands in reversed(new):
-            if len(cands):
-                c = np.asarray(key, dtype=np.int64) - box.coords(cands)
-                cands = cands[_all_nonneg(buf, start[cands], mid[cands], pe, c)]
+            c = np.asarray(key, dtype=np.int64) - box.coords(cands)
+            cands = cands[_all_nonneg(buf, start[cands], mid[cands], pe, c)]
             subs = np.concatenate(([0], cands, [t]))
-            active = _active_rows(pe[subs])
+            active = (pe[subs] < 0).any(axis=1)
+            active[0] = True
             put(t, np.concatenate((subs[active], subs[~active])), np.count_nonzero(active))
         # the slices copied from earlier builds stay with those builds
         owned = buf[reused:end].copy()

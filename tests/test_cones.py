@@ -180,3 +180,14 @@ def test_circ_nonzero_implies_subdim(d5hat_table):
         b = DimVector(q, vals)
         if t.circ_nonzero(b, a - b):
             assert t.is_generic_subdim(b, a)
+
+
+def test_antiinv_basis_must_match_quiver_and_involution(sun31, sun31_table, d5hat):
+    q, (tau, rho) = sun31
+    alpha = DimVector(q, (2,) * 6)
+    with pytest.raises(ValueError, match="basis"):  # rho's orbit coordinates
+        inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(q, rho))
+    with pytest.raises(ValueError, match="basis"):  # a basis of another quiver
+        inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(*d5hat))
+    assert inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(q, tau)) == \
+        inequalities(sun31_table, alpha, "antiinv", inv=tau)

@@ -73,6 +73,17 @@ def test_redundant_row_rejects_rows_of_different_lengths(rows):
         redundant_row(rows, 0)
 
 
+@pytest.mark.parametrize("index", [-1, 2], ids=["minus-one", "len"])
+def test_redundant_row_rejects_an_index_out_of_range(d5hat, d5hat_table, index):
+    # with -1 no row was left out, so the last row was tested against itself
+    with pytest.raises(ValueError, match="outside"):
+        redundant_row([(1, 0), (0, 1)], index)
+    q, _ = d5hat
+    system = inequalities(d5hat_table, DimVector(q, (1, 2, 3, 3, 2, 1)), "dw")
+    with pytest.raises(ValueError, match="outside"):
+        is_redundant(system, index if index < 0 else len(system.normals))
+
+
 def _primal_redundant(rows, index):
     """Reference test: max c.x over the other rows and c.x <= 1 is <= 0,
     with x free written as u - v, u, v >= 0."""
