@@ -12,7 +12,7 @@ import sys
 from . import zoo
 from .cones import counts, inequalities, member_antiinv, member_dw, member_inductive
 from .errors import QuiverConesError
-from .quiver import antisym_basis, validate_involution, validate_quiver, weight_eval, euler_form
+from .quiver import antisym_basis, euler_form
 from .quiverfile import (
     format_vector,
     parse_dim_vector,
@@ -71,10 +71,7 @@ def _worker_cap():
 
 
 def cmd_validate(args):
-    q, involutions = _load(args.file)
-    validate_quiver(q)
-    for inv in involutions:
-        validate_involution(q, inv)
+    q, involutions = _load(args.file)  # the parser validates the quiver and each involution
     print(f"ok {q.name} vertices={len(q.vertices)} arrows={len(q.arrows)} "
           f"involutions={len(involutions)}")
     return 0

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import NotAntiSymmetricError, NotSymmetricDimensionError
+from .errors import NotAntiSymmetricError
 from .quiver import (
     DimVector,
     OrbitBasis,
     antisym_basis,
-    tau_dim,
     tau_weight,
     weight_eval,
 )
@@ -50,10 +49,6 @@ class InequalitySystem:
     alpha: DimVector
     normals: tuple
     coordinate_space: Optional[OrbitBasis] = None
-
-    @property
-    def quiver(self):
-        return self.alpha.quiver
 
     def restricted_rows(self, primitive=False):
         """Coefficient vectors in orbit coordinates; primitive divides by the gcd,
@@ -102,12 +97,9 @@ def member_inductive(t, s, a):
 
 def member_antiinv(t, s, a, inv):
     """Reduced test for anti-symmetric weights on a tau-symmetric dimension."""
-    if tau_dim(inv, a) != a:
-        raise NotSymmetricDimensionError(f"{a.values} is not tau-symmetric")
     if s != -tau_weight(inv, s):
         raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
-    # sigma(alpha) = -sigma(alpha) for anti-symmetric sigma on symmetric alpha
-    assert weight_eval(s, a) == 0
+    # iso_pairs rejects an alpha that is not tau-symmetric; on one, sigma(alpha) = 0
     for pair in enumerate_I0(t, a, inv):
         if weight_eval(s, pair.beta) > 0:
             return MembershipResult(
@@ -136,9 +128,6 @@ def inequalities(t, a, method, inv=None, basis=None):
     elif basis.quiver != t.quiver or basis.involution != inv:
         raise ValueError("basis built for another quiver or involution")
     pairs = enumerate_I0(t, a, inv)
-    for p in pairs:
-        tb = tau_dim(inv, p.beta)
-        assert p.beta + tb <= a
     # distinct beta may cut out the same halfspace on the anti-symmetric
     # sublattice; compare primitive coefficient vectors
     seen, normals = set(), []

@@ -6,7 +6,8 @@ public arithmetic is checked 64-bit signed: results (and running partial
 sums) outside that range raise ValueOverflowError instead of wrapping.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .errors import (
     AxiomViolationError,
@@ -53,9 +54,6 @@ class Quiver:
     @property
     def arrow_ids(self):
         return tuple(a for a, _, _ in self.arrows)
-
-    def __hash__(self):
-        return hash((self.name, self.vertices, self.arrows))
 
 
 def validate_quiver(q):
@@ -113,7 +111,7 @@ class _VertexVector:
     __slots__ = ("quiver", "values")
 
     def __init__(self, quiver, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(operator.index, values))  # TypeError for a float or a string
         if len(values) != len(quiver.vertices):
             raise ValueError("vector length does not match vertex count")
         self.quiver = quiver
@@ -320,7 +318,7 @@ class OrbitBasis:
         return tuple(s[rep] for rep, _ in self.swapped)
 
     def from_coords(self, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
         if len(coords) != len(self.swapped):
             raise ValueError("coordinate count does not match swapped orbit count")
         entries = {}

@@ -12,7 +12,7 @@ Format::
 '#' starts a comment, blank lines are ignored.  vmap/amap pairs may be listed
 in either direction; fixed points may be listed as 'vmap x x' or omitted.
 Vector literals are comma-separated 'vertex=value' assignments with omitted
-vertices defaulting to 0.
+vertices defaulting to 0; the zero vector may also be written '0'.
 """
 
 from .errors import DuplicateIdError, QuiverFileSyntaxError
@@ -106,7 +106,7 @@ def serialize_quiver(q, involutions=()):
 def _parse_assignments(q, text):
     entries = {}
     text = text.strip()
-    if not text:
+    if text in ("", "0"):  # format_vector writes the zero vector as 0
         return entries
     for item in text.split(","):
         if "=" not in item:

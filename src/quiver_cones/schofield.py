@@ -29,7 +29,6 @@ the normals beta with a - beta - tau.beta >= 0 passing two ext tests on S_beta.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,9 @@ from .quiver import _topological_order
 _ENTRY_BOUND = 2**20
 # most points of box(a) one table build may index; checked before allocating
 _MAX_BOX_POINTS = 2**20
+# most candidates one table build may mark; a box with no arrow inside its
+# support makes every point a candidate of every larger point
+_MAX_CANDIDATES = 2**24
 # (s, b) pairs gathered per segment-minimum step
 _CHUNK = 2**16
 
@@ -128,7 +130,7 @@ class ExtTable:
         # is the largest number of parallel arrows, so every value a build for
         # root alpha forms (0 <= s, c <= alpha, also in the closed-set tests) is
         # at most (1 + m) * |alpha|_1**2; _check_int64 keeps it below 2**63 first
-        self._multiplicity = max(Counter((t, h) for _, t, h in quiver.arrows).values(), default=0)
+        self._multiplicity = -int(E.min(initial=0))
         # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
         # head-closed vertex set holding v, column v the least tail-closed one
         pos = {v: i for i, v in enumerate(_topological_order(quiver))}
@@ -144,23 +146,15 @@ class ExtTable:
 
     # -- internal ----------------------------------------------------------
 
-    def _as_tuple(self, a):
-        if not isinstance(a, DimVector):
-            a = DimVector(self.quiver, a)  # rejects a wrong length or a negative entry
-        elif a.quiver != self.quiver:
-            raise ValueError("dimension vector bound to a different quiver")
-        if any(v >= _ENTRY_BOUND for v in a.values):
-            raise ValueOverflowError("dimension entries too large for the exact int64 path")
-        return a.values
-
-    def _weight(self, s):
-        if not isinstance(s, Weight):
-            s = Weight(self.quiver, s)
-        elif s.quiver != self.quiver:
-            raise ValueError("weight bound to a different quiver")
-        if any(abs(v) >= _ENTRY_BOUND for v in s.values):
-            raise ValueOverflowError("weight entries too large for the exact int64 path")
-        return s
+    def _vector(self, x, kind=DimVector):
+        """x as a kind bound to self.quiver, every entry below _ENTRY_BOUND in size."""
+        if not isinstance(x, kind):
+            x = kind(self.quiver, x)  # rejects a wrong length, a non-integer or negative dimension
+        elif x.quiver != self.quiver:
+            raise ValueError(f"{kind.__name__} bound to a different quiver")
+        if any(abs(v) >= _ENTRY_BOUND for v in x.values):
+            raise ValueOverflowError("entries too large for the exact int64 path")
+        return x
 
     def _check_int64(self, mass_a, mass_b):
         if (1 + self._multiplicity) * mass_a * mass_b >= 2**63:
@@ -179,6 +173,7 @@ class ExtTable:
         needed[N - 1] = True
         start, mid, stop = (np.zeros(N, dtype=np.int64) for _ in range(3))
         known, new = [], []  # (t, S_t, rows up to mid) and (t, key, candidates of t)
+        marked = 0
         for t in range(N - 1, -1, -1):
             if not needed[t]:
                 continue
@@ -197,6 +192,11 @@ class ExtTable:
             sub = (b * (c @ self._euler.T)) @ self._reach.T  # <b|V, c>
             quot = (pe[cands] * c) @ self._reach  # <b, c|W>
             cands = cands[(sub >= 0).all(axis=1) & (quot >= 0).all(axis=1)]
+            marked += len(cands)
+            if marked > _MAX_CANDIDATES:
+                raise DimensionTooLargeError(
+                    f"table build for {root} marks over {_MAX_CANDIDATES} candidates, above the budget"
+                )
             needed[cands] = True
             new.append((t, key, cands))
         # S_t is 0, t and some of the candidates of t
@@ -240,7 +240,7 @@ class ExtTable:
 
     def ext(self, a, b):
         """Generic ext value; max(0, max over generic subdims a' of a of -<a', b>)."""
-        ka, kb = self._as_tuple(a), self._as_tuple(b)
+        ka, kb = self._vector(a).values, self._vector(b).values
         if sum(ka) == 0 or sum(kb) == 0:
             return 0
         self._check_int64(sum(ka), sum(kb))
@@ -249,28 +249,25 @@ class ExtTable:
 
     def hom(self, a, b):
         """Generic hom value: <a, b> + ext(a, b); always >= 0."""
-        da = a if isinstance(a, DimVector) else DimVector(self.quiver, a)
-        db = b if isinstance(b, DimVector) else DimVector(self.quiver, b)
-        return euler_form(self.quiver, da, db) + self.ext(a, b)
+        da, db = self._vector(a), self._vector(b)
+        return euler_form(self.quiver, da, db) + self.ext(da, db)
 
     def is_generic_subdim(self, b, a):
         """Whether every representation of dimension a has a subrepresentation of dimension b."""
-        kb, ka = self._as_tuple(b), self._as_tuple(a)
+        kb, ka = self._vector(b).values, self._vector(a).values
         if any(x > y for x, y in zip(kb, ka)):
             return False
-        if kb == ka or sum(kb) == 0:
-            return True
         return self.ext(kb, tuple(y - x for x, y in zip(kb, ka))) == 0
 
     def generic_subdims(self, a):
         """All generic subdimensions of a, in mixed-radix lexicographic order."""
-        S, _ = self._subdim_rows(self._as_tuple(a))
+        S, _ = self._subdim_rows(self._vector(a).values)
         return [DimVector(self.quiver, row) for row in S.tolist()]
 
     def inductive_normals(self, a):
         """The b <= a with b o (a - b) nonzero, lexicographic: the generic
         subdimensions b of a with <b, a - b> = 0."""
-        key = self._as_tuple(a)
+        key = self._vector(a).values
         normals = self._reads.get(("inductive", key))
         if normals is None:
             S, M = self._subdim_rows(key)
@@ -291,7 +288,7 @@ class ExtTable:
         by the build of a) holds beta, so the ext tests on S_beta imply both
         isotropy tests; <beta, gamma> = 0 is tested first only to skip S_beta.
         """
-        key = self._as_tuple(a)
+        key = self._vector(a).values
         pairs = self._reads.get(("I0", key, inv))
         if pairs is not None:
             return pairs
@@ -314,18 +311,17 @@ class ExtTable:
 
     def disc(self, a, s):
         """disc(a, s) = max of s(b) over generic subdims b of a; >= 0 since 0 is one."""
-        w = np.asarray(self._weight(s).values, dtype=np.int64)
-        S, _ = self._subdim_rows(self._as_tuple(a))
+        w = np.asarray(self._vector(s, Weight).values, dtype=np.int64)
+        S, _ = self._subdim_rows(self._vector(a).values)
         return int((S @ w).max())
 
     def disc_witness(self, a, s):
         """A generic subdimension attaining disc(a, s) (first in canonical order)."""
-        s = self._weight(s)
+        s = self._vector(s, Weight)
         best = max(self.generic_subdims(a), key=lambda b: weight_eval(s, b))
         return weight_eval(s, best), best
 
     def circ_nonzero(self, a, b):
         """Nonvanishing test for the pairing a o b: <a, b> = 0 and ext(a, b) = 0."""
-        da = a if isinstance(a, DimVector) else DimVector(self.quiver, a)
-        db = b if isinstance(b, DimVector) else DimVector(self.quiver, b)
-        return euler_form(self.quiver, da, db) == 0 and self.ext(a, b) == 0
+        da, db = self._vector(a), self._vector(b)
+        return euler_form(self.quiver, da, db) == 0 and self.ext(da, db) == 0

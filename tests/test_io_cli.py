@@ -114,6 +114,11 @@ def test_vector_literals():
     assert parse_weight(q, "1=-1,2=1").values == (-1, 1)
     assert format_vector(a) == "1=2,2=3"
     assert format_vector(parse_dim_vector(q, "")) == "0"
+    zero = parse_dim_vector(q, "0")  # the literal format_vector writes reads back
+    assert zero.values == (0, 0) and parse_dim_vector(q, format_vector(zero)) == zero
+    assert parse_weight(q, " 0 ").values == (0, 0)
+    with pytest.raises(ValueError, match="bad assignment"):
+        parse_dim_vector(q, "0,1=1")
     with pytest.raises(ValueError):
         parse_dim_vector(q, "zz=1")
     with pytest.raises(ValueError):
@@ -155,6 +160,8 @@ def test_cli_subdim(d5file):
     code, out, _ = run_cli(
         ["subdim", d5file, "--beta", "x1=1", "--alpha", "x1=1,x3=1"])
     assert (code, out.strip()) == (0, "not-subdim")
+    code, out, _ = run_cli(["subdim", d5file, "--beta", "0", "--alpha", "x1=1,x3=1"])
+    assert (code, out.strip()) == (0, "subdim")
 
 
 def test_cli_member_exit_codes(d5file):
@@ -274,3 +281,57 @@ def test_cli_thread_cap_env(monkeypatch, d5file):
     monkeypatch.setenv("QUIVER_CONES_THREADS", "0")
     code, _, err = run_cli(["euler", d5file, "--a", "x1=1", "--b", "x1=1"])
     assert code == 2 and "error:" in err
+
+
+SMALL_ALPHA = "x1=1,x2=2,x3=3,x4=3,x5=2,x6=1"
+EXAMPLE1_ALPHA = "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2"
+
+
+def _rows(out):
+    return [tuple(int(c) for c in line.split("\t")) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("method, alpha, values, n", [
+    ("dw", (1, 2, 3, 3, 2, 1), "generic_subdims", 59),
+    ("inductive", (2, 3, 4, 4, 3, 2), "inductive_normals", 57),
+], ids=["dw", "inductive"])
+def test_cli_inequalities_ambient(d5file, d5hat_table, method, alpha, values, n):
+    # n is n1 (dw) or n2 (inductive) of alpha in the D5-hat golden table
+    literal = ",".join(f"x{i}={v}" for i, v in enumerate(alpha, start=1))
+    code, out, _ = run_cli(["inequalities", d5file, "--alpha", literal, "--method", method])
+    assert code == 0 and len(out.splitlines()) == n
+    assert _rows(out) == [b.values for b in getattr(d5hat_table, values)(alpha)]
+
+
+@pytest.mark.parametrize("method, alpha, expected", [
+    ("dw", SMALL_ALPHA, [
+        (0, 1, 1, 1, 1, 0), (0, 2, 2, 2, 2, 1), (0, 2, 2, 3, 2, 1), (0, 2, 3, 3, 2, 1),
+        (1, 1, 2, 2, 1, 1), (1, 1, 2, 2, 2, 1), (1, 1, 2, 3, 2, 1), (1, 1, 3, 3, 2, 1)]),
+    ("inductive", EXAMPLE1_ALPHA, [
+        (1, 2, 2, 2, 2, 1), (1, 2, 3, 3, 2, 1), (1, 3, 3, 3, 3, 2), (1, 3, 3, 4, 3, 2),
+        (2, 1, 2, 2, 3, 2), (2, 1, 2, 4, 3, 2), (2, 2, 3, 3, 2, 2)]),
+], ids=["dw", "inductive"])
+def test_cli_reduce_ambient(d5file, method, alpha, expected):
+    code, out, _ = run_cli(["reduce", d5file, "--alpha", alpha, "--method", method])
+    assert code == 0 and _rows(out) == expected
+
+
+def test_cli_disc(d5file):
+    code, out, _ = run_cli(["disc", d5file, "--alpha", EXAMPLE1_ALPHA,
+                            "--coords", "1,0,-1", "--involution", "tau"])
+    assert (code, out) == (0, "2\n")
+
+
+def test_cli_member_reports_nonzero_sigma_alpha(d5file):
+    code, out, _ = run_cli(["member", d5file, "--method", "dw",
+                            "--sigma", "x1=1,x3=1", "--alpha", "x1=1,x3=1"])
+    assert (code, out) == (1, "not-member\tsigma(alpha) = 2 != 0\n")
+
+
+def test_cli_involution_must_be_named_and_known(sunfile):
+    argv = ["member", sunfile, "--method", "antiinv", "--coords", "1,0,-1",
+            "--alpha", ",".join(f"{i}.1=2" for i in range(6))]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and "--involution tau|rho" in err
+    code, out, err = run_cli(argv + ["--involution", "nope"])
+    assert (code, out) == (2, "") and "no involution named 'nope'" in err

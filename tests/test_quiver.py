@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from quiver_cones import (
     DimVector,
+    ExtTable,
     Involution,
     Quiver,
     Weight,
@@ -200,3 +202,18 @@ def test_weight_transpose_random(sun31):
             s = Weight(q, [rng.randint(-5, 5) for _ in q.vertices])
             b = DimVector(q, [rng.randint(0, 5) for _ in q.vertices])
             assert weight_eval(tau_weight(inv, s), b) == weight_eval(s, tau_dim(inv, b))
+
+
+def test_vector_entries_must_be_integers(d5hat):
+    q, inv = d5hat
+    with pytest.raises(TypeError):
+        DimVector(q, (1.7, 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        Weight(q, ("3", 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        antisym_basis(q, inv).from_coords((1.9, 0, 0))
+    with pytest.raises(TypeError):
+        ExtTable(q).ext((0.9, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
+    a = DimVector(q, np.array([1, 0, 2, 0, 0, 0], dtype=np.int64))
+    assert a.values == (1, 0, 2, 0, 0, 0) and all(type(v) is int for v in a.values)
+    assert antisym_basis(q, inv).from_coords(np.arange(3)) == Weight(q, (-2, -1, 0, 0, 1, 2))

@@ -195,6 +195,38 @@ def test_box_budget_is_checked_before_building(monkeypatch):
     assert len(t.generic_subdims((3, 4, 4, 4, 4, 4))) > 0  # 4 * 5**5 points fit
 
 
+def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat):
+    # no arrow joins two vertices of the support: every point is a candidate of every larger one
+    q, inv = d5hat
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 10_000)
+    t = ExtTable(q)
+    keys = len(t._subs)
+    with pytest.raises(DimensionTooLargeError, match="budget"):
+        t.generic_subdims((2000, 0, 0, 0, 0, 0))
+    assert len(t._subs) == keys  # a failed build stores nothing
+    assert len(t.generic_subdims((2, 2, 2, 2, 2, 2))) == 43
+    path = tmp_path / "d5hat.quiver"
+    path.write_text(serialize_quiver(q, [inv]))
+    code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=2000"])
+    assert (code, out) == (2, "") and "budget" in err
+
+
+def test_gate_rejects_foreign_and_oversized_vectors(d5hat_table, sun31):
+    t, (other, _) = d5hat_table, sun31
+    a = (1, 1, 1, 1, 1, 1)
+    for call in (lambda: t.ext(DimVector(other, a), a),
+                 lambda: t.ext(a, DimVector(other, a)),
+                 lambda: t.disc(DimVector(other, a), a),
+                 lambda: t.disc(a, Weight(other, a))):
+        with pytest.raises(ValueError, match="bound to a different quiver"):
+            call()
+    big = (2**20, 0, 0, 0, 0, 0)
+    for call in (lambda: t.ext(big, a), lambda: t.disc(a, big),
+                 lambda: t.disc(a, Weight(t.quiver, (-(2**20), 0, 0, 0, 0, 0)))):
+        with pytest.raises(ValueOverflowError, match="entries too large"):
+            call()
+
+
 def test_int64_bound_is_checked(d5hat):
     q, _ = d5hat
     t = ExtTable(q)
