@@ -13,20 +13,10 @@ from . import zoo
 from .cones import counts, inequalities, member_antiinv, member_dw, member_inductive
 from .errors import QuiverConesError
 from .quiver import antisym_basis, euler_form
-from .quiverfile import (
-    format_vector,
-    parse_dim_vector,
-    parse_quiver_file,
-    parse_weight,
-    serialize_quiver,
-)
+from .quiverfile import format_vector, parse_dim_vector, parse_quiver_file, parse_weight
+from .quiverfile import serialize_quiver
 from .redundancy import irredundant_core
 from .schofield import ExtTable
-
-
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_quiver_file(fh.read())
 
 
 def _pick_involution(involutions, name):
@@ -35,10 +25,8 @@ def _pick_involution(involutions, name):
             return involutions[0]
         if not involutions:
             raise QuiverConesError("the quiver file has no involution")
-        raise QuiverConesError(
-            "ambiguous involution; pass --involution " +
-            "|".join(i.name for i in involutions)
-        )
+        raise QuiverConesError("ambiguous involution; pass --involution " +
+                               "|".join(i.name for i in involutions))
     for inv in involutions:
         if inv.name == name:
             return inv
@@ -55,8 +43,7 @@ def _weight(q, involutions, args):
         return parse_weight(q, args.sigma)
     if args.coords is not None:
         inv = _pick_involution(involutions, args.involution)
-        basis = _basis(q, inv, args)
-        return basis.from_coords(int(c) for c in args.coords.split(","))
+        return _basis(q, inv, args).from_coords(int(c) for c in args.coords.split(","))
     raise QuiverConesError("pass --sigma or --coords")
 
 
@@ -70,61 +57,36 @@ def _worker_cap():
     return cap
 
 
-def cmd_validate(args):
-    q, involutions = _load(args.file)  # the parser validates the quiver and each involution
+def cmd_validate(q, involutions, args):
+    # the parser has validated the quiver and each involution
     print(f"ok {q.name} vertices={len(q.vertices)} arrows={len(q.arrows)} "
           f"involutions={len(involutions)}")
     return 0
 
 
-def cmd_euler(args):
-    q, _ = _load(args.file)
-    print(euler_form(q, parse_dim_vector(q, args.a), parse_dim_vector(q, args.b)))
-    return 0
-
-
-def cmd_ext(args):
-    q, _ = _load(args.file)
+def cmd_pair(q, involutions, args):
+    """euler, ext, hom, subdim: one operation on two dimension vectors."""
     t = ExtTable(q)
-    print(t.ext(parse_dim_vector(q, args.a), parse_dim_vector(q, args.b)))
+    x, y = (parse_dim_vector(q, getattr(args, name)) for name in args.vectors)
+    print(args.op(t, x, y))
     return 0
 
 
-def cmd_hom(args):
-    q, _ = _load(args.file)
-    t = ExtTable(q)
-    print(t.hom(parse_dim_vector(q, args.a), parse_dim_vector(q, args.b)))
-    return 0
-
-
-def cmd_subdim(args):
-    q, _ = _load(args.file)
-    t = ExtTable(q)
-    ok = t.is_generic_subdim(parse_dim_vector(q, args.beta), parse_dim_vector(q, args.alpha))
-    print("subdim" if ok else "not-subdim")
-    return 0
-
-
-def cmd_disc(args):
-    q, involutions = _load(args.file)
+def cmd_disc(q, involutions, args):
     t = ExtTable(q)
     s = _weight(q, involutions, args)
     print(t.disc(parse_dim_vector(q, args.alpha), s))
     return 0
 
 
-def cmd_member(args):
-    q, involutions = _load(args.file)
+def cmd_member(q, involutions, args):
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
     s = _weight(q, involutions, args)
-    if args.method == "dw":
-        res = member_dw(t, s, a)
-    elif args.method == "inductive":
-        res = member_inductive(t, s, a)
+    if args.method == "antiinv":
+        res = member_antiinv(t, s, a, _pick_involution(involutions, args.involution))
     else:
-        inv = _pick_involution(involutions, args.involution)
-        res = member_antiinv(t, s, a, inv)
+        res = (member_dw if args.method == "dw" else member_inductive)(t, s, a)
     if res:
         print("member")
         return 0
@@ -135,70 +97,42 @@ def cmd_member(args):
     return 1
 
 
-def _system(args):
+def cmd_system(q, involutions, args):
+    """inequalities and reduce: the system of one method, reduced for reduce."""
     if args.coords and args.method != "antiinv":
         raise QuiverConesError("--coords requires an antiinv system")
-    q, involutions = _load(args.file)
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
     inv = basis = None
     if args.method == "antiinv":
         inv = _pick_involution(involutions, args.involution)
         basis = _basis(q, inv, args)
-    return inequalities(t, a, args.method, inv=inv, basis=basis)
-
-
-def cmd_inequalities(args):
-    _print_system(_system(args), coords=args.coords)
+    system = inequalities(t, a, args.method, inv=inv, basis=basis)
+    if args.command == "reduce":
+        system = irredundant_core(system)
+    if args.coords:
+        rows = [row for row in sorted(system.restricted_rows(primitive=True)) if any(row)]
+    else:
+        rows = [b.values for b in system.normals]
+    for row in rows:
+        print("\t".join(str(c) for c in row))
     return 0
 
 
-def _print_system(system, coords):
-    if coords:
-        for row in sorted(system.restricted_rows(primitive=True)):
-            if any(row):
-                print("\t".join(str(c) for c in row))
-    else:
-        for b in system.normals:
-            print("\t".join(str(v) for v in b.values))
-
-
-def cmd_counts(args):
-    q, involutions = _load(args.file)
+def cmd_counts(q, involutions, args):
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
     invs = [_pick_involution(involutions, name) for name in args.involution or []]
     n1, n2, n3s = counts(t, a, invs)
-    cells = [",".join(str(v) for v in a.values), str(n1), str(n2)]
-    cells.extend(str(n3) for n3 in n3s)
+    cells = [",".join(str(v) for v in a.values), str(n1), str(n2)] + [str(n3) for n3 in n3s]
     print("\t".join(cells))
     return 0
 
 
-def cmd_reduce(args):
-    _print_system(irredundant_core(_system(args)), coords=args.coords)
-    return 0
-
-
 def cmd_zoo(args):
-    if args.family == "line":
-        q, inv = zoo.make_line(args.n)
-        invs = [inv]
-    elif args.family == "kronecker":
-        q, inv = zoo.make_kronecker(args.n)
-        invs = [inv]
-    elif args.family == "sun":
-        q, invs = zoo.make_sun(args.k, args.n)
-    else:
-        q, inv = zoo.make_d5hat()
-        invs = [inv]
-    sys.stdout.write(serialize_quiver(q, invs))
+    q, invs = args.make(*(getattr(args, name) for name in args.params))
+    sys.stdout.write(serialize_quiver(q, invs if isinstance(invs, list) else [invs]))
     return 0
-
-
-def _add_vec_opts(p, *names):
-    for name in names:
-        p.add_argument(f"--{name}", required=True)
 
 
 def build_parser():
@@ -215,17 +149,22 @@ def build_parser():
         return p
 
     filecmd("validate", cmd_validate, help="validate a quiver file")
-    for name, fn in (("euler", cmd_euler), ("ext", cmd_ext), ("hom", cmd_hom)):
-        p = filecmd(name, fn)
-        _add_vec_opts(p, "a", "b")
-    p = filecmd("subdim", cmd_subdim)
-    _add_vec_opts(p, "beta", "alpha")
+    pairs = (
+        ("euler", lambda t, a, b: euler_form(t.quiver, a, b), "a", "b"),
+        ("ext", lambda t, a, b: t.ext(a, b), "a", "b"),
+        ("hom", lambda t, a, b: t.hom(a, b), "a", "b"),
+        ("subdim", lambda t, b, a: "subdim" if t.is_generic_subdim(b, a) else "not-subdim",
+         "beta", "alpha"),
+    )
+    for name, op, x, y in pairs:
+        p = filecmd(name, cmd_pair)
+        p.add_argument(f"--{x}", required=True)
+        p.add_argument(f"--{y}", required=True)
+        p.set_defaults(op=op, vectors=(x, y))
 
     def weight_opts(p):
-        p.add_argument("--sigma")
-        p.add_argument("--coords")
-        p.add_argument("--involution")
-        p.add_argument("--representatives")
+        for opt in ("--sigma", "--coords", "--involution", "--representatives"):
+            p.add_argument(opt)
 
     p = filecmd("disc", cmd_disc)
     p.add_argument("--alpha", required=True)
@@ -236,8 +175,8 @@ def build_parser():
     p.add_argument("--method", choices=("dw", "inductive", "antiinv"), required=True)
     weight_opts(p)
 
-    for name, fn in (("inequalities", cmd_inequalities), ("reduce", cmd_reduce)):
-        p = filecmd(name, fn)
+    for name in ("inequalities", "reduce"):
+        p = filecmd(name, cmd_system)
         p.add_argument("--alpha", required=True)
         p.add_argument("--method", choices=("dw", "inductive", "antiinv"), required=True)
         p.add_argument("--involution")
@@ -252,24 +191,25 @@ def build_parser():
 
     p = sub.add_parser("zoo", help="print a family quiver as a quiver file")
     zsub = p.add_subparsers(dest="family", required=True)
-    zp = zsub.add_parser("line")
-    zp.add_argument("--n", type=int, required=True)
-    zp = zsub.add_parser("kronecker")
-    zp.add_argument("--n", type=int, required=True)
-    zp = zsub.add_parser("sun")
-    zp.add_argument("--k", type=int, required=True)
-    zp.add_argument("--n", type=int, required=True)
-    zsub.add_parser("d5hat")
-    p.set_defaults(fn=cmd_zoo)
+    for name, make, params in (("line", zoo.make_line, ("n",)),
+                               ("kronecker", zoo.make_kronecker, ("n",)),
+                               ("sun", zoo.make_sun, ("k", "n")), ("d5hat", zoo.make_d5hat, ())):
+        zp = zsub.add_parser(name)
+        for param in params:
+            zp.add_argument(f"--{param}", type=int, required=True)
+        zp.set_defaults(make=make, params=params)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _worker_cap()  # computations run single-threaded; the cap is validated only
-        return args.fn(args)
+        if args.command == "zoo":
+            return cmd_zoo(args)
+        with open(args.file, encoding="utf-8") as fh:
+            q, involutions = parse_quiver_file(fh.read())
+        return args.fn(q, involutions, args)
     except (QuiverConesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -115,6 +115,7 @@ def inequalities(t, a, method, inv=None, basis=None):
     whose restricted coefficient vectors coincide are emitted once (first
     occurrence in enumeration order).
     """
+    a = t._vector(a)  # a raw tuple is bound to the table's quiver, as the table reads do
     if method == "dw":
         return InequalitySystem(a, tuple(t.generic_subdims(a)))
     if method == "inductive":

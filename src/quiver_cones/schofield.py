@@ -17,10 +17,12 @@ every b <= t with b != t comes before t:
   b that cannot be generic subdimensions of t are dropped;
 * bottom-up, decide each candidate b of t by one vectorised segment minimum
   of <s, t - b> over 0 and the rows s of S_b, the generic subdimensions of b,
-  with a negative entry: as t - b >= 0, no other row can make it negative.
-  Every kept b meets this full test, so the filter changes no S_t;
+  with a negative entry on supp(root): as t - b >= 0 and is zero off that
+  support, no other row can make it negative.  Every kept b meets this full
+  test, so the filter changes no S_t;
 * S_t is a slice of flat indices into one buffer per build, and keys built
-  for one root are reused by every later root.
+  for one root are reused, and their rows re-sorted by that sign test, by
+  every later root.
 
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, NotSymmetricDimensionError, ValueOverflowError
 from .quiver import DimVector, Weight, euler_form, validate_involution, weight_eval
-from .quiver import _topological_order
+from .quiver import _topological_order, _VertexVector
 
 # largest entry of a dimension vector or weight passed in (see _check_int64)
 _ENTRY_BOUND = 2**20
@@ -138,9 +140,9 @@ class ExtTable:
         for t, h in sorted({(t, h) for _, t, h in quiver.arrows}, key=lambda e: -pos[e[0]]):
             self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final
         zero = (0,) * n
-        # tuple(t) -> (box, buffer, start, mid, stop): S_t is the box points at
-        # buffer[start:stop], 0 and those with a negative entry of <s, .> first
-        self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1, 1)}
+        # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
+        # buffer[start:stop], 0 first
+        self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1)}
         self._dense = {}  # tuple(a) -> (S, S @ E) for keys a public call or an I0 test read
         self._reads = {}  # cached answer lists: inductive normals, I0 pairs
 
@@ -149,6 +151,8 @@ class ExtTable:
     def _vector(self, x, kind=DimVector):
         """x as a kind bound to self.quiver, every entry below _ENTRY_BOUND in size."""
         if not isinstance(x, kind):
+            if isinstance(x, _VertexVector):  # iterating one would index it by position
+                raise TypeError(f"expected a {kind.__name__}, got a {type(x).__name__}")
             x = kind(self.quiver, x)  # rejects a wrong length, a non-integer or negative dimension
         elif x.quiver != self.quiver:
             raise ValueError(f"{kind.__name__} bound to a different quiver")
@@ -167,12 +171,15 @@ class ExtTable:
         N = box.size
         points = box.points()
         pe = points @ self._euler
+        # every c = t - b below is zero outside supp(root), so those columns of
+        # <s, .> never decide a sign; zeroed, fewer rows have a negative entry
+        pe[:, np.asarray(root) == 0] = 0
         slack_base = _rowdot(pe, points)  # <b, b>
         del points
         needed = np.zeros(N, dtype=bool)
         needed[N - 1] = True
         start, mid, stop = (np.zeros(N, dtype=np.int64) for _ in range(3))
-        known, new = [], []  # (t, S_t, rows up to mid) and (t, key, candidates of t)
+        known, new = [], []  # (t, S_t) and (t, key, candidates of t)
         marked = 0
         for t in range(N - 1, -1, -1):
             if not needed[t]:
@@ -181,8 +188,8 @@ class ExtTable:
             key = tuple(int(v) for v in top)
             hit = self._subs.get(key)
             if hit is not None:
-                src, src_buf, lo, lo_mid, hi = hit
-                known.append((t, box.flat(src.coords(src_buf[lo:hi])), lo_mid - lo))
+                src, src_buf, lo, hi = hit
+                known.append((t, box.flat(src.coords(src_buf[lo:hi]))))
                 continue
             grid = _Box(key).points()
             idx = box.flat(grid)
@@ -200,30 +207,30 @@ class ExtTable:
             needed[cands] = True
             new.append((t, key, cands))
         # S_t is 0, t and some of the candidates of t
-        buf = np.empty(sum(len(f) for _, f, _ in known) + sum(len(c) + 2 for _, _, c in new),
+        buf = np.empty(sum(len(f) for _, f in known) + sum(len(c) + 2 for _, _, c in new),
                        dtype=np.int64)
         end = 0
 
-        def put(t, subs, active):
+        def put(t, subs):
+            """S_t at buf[start:stop], 0 and the rows with a negative entry up to mid."""
             nonlocal end
-            start[t], mid[t], stop[t] = end, end + active, end + len(subs)
-            buf[end:stop[t]] = subs
+            active = (pe[subs] < 0).any(axis=1)
+            active[0] = True  # subs[0] is 0; it keeps every segment nonempty
+            start[t], mid[t], stop[t] = end, end + np.count_nonzero(active), end + len(subs)
+            buf[end:mid[t]], buf[mid[t]:stop[t]] = subs[active], subs[~active]
             end = stop[t]
 
-        for t, subs, active in known:
-            put(t, subs, active)
+        for t, subs in known:
+            put(t, subs)
         reused = end
         for t, key, cands in reversed(new):
             c = np.asarray(key, dtype=np.int64) - box.coords(cands)
             cands = cands[_all_nonneg(buf, start[cands], mid[cands], pe, c)]
-            subs = np.concatenate(([0], cands, [t]))
-            active = (pe[subs] < 0).any(axis=1)
-            active[0] = True
-            put(t, np.concatenate((subs[active], subs[~active])), np.count_nonzero(active))
+            put(t, np.concatenate(([0], cands, [t])))
         # the slices copied from earlier builds stay with those builds
         owned = buf[reused:end].copy()
         for t, key, _ in new:
-            self._subs[key] = (box, owned, *(int(x) - reused for x in (start[t], mid[t], stop[t])))
+            self._subs[key] = (box, owned, int(start[t]) - reused, int(stop[t]) - reused)
 
     def _subdim_rows(self, key):
         """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""
@@ -231,7 +238,7 @@ class ExtTable:
         if dense is None:
             if key not in self._subs:
                 self._build(key)
-            box, buf, lo, _, hi = self._subs[key]
+            box, buf, lo, hi = self._subs[key]
             S = box.coords(np.sort(buf[lo:hi]))
             dense = self._dense[key] = (S, S @ self._euler)
         return dense

@@ -1,10 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import quiver_cones
 from quiver_cones import (
     make_d5hat,
+    make_kronecker,
+    make_line,
     make_sun,
     parse_dim_vector,
     parse_quiver_file,
@@ -55,8 +61,6 @@ def test_parse_basic():
 
 
 def test_roundtrip_all_zoo():
-    from quiver_cones import make_kronecker, make_line
-
     cases = [make_line(4), make_kronecker(3), make_d5hat()]
     for q, inv in cases:
         text = serialize_quiver(q, [inv])
@@ -269,6 +273,18 @@ def test_cli_zoo_roundtrip(tmp_path):
     assert out2.strip() == "ok Sun6.1 vertices=6 arrows=6 involutions=2"
 
 
+@pytest.mark.parametrize("argv, made", [
+    (["line", "--n", "4"], make_line(4)),
+    (["kronecker", "--n", "3"], make_kronecker(3)),
+    (["sun", "--k", "3", "--n", "2"], make_sun(3, 2)),
+    (["d5hat"], make_d5hat()),
+], ids=["line", "kronecker", "sun", "d5hat"])
+def test_cli_zoo_prints_the_library_quiver(argv, made):
+    q, invs = made
+    expected = serialize_quiver(q, invs if isinstance(invs, list) else [invs])
+    assert run_cli(["zoo"] + argv) == (0, expected, "")
+
+
 def test_cli_zoo_bad_parameter():
     code, _, err = run_cli(["zoo", "line", "--n", "0"])
     assert code == 2 and "error:" in err
@@ -335,3 +351,15 @@ def test_cli_involution_must_be_named_and_known(sunfile):
     assert (code, out) == (2, "") and "--involution tau|rho" in err
     code, out, err = run_cli(argv + ["--involution", "nope"])
     assert (code, out) == (2, "") and "no involution named 'nope'" in err
+
+
+def test_cli_process_exit_codes(d5file):
+    # the exit code main returns must reach the process, through sys.exit(main())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quiver_cones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    member = ["member", d5file, "--alpha", EXAMPLE1_ALPHA, "--method", "antiinv", "--coords"]
+    for argv, code in ((["validate", d5file], 0), (member + ["1,0,-1"], 1),
+                       (["validate", d5file + ".missing"], 2)):
+        done = subprocess.run([sys.executable, "-m", "quiver_cones.cli"] + argv, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == code, (argv, done.stderr)

@@ -163,6 +163,16 @@ def test_example1_core(d5hat, d5hat_table):
     assert rows == {(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)}
 
 
+def test_raw_alpha_is_bound_before_reduction(d5hat_table):
+    # the system keeps a DimVector, so the reduction can read alpha off it
+    system = inequalities(d5hat_table, (1, 2, 3, 3, 2, 1), "dw")
+    assert isinstance(system.alpha, DimVector)
+    assert system.normals[0].values == (0,) * 6 and is_redundant(system, 0)
+    assert [b.values for b in irredundant_core(system).normals] == [
+        (0, 1, 1, 1, 1, 0), (0, 2, 2, 2, 2, 1), (0, 2, 2, 3, 2, 1), (0, 2, 3, 3, 2, 1),
+        (1, 1, 2, 2, 1, 1), (1, 1, 2, 2, 2, 1), (1, 1, 2, 3, 2, 1), (1, 1, 3, 3, 2, 1)]
+
+
 def test_core_idempotent(d5hat, d5hat_table):
     system = _example1_system(d5hat, d5hat_table)
     core = irredundant_core(system)

@@ -18,6 +18,8 @@ from quiver_cones import (
     make_kronecker,
     make_line,
     make_sun,
+    member_dw,
+    member_inductive,
     serialize_quiver,
 )
 from quiver_cones import cli, schofield
@@ -225,6 +227,44 @@ def test_gate_rejects_foreign_and_oversized_vectors(d5hat_table, sun31):
                  lambda: t.disc(a, Weight(t.quiver, (-(2**20), 0, 0, 0, 0, 0)))):
         with pytest.raises(ValueOverflowError, match="entries too large"):
             call()
+
+
+def test_wrong_kind_vectors_raise_type_error(d5hat_table):
+    # a DimVector where a Weight belongs (or back) is not read by position
+    t = d5hat_table
+    q = t.quiver
+    alpha, sigma = DimVector(q, (2, 3, 4, 4, 3, 2)), Weight(q, (1, 0, 0, 0, 0, -1))
+    assert member_dw(t, sigma, alpha)  # the right order is a member
+    for call in (lambda: member_dw(t, alpha, sigma), lambda: member_inductive(t, alpha, sigma),
+                 lambda: t.generic_subdims(sigma), lambda: t.disc(alpha, alpha)):
+        with pytest.raises(TypeError, match="expected a (DimVector|Weight), got a"):
+            call()
+
+
+def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
+    # at (300, 0, ..., 0) every c = t - b lives on x1, where each <s, .> is s_1 >= 0,
+    # so no row of S_b has a negative entry that counts and each segment is [0]
+    lengths, check = [], schofield._all_nonneg
+
+    def recorded(buf, start, stop, pe, c):
+        lengths.extend((stop - start).tolist())
+        return check(buf, start, stop, pe, c)
+
+    monkeypatch.setattr(schofield, "_all_nonneg", recorded)
+    q, _ = d5hat
+    assert len(ExtTable(q).generic_subdims((300, 0, 0, 0, 0, 0))) == 301
+    assert len(lengths) == 300 * 299 // 2 and set(lengths) == {1}
+
+
+def test_reused_keys_are_sorted_again_for_the_new_support(d5hat):
+    # the keys of (0, 0, 1, 2, 0, 1) are sorted by signs on x3, x4, x6; under the
+    # full support of the next root the rows with s_4 > 0 are negative on x5 too
+    # and must move up, or a b that is no generic subdimension of its key is kept
+    q, _ = d5hat
+    t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    t.generic_subdims((0, 0, 1, 2, 0, 1))
+    root = (1, 1, 1, 4, 1, 1)
+    assert [b.values for b in t.generic_subdims(root)] == oracle.generic_subdims(root)
 
 
 def test_int64_bound_is_checked(d5hat):
