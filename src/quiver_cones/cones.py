@@ -21,8 +21,8 @@ from .errors import NotAntiSymmetricError
 from .quiver import (
     DimVector,
     OrbitBasis,
+    Weight,
     antisym_basis,
-    tau_weight,
     weight_eval,
 )
 from .schofield import IsoPair  # noqa: F401  (re-exported; the I0 pairs are table reads)
@@ -72,8 +72,17 @@ def enumerate_I0(t, a, inv):
     return t.iso_pairs(a, inv)
 
 
+def _first_positive(s, betas):
+    """Not a member at the first beta with sigma(beta) > 0; a member if there is none."""
+    for beta in betas:
+        if weight_eval(s, beta) > 0:
+            return MembershipResult(False, reason=f"sigma({beta.values}) > 0", witness=beta)
+    return MembershipResult(True)
+
+
 def member_dw(t, s, a):
     """Derksen-Weyman test: sigma(alpha) = 0 and disc(alpha, sigma) = 0."""
+    s, a = t._vector(s, Weight), t._vector(a)
     if weight_eval(s, a) != 0:
         return MembershipResult(False, reason=f"sigma(alpha) = {weight_eval(s, a)} != 0")
     d = t.disc(a, s)
@@ -85,27 +94,19 @@ def member_dw(t, s, a):
 
 def member_inductive(t, s, a):
     """Inductive test over beta <= alpha with <beta,.> in the cone of alpha - beta."""
+    s, a = t._vector(s, Weight), t._vector(a)
     if weight_eval(s, a) != 0:
         return MembershipResult(False, reason=f"sigma(alpha) = {weight_eval(s, a)} != 0")
-    for beta in t.inductive_normals(a):
-        if weight_eval(s, beta) > 0:
-            return MembershipResult(
-                False, reason=f"sigma({beta.values}) > 0", witness=beta
-            )
-    return MembershipResult(True)
+    return _first_positive(s, t.inductive_normals(a))
 
 
 def member_antiinv(t, s, a, inv):
     """Reduced test for anti-symmetric weights on a tau-symmetric dimension."""
-    if s != -tau_weight(inv, s):
+    s, perm = t._vector(s, Weight), t._involution(inv)  # an inv of another quiver raises here
+    if any(s.values[p] != -x for p, x in zip(perm, s.values)):  # s != -tau.s
         raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
     # iso_pairs rejects an alpha that is not tau-symmetric; on one, sigma(alpha) = 0
-    for pair in enumerate_I0(t, a, inv):
-        if weight_eval(s, pair.beta) > 0:
-            return MembershipResult(
-                False, reason=f"sigma({pair.beta.values}) > 0", witness=pair.beta
-            )
-    return MembershipResult(True)
+    return _first_positive(s, (pair.beta for pair in enumerate_I0(t, a, inv)))
 
 
 def inequalities(t, a, method, inv=None, basis=None):

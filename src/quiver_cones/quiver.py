@@ -221,15 +221,13 @@ def weight_eval(s, a):
 
 def euler_col(q, b):
     """The weight <.,b> : a |-> euler_form(a, b)."""
-    cols = []
+    if b.quiver != q:
+        raise ValueError("vectors not bound to the given quiver")
+    cols = list(b.values)
     idx = q.vertex_index
-    for i, x in enumerate(q.vertices):
-        c = b.values[i]
-        for _, t, h in q.arrows:
-            if idx(t) == i:
-                c -= b.values[idx(h)]
-        cols.append(_check64(c))
-    return Weight(q, cols)
+    for _, t, h in q.arrows:
+        cols[idx(t)] -= b.values[idx(h)]
+    return Weight(q, map(_check64, cols))
 
 
 @dataclass(frozen=True)
@@ -247,6 +245,17 @@ class Involution:
         object.__setattr__(self, "vmap", dict(self.vmap))
         object.__setattr__(self, "amap", dict(self.amap))
 
+    @classmethod
+    def from_pairs(cls, name, vpairs, apairs):
+        """The involution swapping each (x, y) pair, listed in either order;
+        x = x pairs are fixed points and are dropped."""
+        maps = ({}, {})
+        for m, pairs in zip(maps, (vpairs, apairs)):
+            for x, y in pairs:
+                if x != y:
+                    m[x], m[y] = y, x
+        return cls(name, *maps)
+
     def vertex(self, v):
         return self.vmap.get(v, v)
 
@@ -260,18 +269,14 @@ class Involution:
 
 def validate_involution(q, inv):
     """Check self-inverseness and the exchange axioms h(tau a) = tau(t a), t(tau a) = tau(h a)."""
-    vset = set(q.vertices)
-    for v, w in inv.vmap.items():
-        if v not in vset or w not in vset:
-            raise DanglingEndpointError(f"vmap mentions unknown vertex in {v!r} -> {w!r}")
-        if inv.vertex(w) != v:
-            raise NotSelfInverseError(f"vmap is not self-inverse at {v!r}")
     arrow_by_id = {a: (t, h) for a, t, h in q.arrows}
-    for a, b in inv.amap.items():
-        if a not in arrow_by_id or b not in arrow_by_id:
-            raise DanglingEndpointError(f"amap mentions unknown arrow in {a!r} -> {b!r}")
-        if inv.arrow(b) != a:
-            raise NotSelfInverseError(f"amap is not self-inverse at {a!r}")
+    for kind, what, m, known in (("vmap", "vertex", inv.vmap, set(q.vertices)),
+                                 ("amap", "arrow", inv.amap, arrow_by_id)):
+        for x, y in m.items():
+            if x not in known or y not in known:
+                raise DanglingEndpointError(f"{kind} mentions unknown {what} in {x!r} -> {y!r}")
+            if m.get(y, y) != x:
+                raise NotSelfInverseError(f"{kind} is not self-inverse at {x!r}")
     for a, (t, h) in arrow_by_id.items():
         ta, (tt, th) = inv.arrow(a), arrow_by_id[inv.arrow(a)]
         if th != inv.vertex(t):
@@ -285,14 +290,12 @@ def validate_involution(q, inv):
 
 
 def tau_dim(inv, a):
-    """(tau.a)(x) = a(tau x)."""
+    """(tau.a)(x) = a(tau x), of the kind of a: a DimVector or a Weight."""
     q = a.quiver
-    return DimVector(q, tuple(a[inv.vertex(v)] for v in q.vertices))
+    return type(a)(q, tuple(a[inv.vertex(v)] for v in q.vertices))
 
 
-def tau_weight(inv, s):
-    q = s.quiver
-    return Weight(q, tuple(s[inv.vertex(v)] for v in q.vertices))
+tau_weight = tau_dim
 
 
 @dataclass(frozen=True)
@@ -340,27 +343,14 @@ def antisym_basis(q, inv, representatives=None):
     ordered representative list overrides both choices.
     """
     validate_involution(q, inv)
-    fixed, orbits = [], {}
-    for v in q.vertices:
-        w = inv.vertex(v)
-        if w == v:
-            fixed.append(v)
-        else:
-            key = frozenset((v, w))
-            orbits.setdefault(key, (max(v, w), min(v, w)))
+    fixed = tuple(v for v in q.vertices if inv.vertex(v) == v)
+    partner = {v: inv.vertex(v) for v in q.vertices if v not in fixed}
     if representatives is None:
-        swapped = tuple(sorted(orbits.values()))
-    else:
-        by_member = {}
-        for rep, other in orbits.values():
-            by_member[rep] = (rep, other)
-            by_member[other] = (other, rep)
-        chosen = []
-        for r in representatives:
-            if r not in by_member:
-                raise ValueError(f"{r!r} is not in a swapped orbit")
-            chosen.append(by_member[r])
-        if len({frozenset(p) for p in chosen}) != len(orbits):
-            raise ValueError("representatives must cover each swapped orbit exactly once")
-        swapped = tuple(chosen)
-    return OrbitBasis(q, inv, tuple(fixed), swapped)
+        representatives = sorted(v for v, w in partner.items() if v > w)
+    for r in representatives:
+        if r not in partner:
+            raise ValueError(f"{r!r} is not in a swapped orbit")
+    swapped = tuple((r, partner[r]) for r in representatives)
+    if sorted(v for pair in swapped for v in pair) != sorted(partner):
+        raise ValueError("representatives must cover each swapped orbit exactly once")
+    return OrbitBasis(q, inv, fixed, swapped)

@@ -64,20 +64,9 @@ def parse_quiver_file(text):
     if name is None:
         raise QuiverFileSyntaxError(0, "missing quiver line")
     q = Quiver(name, vertices, arrows)
-    involutions = []
-    for iname, vpairs, apairs in inv_blocks:
-        vmap, amap = {}, {}
-        for x, y in vpairs:
-            if x != y:
-                vmap[x] = y
-                vmap[y] = x
-        for a, b in apairs:
-            if a != b:
-                amap[a] = b
-                amap[b] = a
-        inv = Involution(iname, vmap, amap)
+    involutions = [Involution.from_pairs(*block) for block in inv_blocks]
+    for inv in involutions:
         validate_involution(q, inv)
-        involutions.append(inv)
     return q, involutions
 
 
@@ -88,18 +77,14 @@ def serialize_quiver(q, involutions=()):
         lines.append(f"arrow {a} {t} {h}")
     for inv in involutions:
         lines.append(f"involution {inv.name}")
-        done = set()
-        for v in q.vertices:
-            w = inv.vertex(v)
-            if w != v and v not in done:
-                lines.append(f"vmap {v} {w}")
-                done.update((v, w))
-        done = set()
-        for a in q.arrow_ids:
-            b = inv.arrow(a)
-            if b != a and a not in done:
-                lines.append(f"amap {a} {b}")
-                done.update((a, b))
+        for kind, ids, image in (("vmap", q.vertices, inv.vertex),
+                                 ("amap", q.arrow_ids, inv.arrow)):
+            done = set()
+            for x in ids:
+                y = image(x)
+                if y != x and x not in done:
+                    lines.append(f"{kind} {x} {y}")
+                    done.update((x, y))
     return "\n".join(lines) + "\n"
 
 

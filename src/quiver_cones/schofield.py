@@ -144,7 +144,7 @@ class ExtTable:
         # buffer[start:stop], 0 first
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1)}
         self._dense = {}  # tuple(a) -> (S, S @ E) for keys a public call or an I0 test read
-        self._reads = {}  # cached answer lists: inductive normals, I0 pairs
+        self._reads = {}  # cached reads: inductive normals, I0 pairs, checked involutions
 
     # -- internal ----------------------------------------------------------
 
@@ -154,11 +154,21 @@ class ExtTable:
             if isinstance(x, _VertexVector):  # iterating one would index it by position
                 raise TypeError(f"expected a {kind.__name__}, got a {type(x).__name__}")
             x = kind(self.quiver, x)  # rejects a wrong length, a non-integer or negative dimension
-        elif x.quiver != self.quiver:
+        elif x.quiver is not self.quiver and x.quiver != self.quiver:
             raise ValueError(f"{kind.__name__} bound to a different quiver")
-        if any(abs(v) >= _ENTRY_BOUND for v in x.values):
+        if max(map(abs, x.values), default=0) >= _ENTRY_BOUND:
             raise ValueOverflowError("entries too large for the exact int64 path")
         return x
+
+    def _involution(self, inv):
+        """perm[i] = index of tau(vertex i); inv is checked against self.quiver once."""
+        perm = self._reads.get(("tau", inv))
+        if perm is None:
+            q = self.quiver
+            validate_involution(q, inv)
+            perm = [q.vertex_index(inv.vertex(v)) for v in q.vertices]
+            self._reads[("tau", inv)] = perm
+        return perm
 
     def _check_int64(self, mass_a, mass_b):
         if (1 + self._multiplicity) * mass_a * mass_b >= 2**63:
@@ -299,9 +309,7 @@ class ExtTable:
         pairs = self._reads.get(("I0", key, inv))
         if pairs is not None:
             return pairs
-        q = self.quiver
-        validate_involution(q, inv)
-        perm = [q.vertex_index(inv.vertex(v)) for v in q.vertices]
+        q, perm = self.quiver, self._involution(inv)
         if tuple(key[p] for p in perm) != key:
             raise NotSymmetricDimensionError(f"{key} is not tau-symmetric")
         root, pairs = np.asarray(key, dtype=np.int64), []

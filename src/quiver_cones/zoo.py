@@ -8,14 +8,6 @@ from .errors import BadParameterError
 from .quiver import Involution, Quiver, validate_involution
 
 
-def _pairs_to_map(pairs):
-    m = {}
-    for x, y in pairs:
-        m[x] = y
-        m[y] = x
-    return m
-
-
 def make_line(n):
     """Oriented straight quiver 1 -> 2 -> ... -> n with the reversal involution."""
     if n < 1:
@@ -23,13 +15,11 @@ def make_line(n):
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
     q = Quiver(f"A{n}", vertices, arrows)
-    vmap = _pairs_to_map(
-        (str(i), str(n + 1 - i)) for i in range(1, n + 1) if i != n + 1 - i
+    inv = Involution.from_pairs(
+        "tau",
+        ((str(i), str(n + 1 - i)) for i in range(1, n + 1)),
+        ((f"a{i}", f"a{n - i}") for i in range(1, n)),
     )
-    amap = _pairs_to_map(
-        (f"a{i}", f"a{n - i}") for i in range(1, n) if i != n - i
-    )
-    inv = Involution("tau", vmap, amap)
     validate_involution(q, inv)
     return q, inv
 
@@ -40,7 +30,7 @@ def make_kronecker(n):
         raise BadParameterError("Kronecker quiver needs n >= 1")
     arrows = [(f"a{i}", "s", "t") for i in range(1, n + 1)]
     q = Quiver(f"Theta{n}", ["s", "t"], arrows)
-    inv = Involution("tau", {"s": "t", "t": "s"}, {})
+    inv = Involution.from_pairs("tau", [("s", "t")], [])
     validate_involution(q, inv)
     return q, inv
 
@@ -75,29 +65,20 @@ def make_sun(k, n):
                     arrows.append((aid(i, j), vid(i, j), vid(i, j + 1)))
     q = Quiver(f"Sun{mod}.{n}", vertices, arrows)
 
-    tau_v = _pairs_to_map(
-        (vid(i, j), vid(1 - i, j))
-        for i in range(mod)
-        for j in range(1, n + 1)
-        if (1 - i) % mod != i
+    tau = Involution.from_pairs(
+        "tau",
+        ((vid(i, j), vid(1 - i, j)) for i in range(mod) for j in range(1, n + 1)),
+        [(aid(i, n), aid(-i, n)) for i in range(mod)]
+        + [(aid(i, j), aid(1 - i, j)) for i in range(mod) for j in range(1, n)],
     )
-    tau_a = {}
-    for i in range(mod):
-        tau_a[aid(i, n)] = aid(-i, n)
-        for j in range(1, n):
-            tau_a[aid(i, j)] = aid(1 - i, j)
-    tau_a = {a: b for a, b in tau_a.items() if a != b}
-    tau = Involution("tau", tau_v, tau_a)
     validate_involution(q, tau)
     invs = [tau]
     if k % 2 == 1:
-        rho_v = _pairs_to_map(
-            (vid(i, j), vid(i + k, j)) for i in range(k) for j in range(1, n + 1)
+        rho = Involution.from_pairs(
+            "rho",
+            ((vid(i, j), vid(i + k, j)) for i in range(k) for j in range(1, n + 1)),
+            ((aid(i, j), aid(i + k, j)) for i in range(k) for j in range(1, n + 1)),
         )
-        rho_a = _pairs_to_map(
-            (aid(i, j), aid(i + k, j)) for i in range(k) for j in range(1, n + 1)
-        )
-        rho = Involution("rho", rho_v, rho_a)
         validate_involution(q, rho)
         invs.append(rho)
     return q, invs
@@ -122,10 +103,8 @@ def make_d5hat():
             ("a5", "x4", "x6"),
         ],
     )
-    inv = Involution(
-        "tau",
-        _pairs_to_map([("x1", "x6"), ("x2", "x5"), ("x3", "x4")]),
-        _pairs_to_map([("a1", "a5"), ("a2", "a4")]),
+    inv = Involution.from_pairs(
+        "tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")], [("a1", "a5"), ("a2", "a4")]
     )
     validate_involution(q, inv)
     return q, inv

@@ -64,6 +64,30 @@ def test_member_antiinv_rejects_bad_inputs(d5hat, d5hat_table):
         member_antiinv(d5hat_table, Weight(q, (1, 0, 0, 0, 0, 0)), DimVector(q, ALPHA_BIG), inv)
 
 
+@pytest.mark.parametrize("member", [member_dw, member_inductive], ids=["dw", "inductive"])
+def test_membership_binds_its_inputs(d5hat, d5hat_table, member):
+    q, _ = d5hat
+    s = (1, 0, 0, 0, 0, -1)
+    bound = member(d5hat_table, Weight(q, s), DimVector(q, ALPHA_BIG))
+    assert member(d5hat_table, s, ALPHA_BIG) == bound and bound
+    # swapped with sigma(alpha) = 1: a TypeError, not a silent not-member
+    with pytest.raises(TypeError, match="expected a Weight, got a DimVector"):
+        member(d5hat_table, DimVector(q, (1, 0, 0, 0, 0, 0)), Weight(q, (1, 0, 0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="Weight bound to a different quiver"):
+        member(d5hat_table, Weight(make_sun(3, 1)[0], s), ALPHA_BIG)
+
+
+def test_member_antiinv_binds_sigma_and_checks_the_involution(d5hat, d5hat_table, sun31):
+    q, inv = d5hat
+    s = antisym_basis(q, inv).from_coords((0, 0, -1))
+    assert member_antiinv(d5hat_table, s.values, ALPHA_BIG, inv)
+    with pytest.raises(TypeError, match="expected a Weight, got a DimVector"):
+        member_antiinv(d5hat_table, DimVector(q, ALPHA_BIG), s, inv)
+    # Sun(6,1)'s tau names no D5-hat vertex: read as the identity, s looked not anti-symmetric
+    with pytest.raises(DanglingEndpointError):
+        member_antiinv(d5hat_table, s, DimVector(q, ALPHA_BIG), sun31[1][0])
+
+
 def test_enumerate_I0_lengths(d5hat, d5hat_table):
     q, inv = d5hat
     assert len(enumerate_I0(d5hat_table, DimVector(q, (1,) * 6), inv)) == 5

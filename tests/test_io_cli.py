@@ -233,6 +233,16 @@ def test_cli_inequalities_and_reduce_coords(d5file):
     assert rows == {(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)}
 
 
+def test_cli_repeated_orbit_in_representatives_exits_2(d5file):
+    # x6 and x1 name one orbit: a fourth coordinate would repeat the third
+    for command in ("inequalities", "reduce"):
+        code, out, err = run_cli([command, d5file, "--alpha", "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2",
+                                  "--method", "antiinv", "--representatives", "x4,x5,x6,x1",
+                                  "--coords"])
+        assert (code, out) == (2, "")
+        assert err == "error: representatives must cover each swapped orbit exactly once\n"
+
+
 def test_cli_coords_rejected_before_any_lp(monkeypatch, d5file):
     import quiver_cones.cli as cli
 

@@ -8,7 +8,9 @@ from quiver_cones import (
     Quiver,
     Weight,
     antisym_basis,
+    euler_col,
     euler_form,
+    make_line,
     tau_dim,
     tau_weight,
     validate_involution,
@@ -20,6 +22,7 @@ from quiver_cones.errors import (
     DanglingEndpointError,
     DuplicateIdError,
     NotAntiSymmetricError,
+    NotSelfInverseError,
     OrientedCycleError,
     ValueOverflowError,
 )
@@ -74,6 +77,41 @@ def test_identity_involution_fails_on_a2(a2):
         validate_involution(q, Involution("id", {}, {}))
 
 
+def test_from_pairs_takes_either_order_and_drops_fixed_points(d5hat):
+    q, inv = d5hat
+    listed = Involution.from_pairs(
+        "tau",
+        [("x6", "x1"), ("x2", "x5"), ("x4", "x3"), ("x2", "x2")],
+        [("a5", "a1"), ("a2", "a4"), ("a3", "a3"), ("a4", "a2")],
+    )
+    # kept, ("x2", "x2") would overwrite x2 -> x5, and ("a3", "a3") would add a key
+    assert listed == inv
+
+
+def test_conflicting_pairs_are_not_self_inverse(d5hat):
+    q, _ = d5hat
+    inv = Involution.from_pairs("tau", [("x1", "x6"), ("x1", "x5"), ("x3", "x4")], [])
+    with pytest.raises(NotSelfInverseError, match="vmap is not self-inverse"):
+        validate_involution(q, inv)
+    inv = Involution.from_pairs("tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")],
+                                [("a1", "a5"), ("a1", "a4")])
+    with pytest.raises(NotSelfInverseError, match="amap is not self-inverse"):
+        validate_involution(q, inv)
+
+
+@pytest.mark.parametrize("vmap, amap, message", [
+    ({"x1": "zz"}, {}, "vmap mentions unknown vertex in 'x1' -> 'zz'"),
+    ({"x1": "x6", "x6": "x2"}, {}, "vmap is not self-inverse at 'x1'"),
+    ({"x1": "x6", "x6": "x1"}, {"a1": "zz"}, "amap mentions unknown arrow in 'a1' -> 'zz'"),
+    ({"x1": "x6", "x6": "x1"}, {"a1": "a5", "a5": "a4"}, "amap is not self-inverse at 'a1'"),
+], ids=["vertex-unknown", "vertex-not-self-inverse", "arrow-unknown", "arrow-not-self-inverse"])
+def test_involution_map_faults_keep_their_messages(d5hat, vmap, amap, message):
+    q, _ = d5hat
+    with pytest.raises((DanglingEndpointError, NotSelfInverseError)) as exc:
+        validate_involution(q, Involution("bad", vmap, amap))
+    assert str(exc.value) == message
+
+
 def test_theta2_swap_involution(theta2):
     q, inv = theta2
     validate_involution(q, inv)  # swap of endpoints, arrows fixed
@@ -125,6 +163,14 @@ def test_tau_involutive(d5hat):
     assert tau_weight(inv, tau_weight(inv, s)) == s
 
 
+def test_tau_keeps_the_vector_kind(d5hat):
+    q, inv = d5hat
+    s = Weight(q, (-1, 0, 0, 0, 0, 2))
+    assert tau_dim(inv, s) == tau_weight(inv, s) == Weight(q, (2, 0, 0, 0, 0, -1))
+    a = DimVector(q, (1, 0, 0, 0, 0, 2))
+    assert tau_weight(inv, a) == DimVector(q, (2, 0, 0, 0, 0, 1))
+
+
 def test_tau_on_unit_vector(d5hat):
     q, inv = d5hat
     e6 = DimVector.unit(q, "x6")
@@ -149,7 +195,6 @@ def test_basis_rejects_non_antisymmetric(d5hat):
 
 
 def test_basis_fixed_vertices_forced_zero():
-    from quiver_cones import make_line
     q, inv = make_line(3)  # middle vertex is tau-fixed
     basis = antisym_basis(q, inv)
     assert basis.fixed == ("2",)
@@ -165,10 +210,29 @@ def test_basis_representative_override(d5hat):
         antisym_basis(q, inv, representatives=("x4", "x3", "x6"))
 
 
+def test_basis_rejects_a_repeated_orbit(d5hat):
+    # x6 and x1 are one orbit; naming it twice used to give a four-coordinate basis
+    q, inv = d5hat
+    for reps in (("x4", "x5", "x6", "x1"), ("x4", "x5", "x6", "x6"), ("x4", "x6")):
+        with pytest.raises(ValueError, match="cover each swapped orbit exactly once"):
+            antisym_basis(q, inv, representatives=reps)
+    with pytest.raises(ValueError, match="'3' is not in a swapped orbit"):
+        antisym_basis(*make_line(5), representatives=("3", "4"))  # 3 is tau-fixed
+
+
 def test_sun_basis_has_three_swapped_orbits(sun31):
     q, invs = sun31
     basis = antisym_basis(q, invs[0])
     assert len(basis.swapped) == 3
+
+
+def test_euler_col_checks_the_quiver(d5hat, sun31):
+    q, _ = d5hat
+    b = DimVector(q, (1, 2, 0, 3, 0, 1))
+    col = euler_col(q, b)
+    assert all(col[v] == euler_form(q, DimVector.unit(q, v), b) for v in q.vertices)
+    with pytest.raises(ValueError, match="vectors not bound to the given quiver"):
+        euler_col(q, DimVector(sun31[0], (1, 0, 0, 0, 0, 0)))
 
 
 def test_euler_bilinearity_random(d5hat):

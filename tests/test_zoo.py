@@ -1,6 +1,13 @@
 import pytest
 
-from quiver_cones import make_d5hat, make_kronecker, make_line, make_sun
+from quiver_cones import (
+    make_d5hat,
+    make_kronecker,
+    make_line,
+    make_sun,
+    parse_quiver_file,
+    serialize_quiver,
+)
 from quiver_cones.errors import BadParameterError
 
 
@@ -79,3 +86,19 @@ def test_d5hat_shape():
     assert ("a3", "x3", "x4") in q.arrows
     assert inv.vertex("x1") == "x6" and inv.vertex("x2") == "x5"
     assert inv.arrow("a3") == "a3"
+
+
+FAMILIES = (
+    [(f"line{n}", lambda n=n: make_line(n)) for n in range(1, 9)]
+    + [(f"kronecker{n}", lambda n=n: make_kronecker(n)) for n in range(1, 5)]
+    + [(f"sun{k}.{n}", lambda k=k, n=n: make_sun(k, n)) for k in range(2, 6) for n in range(1, 4)]
+    + [("d5hat", make_d5hat)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in FAMILIES], ids=[i for i, _ in FAMILIES])
+def test_involutions_equal_their_parsed_serialization(make):
+    q, invs = make()
+    invs = invs if isinstance(invs, list) else [invs]
+    q2, invs2 = parse_quiver_file(serialize_quiver(q, invs))
+    assert q2 == q and invs2 == invs  # name, vmap and amap each
