@@ -244,6 +244,8 @@ class Involution:
     def __post_init__(self):
         object.__setattr__(self, "vmap", dict(self.vmap))
         object.__setattr__(self, "amap", dict(self.amap))
+        object.__setattr__(self, "_hash", hash((self.name, tuple(sorted(self.vmap.items())),
+                                                tuple(sorted(self.amap.items())))))
 
     @classmethod
     def from_pairs(cls, name, vpairs, apairs):
@@ -263,8 +265,7 @@ class Involution:
         return self.amap.get(a, a)
 
     def __hash__(self):
-        return hash((self.name, tuple(sorted(self.vmap.items())),
-                     tuple(sorted(self.amap.items()))))
+        return self._hash
 
 
 def validate_involution(q, inv):

@@ -4,12 +4,14 @@ A row c.x <= 0 of a cone is redundant iff the other rows imply it, which by
 Farkas' lemma holds iff c is a nonnegative combination of them: an LP with
 one row per coordinate.  The cone lies in the hyperplane sigma(alpha) = 0
 (Derksen-Weyman), so rows are taken in coordinates of alpha^perp.  Each LP is
-solved by a dense tableau simplex over fractions.Fraction with Bland's rule,
-so every pivot is exact and the method terminates.
+solved by a tableau simplex with Bland's rule and integer-preserving pivots
+(Bareiss, as in Avis' lrs), so every division is exact and it terminates.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 
 from .errors import DimensionTooLargeError, LPInvariantError
 from .cones import InequalitySystem
@@ -26,50 +28,57 @@ class RationalLP:
     rhs: list
 
 
-def _frac(x):
-    if isinstance(x, float):
-        raise LPInvariantError("floating-point value in exact LP data")
-    return Fraction(x)
+def _integer_row(values):
+    """The values times the lcm of their denominators, as ints, and that lcm."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    if not all(isinstance(x, Rational) for x in values):
+        raise LPInvariantError("exact LP data must be rational: int, Fraction or numpy integer")
+    scale = lcm(*(int(x.denominator) for x in values))
+    return [int(x.numerator) * (scale // int(x.denominator)) for x in values], scale
 
 
 def solve_max(lp):
     """Optimum of the LP; requires rhs >= 0 (the origin must be feasible).
 
-    Tableau simplex with Bland's rule from the slack basis.
+    Bland's rule from the slack basis, on integers: each row of [A | I | b]
+    times the lcm of its denominators (not the slack), so D = 1.  A pivot on
+    p = T[r][e] maps each other row x to (p.x - x[e].T[r]) // D, then D = p:
+    entries are D times the rational tableau's; ratios are cross-multiplied.
     """
     if len(lp.rhs) != len(lp.rows) or any(len(r) != len(lp.objective) for r in lp.rows):
         raise LPInvariantError("LP needs one rhs per row and one entry per variable in each row")
-    c = [_frac(x) for x in lp.objective]
-    A = [[_frac(x) for x in r] for r in lp.rows]
-    b = [_frac(x) for x in lp.rhs]
-    if any(x < 0 for x in b):
+    c, scale = _integer_row(lp.objective)
+    T = [_integer_row([*row, rhs])[0] for row, rhs in zip(lp.rows, lp.rhs)]
+    if any(row[-1] < 0 for row in T):
         raise LPInvariantError("origin-infeasible system; this solver assumes rhs >= 0")
-    m, n = len(A), len(c)
-    # tableau rows: [A | I | b]; objective row holds negated reduced costs
-    T = [list(A[i]) + [Fraction(int(i == k)) for k in range(m)] + [b[i]] for i in range(m)]
-    z = [-x for x in c] + [Fraction(0)] * (m + 1)
+    m, n = len(T), len(c)
+    T = [row[:-1] + [int(i == k) for k in range(m)] + row[-1:] for i, row in enumerate(T)]
+    # the objective row holds D times the negated reduced costs
+    z = [-x for x in c] + [0] * (m + 1)
     basis = list(range(n, n + m))
+    D = 1
     while True:
         enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
-            return z[-1]
-        best, leave = None, None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            return Fraction(z[-1], D * scale)
+        leave = None
+        for i, row in enumerate(T):
+            if row[enter] > 0:
+                d = leave is not None and row[-1] * T[leave][enter] - T[leave][-1] * row[enter]
+                if leave is None or d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise LPInvariantError("unbounded LP")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, T[leave])]
+        pivot = T[leave]
+        p = pivot[enter]
+        for i, row in enumerate(T):
+            if i != leave:
+                f = row[enter]
+                T[i] = [(p * x - f * y) // D for x, y in zip(row, pivot)]
+        f = z[enter]
+        z = [(p * x - f * y) // D for x, y in zip(z, pivot)]
+        D = p
         basis[leave] = enter
 
 

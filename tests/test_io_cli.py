@@ -336,10 +336,14 @@ def test_cli_inequalities_ambient(d5file, d5hat_table, method, alpha, values, n)
     ("inductive", EXAMPLE1_ALPHA, [
         (1, 2, 2, 2, 2, 1), (1, 2, 3, 3, 2, 1), (1, 3, 3, 3, 3, 2), (1, 3, 3, 4, 3, 2),
         (2, 1, 2, 2, 3, 2), (2, 1, 2, 4, 3, 2), (2, 2, 3, 3, 2, 2)]),
-], ids=["dw", "inductive"])
+    # 244 dw rows at the alpha of Example 1, one Farkas LP each
+    ("dw", EXAMPLE1_ALPHA, [
+        (1, 2, 2, 2, 2, 1), (1, 2, 3, 3, 2, 1), (1, 3, 3, 4, 3, 2), (1, 3, 4, 4, 3, 2),
+        (2, 2, 3, 3, 2, 2), (2, 2, 3, 4, 3, 2), (2, 2, 4, 4, 3, 2)]),
+], ids=["dw", "inductive", "dw-example1"])
 def test_cli_reduce_ambient(d5file, method, alpha, expected):
     code, out, _ = run_cli(["reduce", d5file, "--alpha", alpha, "--method", method])
-    assert code == 0 and _rows(out) == expected
+    assert code == 0 and out == "".join("\t".join(map(str, r)) + "\n" for r in expected)
 
 
 def test_cli_disc(d5file):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import quiver_cones.quiver as quiver_module
+
 from quiver_cones import (
     DimVector,
     ExtTable,
@@ -86,6 +88,15 @@ def test_from_pairs_takes_either_order_and_drops_fixed_points(d5hat):
     )
     # kept, ("x2", "x2") would overwrite x2 -> x5, and ("a3", "a3") would add a key
     assert listed == inv
+    assert hash(listed) == hash(inv)
+
+
+def test_involution_hash_is_computed_once_from_sorted_maps(d5hat, monkeypatch):
+    _, inv = d5hat
+    expected = hash((inv.name, tuple(sorted(inv.vmap.items())), tuple(sorted(inv.amap.items()))))
+    # a query hashes tau as part of its cache keys; that must not sort the maps again
+    monkeypatch.setattr(quiver_module, "sorted", None, raising=False)
+    assert hash(inv) == expected
 
 
 def test_conflicting_pairs_are_not_self_inverse(d5hat):

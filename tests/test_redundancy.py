@@ -1,7 +1,11 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import quiver_cones.redundancy as redundancy
 from quiver_cones import (
     DimVector,
     ExtTable,
@@ -17,6 +21,8 @@ from quiver_cones import (
     solve_max,
 )
 from quiver_cones.errors import DimensionTooLargeError, LPInvariantError
+
+import reference_lp
 
 ALPHA_BIG = (2, 3, 4, 4, 3, 2)
 
@@ -44,6 +50,43 @@ def test_solve_max_rejects_floats():
         solve_max(RationalLP(objective=[0.5], rows=[[1]], rhs=[1]))
 
 
+@pytest.mark.parametrize("bad", ["1/2", Decimal("0.1"), np.float64(0.5), 1j, None],
+                         ids=["str", "decimal", "numpy-float", "complex", "none"])
+@pytest.mark.parametrize("where", ["objective", "row", "rhs"])
+def test_solve_max_accepts_only_rationals(bad, where):
+    # a string used to be parsed and a Decimal read as the rational it prints as
+    lp = RationalLP(objective=[1], rows=[[1]], rhs=[3])
+    if where == "objective":
+        lp.objective = [bad]
+    elif where == "row":
+        lp.rows = [[bad]]
+    else:
+        lp.rhs = [bad]
+    with pytest.raises(LPInvariantError, match="must be rational"):
+        solve_max(lp)
+
+
+def test_solve_max_takes_numpy_integers():
+    objective, rows, rhs = [3, 2], [[2, 1], [1, 3]], [4, 5]
+    as_numpy = RationalLP(np.array(objective, dtype=np.int64),
+                          list(np.array(rows, dtype=np.int64)), list(np.array(rhs, dtype=np.int64)))
+    assert solve_max(as_numpy) == solve_max(RationalLP(objective, rows, rhs)) == Fraction(33, 5)
+
+
+def test_solve_max_builds_one_fraction_on_integer_data(monkeypatch):
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    lp = RationalLP(objective=[3, 2, 4], rows=[[1, 1, 2], [2, 0, 3], [2, 1, 3]], rhs=[4, 5, 7])
+    expected = reference_lp.solve_max(lp)
+    monkeypatch.setattr(redundancy, "Fraction", counting_fraction)
+    assert solve_max(lp) == expected
+    assert len(built) == 1, built
+
+
 def test_solve_max_rejects_negative_rhs():
     with pytest.raises(LPInvariantError):
         solve_max(RationalLP(objective=[1], rows=[[1]], rhs=[-1]))
@@ -65,6 +108,89 @@ def test_solve_max_variables_are_nonnegative():
 def test_solve_max_rejects_ragged_data(objective, rows, rhs):
     with pytest.raises(LPInvariantError):
         solve_max(RationalLP(objective=objective, rows=rows, rhs=rhs))
+
+
+def _outcome(solve, lp):
+    try:
+        return solve(lp)
+    except LPInvariantError as exc:
+        return str(exc)
+
+
+def _random_lp(rng, kind):
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    if kind == "fraction":
+        # each row its own denominators, so each row needs its own lcm
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7, 9)))
+    else:
+        def entry():
+            return rng.randint(-4, 4)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    objective = [entry() for _ in range(n)]
+    rhs = [abs(entry()) for _ in range(m)]
+    if kind == "degenerate":
+        # equal ratios in many rows: Bland's tie-break on the basis index decides
+        rhs = [rng.choice((0, 0, 2)) for _ in range(m)]
+        rows = [[rng.randint(0, 2) * 2 for _ in range(n)] if rng.random() < 0.5 else r for r in rows]
+    elif kind == "zero-objective":
+        objective = [0] * n
+    elif kind == "unbounded":
+        j = rng.randrange(n)
+        objective[j] = rng.randint(1, 4)
+        for r in rows:
+            r[j] = -abs(r[j])
+    return RationalLP(objective, rows, rhs)
+
+
+@pytest.mark.parametrize("kind", ["integer", "fraction", "degenerate", "zero-objective", "unbounded"])
+def test_solve_max_matches_fraction_reference(kind, monkeypatch):
+    # both solvers pick the entering variable by one next() per pivot;
+    # recording its answers compares the Bland pivot sequences too
+    entered = []
+
+    def recording_next(iterator, default):
+        entered.append(next(iterator, default))
+        return entered[-1]
+
+    for module in (redundancy, reference_lp):
+        monkeypatch.setattr(module, "next", recording_next, raising=False)
+
+    def run(solve, lp):
+        entered.clear()
+        return _outcome(solve, lp), list(entered)
+
+    rng = random.Random(f"lp-{kind}")
+    outcomes = []
+    for _ in range(300):
+        lp = _random_lp(rng, kind)
+        (got, got_path), (want, want_path) = run(solve_max, lp), run(reference_lp.solve_max, lp)
+        assert got == want and type(got) is type(want), (lp, got, want)
+        assert got_path == want_path, lp
+        outcomes.append(want)
+    optima = [x for x in outcomes if isinstance(x, Fraction)]
+    if kind == "unbounded":
+        assert outcomes == ["unbounded LP"] * len(outcomes)
+    elif kind == "zero-objective":
+        assert optima == [0] * len(outcomes)
+    else:
+        assert "unbounded LP" in outcomes and len(set(optima)) > 10
+
+
+def test_reduce_lps_match_fraction_reference(d5hat, d5hat_table, monkeypatch):
+    lps = []
+
+    def recording(lp):
+        lps.append(lp)
+        return solve_max(lp)
+
+    monkeypatch.setattr(redundancy, "solve_max", recording)
+    q, _ = d5hat
+    for method in ("dw", "inductive"):
+        irredundant_core(inequalities(d5hat_table, DimVector(q, (1, 2, 3, 3, 2, 1)), method))
+    irredundant_core(_example1_system(d5hat, d5hat_table))
+    assert len(lps) > 50
+    assert [solve_max(lp) for lp in lps] == [reference_lp.solve_max(lp) for lp in lps]
 
 
 @pytest.mark.parametrize("rows", [[(1,), (1, 0)], [(1, 0), (1,)]], ids=["short-target", "long-target"])
