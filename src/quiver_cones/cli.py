@@ -120,12 +120,14 @@ def cmd_system(q, involutions, args):
 
 
 def cmd_counts(q, involutions, args):
+    """One TSV line per --alpha, in the order given, all read from one table."""
     t = ExtTable(q)
-    a = parse_dim_vector(q, args.alpha)
+    alphas = [parse_dim_vector(q, alpha) for alpha in args.alpha]
     invs = [_pick_involution(involutions, name) for name in args.involution or []]
-    n1, n2, n3s = counts(t, a, invs)
-    cells = [",".join(str(v) for v in a.values), str(n1), str(n2)] + [str(n3) for n3 in n3s]
-    print("\t".join(cells))
+    for a in alphas:
+        n1, n2, n3s = counts(t, a, invs)
+        cells = [",".join(str(v) for v in a.values), str(n1), str(n2)] + [str(n3) for n3 in n3s]
+        print("\t".join(cells))
     return 0
 
 
@@ -185,7 +187,8 @@ def build_parser():
                        help="emit restricted coefficient rows, sorted, zero rows dropped")
 
     p = filecmd("counts", cmd_counts)
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", action="append", required=True,
+                   help="one output line per --alpha, in the order given")
     p.add_argument("--involution", action="append",
                    help="append an n3 column per named involution")
 

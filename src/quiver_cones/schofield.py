@@ -15,14 +15,16 @@ every b <= t with b != t comes before t:
   has a sub (quotient) of dimension b|V (c|W); Ext^1 over kQ is right exact,
   so ext(b, c) >= -<b|V, c>, -<b, c|W>, and as b -> t iff ext(b, c) = 0, only
   b that cannot be generic subdimensions of t are dropped;
-* bottom-up, decide each candidate b of t by one vectorised segment minimum
-  of <s, t - b> over 0 and the rows s of S_b, the generic subdimensions of b,
-  with a negative entry on supp(root): as t - b >= 0 and is zero off that
-  support, no other row can make it negative.  Every kept b meets this full
-  test, so the filter changes no S_t;
-* S_t is a slice of flat indices into one buffer per build, and keys built
-  for one root are reused, and their rows re-sorted by that sign test, by
-  every later root.
+* bottom-up, walk the keys in ascending flat order; once S_b is final, push b
+  to every key t it is a candidate of with one int64 product of the rows s
+  of S_b with a negative entry on supp(root) against the columns t - b, and
+  accept b for t when the column's minimum is >= 0 (a b with no such row is
+  accepted for every t, with no product).  As t - b >= 0 and is zero off that
+  support, no other row can make <s, t - b> negative, so every kept b meets
+  the full test, and the filter changes no S_t;
+* S_t = 0, the accepted candidates of t and t, in flat order: a slice of flat
+  indices into one buffer per build.  Keys built for one root are reused by
+  every later root, which finds their negative rows again for its own support.
 
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
@@ -46,7 +48,7 @@ _MAX_BOX_POINTS = 2**20
 # most candidates one table build may mark; a box with no arrow inside its
 # support makes every point a candidate of every larger point
 _MAX_CANDIDATES = 2**24
-# (s, b) pairs gathered per segment-minimum step
+# entries of one push product: S_b's rows times about _CHUNK // rows columns t - b
 _CHUNK = 2**16
 
 
@@ -87,29 +89,13 @@ def _rowdot(x, y):
     return np.einsum("ij,ij->i", x, y)
 
 
-def _all_nonneg(buf, start, stop, pe, c):
-    """For each j: whether <s, c_j> >= 0 for every box point s at flat index
-    buf[start_j:stop_j], where row s of pe is <s, .>.
-
-    With those points the generic subdimensions of b_j, this is ext(b_j, c_j) = 0.
-    For c_j >= 0 the rows of S_b_j with a negative entry, and 0, decide the same.
-    The (s, j) pairs are gathered about _CHUNK at a time and reduced with one
-    segment minimum per chunk; no segment is empty.
-    """
-    length = stop - start
-    ends = np.cumsum(length)
-    out = np.empty(len(start), dtype=bool)
-    lo = 0
-    while lo < len(start):
-        base = ends[lo] - length[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
-        seg = length[lo:hi]
-        offsets = ends[lo:hi] - seg - base
-        pos = np.arange(ends[hi - 1] - base) + np.repeat(start[lo:hi] - offsets, seg)
-        values = _rowdot(pe[buf[pos]], np.repeat(c[lo:hi], seg, axis=0))
-        out[lo:hi] = np.minimum.reduceat(values, offsets) >= 0
-        lo = hi
-    return out
+def _nonneg_columns(rows, cols):
+    """For each row c of cols, whether r . c >= 0 for every row r of rows (the
+    rows <s, .> of the s that can make some <s, c> negative), in int64
+    products of about _CHUNK entries."""
+    step = max(1, _CHUNK // len(rows))
+    return np.concatenate([(rows @ cols[i:i + step].T).min(axis=0) >= 0
+                           for i in range(0, len(cols), step)])
 
 
 class ExtTable:
@@ -141,8 +127,8 @@ class ExtTable:
             self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final
         zero = (0,) * n
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
-        # buffer[start:stop], 0 first
-        self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int64), 0, 1)}
+        # buffer[start:stop], in flat order
+        self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
         self._dense = {}  # tuple(a) -> (S, S @ E) for keys a public call or an I0 test read
         self._reads = {}  # cached reads: inductive normals, I0 pairs, checked involutions
 
@@ -188,8 +174,8 @@ class ExtTable:
         del points
         needed = np.zeros(N, dtype=bool)
         needed[N - 1] = True
-        start, mid, stop = (np.zeros(N, dtype=np.int64) for _ in range(3))
-        known, new = [], []  # (t, S_t) and (t, key, candidates of t)
+        axis = np.arange(max(root) + 1)
+        known, new, edges = {}, {}, []  # t -> S_t; t -> (key, edge range); candidates of each new t
         marked = 0
         for t in range(N - 1, -1, -1):
             if not needed[t]:
@@ -199,48 +185,74 @@ class ExtTable:
             hit = self._subs.get(key)
             if hit is not None:
                 src, src_buf, lo, hi = hit
-                known.append((t, box.flat(src.coords(src_buf[lo:hi]))))
+                known[t] = box.flat(src.coords(src_buf[lo:hi]))
                 continue
-            grid = _Box(key).points()
-            idx = box.flat(grid)
-            keep = np.flatnonzero(grid @ (self._euler @ top) >= slack_base[idx])[1:-1]
-            b, cands = grid[keep], idx[keep]  # <b, t - b> >= 0, without 0 and t
+            # flat index and <b, t> of every b <= t, as per-axis outer sums
+            idx = dot = np.zeros(1, dtype=np.int64)
+            for k, stride, w in zip(key, box.strides, self._euler @ top):
+                if k:
+                    steps = axis[:k + 1]
+                    idx = (idx[:, None] + steps * stride).ravel()
+                    dot = (dot[:, None] + steps * w).ravel()
+            cands = idx[np.flatnonzero(dot >= slack_base[idx])[1:-1]]  # <b, t - b> >= 0, without 0 and t
+            b = box.coords(cands)
             c = top - b
             sub = (b * (c @ self._euler.T)) @ self._reach.T  # <b|V, c>
             quot = (pe[cands] * c) @ self._reach  # <b, c|W>
-            cands = cands[(sub >= 0).all(axis=1) & (quot >= 0).all(axis=1)]
+            cands = cands[((sub >= 0) & (quot >= 0)).all(axis=1)]
             marked += len(cands)
             if marked > _MAX_CANDIDATES:
                 raise DimensionTooLargeError(
                     f"table build for {root} marks over {_MAX_CANDIDATES} candidates, above the budget"
                 )
             needed[cands] = True
-            new.append((t, key, cands))
-        # S_t is 0, t and some of the candidates of t
-        buf = np.empty(sum(len(f) for _, f in known) + sum(len(c) + 2 for _, _, c in new),
-                       dtype=np.int64)
-        end = 0
-
-        def put(t, subs):
-            """S_t at buf[start:stop], 0 and the rows with a negative entry up to mid."""
-            nonlocal end
-            active = (pe[subs] < 0).any(axis=1)
-            active[0] = True  # subs[0] is 0; it keeps every segment nonempty
-            start[t], mid[t], stop[t] = end, end + np.count_nonzero(active), end + len(subs)
-            buf[end:mid[t]], buf[mid[t]:stop[t]] = subs[active], subs[~active]
-            end = stop[t]
-
-        for t, subs in known:
-            put(t, subs)
-        reused = end
-        for t, key, cands in reversed(new):
-            c = np.asarray(key, dtype=np.int64) - box.coords(cands)
-            cands = cands[_all_nonneg(buf, start[cands], mid[cands], pe, c)]
-            put(t, np.concatenate(([0], cands, [t])))
-        # the slices copied from earlier builds stay with those builds
-        owned = buf[reused:end].copy()
-        for t, key, _ in new:
-            self._subs[key] = (box, owned, int(start[t]) - reused, int(stop[t]) - reused)
+            new[t] = (key, marked - len(cands), marked)
+            edges.append(cands.astype(np.int32))
+        # edge e joins the candidate tail[e] to the key whose range in new holds e;
+        # one in-place sort of the pairs (tail[e], e), packed in an int64, groups
+        # the edges by candidate and keeps each group in t order
+        tail = np.concatenate(edges)
+        del edges
+        shift = len(tail).bit_length()
+        order = tail.astype(np.int64)
+        order <<= shift
+        order |= np.arange(len(tail), dtype=np.int32)
+        order.sort()
+        keys = np.flatnonzero(needed)
+        first, last = (np.searchsorted(order, k << shift) for k in (keys, keys + 1))
+        order &= (1 << shift) - 1
+        order = order.astype(np.int32)
+        # the new keys in the order of new, and where the range of each starts
+        tops = np.array([key for key, _, _ in new.values()], dtype=np.int64)
+        starts = np.fromiter((lo for _, lo, _ in new.values()), dtype=np.int64, count=len(new))
+        accepted = np.zeros(len(tail), dtype=bool)
+        buf = np.empty(len(tail) + 2 * len(new), dtype=np.int32)
+        end, spans = 0, {}
+        # ascending: every candidate b of t comes before t, so S_t is final when
+        # t is reached, and t is then pushed to each key it is a candidate of
+        for t, lo, hi in zip(keys.tolist(), first.tolist(), last.tolist()):
+            if t in new:
+                _, a, z = new[t]
+                subs = np.concatenate(([0], tail[a:z][accepted[a:z]], [t]))
+                spans[t] = (end, end + len(subs))
+                buf[end:end + len(subs)] = subs
+                end += len(subs)
+            else:
+                subs = known[t]
+            if lo == hi:
+                continue
+            pos = order[lo:hi]
+            rows = pe[subs]
+            rows = rows[(rows < 0).any(axis=1)]  # no other row makes a <s, c> negative
+            if len(rows):
+                # c = u - t for the key u of each edge
+                c = tops[np.searchsorted(starts, pos, side="right") - 1] - box.coords(np.int64(t))
+                pos = pos[_nonneg_columns(rows, c)]
+            accepted[pos] = True
+        del tail, order, accepted
+        owned = buf[:end].copy()
+        for t, (key, _, _) in new.items():
+            self._subs[key] = (box, owned, *spans[t])
 
     def _subdim_rows(self, key):
         """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""
@@ -249,7 +261,7 @@ class ExtTable:
             if key not in self._subs:
                 self._build(key)
             box, buf, lo, hi = self._subs[key]
-            S = box.coords(np.sort(buf[lo:hi]))
+            S = box.coords(buf[lo:hi])
             dense = self._dense[key] = (S, S @ self._euler)
         return dense
 

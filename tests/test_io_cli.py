@@ -21,6 +21,8 @@ from quiver_cones.cli import main
 from quiver_cones.errors import DuplicateIdError, QuiverFileSyntaxError
 from quiver_cones.quiverfile import format_vector
 
+from goldens import D5HAT_TABLE
+
 GOOD_FILE = """\
 # a tiny quiver
 quiver A2
@@ -210,6 +212,39 @@ def test_cli_counts_two_involutions(sunfile):
     assert code == 0
     cells = out.strip().split("\t")
     assert len(cells) == 5 and cells[1:3] == [str(int(cells[1])), str(int(cells[2]))]
+
+
+@pytest.mark.parametrize("order", ["golden", "reversed"])
+def test_cli_counts_many_alphas_match_single_calls(d5file, order):
+    # one table serves every line; roots that are keys of an earlier root are
+    # read through the key-reuse path, with no build of their own
+    alphas = [",".join(f"x{i}={v}" for i, v in enumerate(row[0], 1)) for row in D5HAT_TABLE]
+    alphas += ["x1=1,x6=1", "x1=3,x6=3", alphas[0]]  # thin roots and a repeated one
+    if order == "reversed":
+        alphas.reverse()
+    single = ""
+    for alpha in alphas:
+        code, out, err = run_cli(["counts", d5file, "--alpha", alpha, "--involution", "tau"])
+        assert (code, err) == (0, "")
+        single += out
+    argv = ["counts", d5file, "--involution", "tau"]
+    for alpha in alphas:
+        argv += ["--alpha", alpha]
+    assert run_cli(argv) == (0, single, "")
+    golden = {f"{','.join(map(str, a))}\t{n1}\t{n2}\t{n3}" for a, n1, n2, n3 in D5HAT_TABLE}
+    assert golden <= set(single.splitlines())
+
+
+def test_cli_counts_many_alphas_two_involutions(sunfile):
+    alphas = ["0.1=3,1.1=3,2.1=3,3.1=3,4.1=3,5.1=3", "0.1=2,1.1=2,2.1=2,3.1=2,4.1=2,5.1=2"]
+    argv = ["counts", sunfile, "--involution", "tau", "--involution", "rho"]
+    code, out, _ = run_cli(argv + ["--alpha", alphas[0], "--alpha", alphas[1]])
+    assert (code, out) == (0, "3,3,3,3,3,3\t571\t20\t10\t12\n2,2,2,2,2,2\t129\t19\t10\t12\n")
+
+
+def test_cli_counts_checks_every_alpha_before_printing(d5file):
+    code, out, err = run_cli(["counts", d5file, "--alpha", "x1=1", "--alpha", "x9=1"])
+    assert (code, out) == (2, "") and "x9" in err
 
 
 def test_cli_inequalities_and_reduce_coords(d5file):

@@ -6,6 +6,7 @@ import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from quiver_cones import (
@@ -152,6 +153,52 @@ def test_ext_matches_recursion_on_random_quivers(seed):
         assert [s.values for s in t.generic_subdims(a)] == oracle.generic_subdims(a)
 
 
+def _wide_shallow_quiver(rng, index):
+    n = rng.randint(8, 12)
+    order = rng.sample(range(n), n)
+    arrows = [(f"a{i}.{j}", f"v{order[i]}", f"v{order[j]}")
+              for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+    return Quiver(f"W{index}", [f"v{i}" for i in range(n)], arrows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_matches_recursion_on_wide_shallow_quivers(seed):
+    # 8 to 12 vertices, no parallel arrows, alpha in {0, 1}^n: many keys, each
+    # with few subdimensions, and many vertices outside the support
+    rng = random.Random(f"wide-shallow:{seed}")
+    q = _wide_shallow_quiver(rng, seed)
+    t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+    n = len(q.vertices)
+    for _ in range(6):
+        a = tuple(rng.randint(0, 1) for _ in range(n))
+        assert [s.values for s in t.generic_subdims(a)] == oracle.generic_subdims(a), (q.arrows, a)
+        assert [s.values for s in t.inductive_normals(a)] == ref.inductive_normals(oracle, a)
+    for _ in range(40):
+        a = tuple(rng.randint(0, 1) for _ in range(n))
+        b = tuple(rng.randint(0, 1) for _ in range(n))
+        assert t.ext(a, b) == oracle.ext(a, b), (q.arrows, a, b)
+
+
+@pytest.mark.parametrize("case", ["d5hat", "sun62"])
+def test_subdimensions_are_transitive_on_every_key(case):
+    # b -> b' -> t implies b -> t, so S_b is inside S_t for every b in S_t; the
+    # table decides each key on its own, so this checks the keys against each other
+    if case == "d5hat":
+        q, alpha = make_d5hat()[0], (4,) * 6
+    else:
+        q, alpha = make_sun(3, 2)[0], (1, 2) * 6
+    t = ExtTable(q)
+    t.generic_subdims(alpha)
+    root = schofield._Box(alpha)
+    subs = {int(root.flat(np.asarray(key))): root.flat(box.coords(buf[lo:hi]))
+            for key, (box, buf, lo, hi) in t._subs.items()}
+    assert len(subs) == len(t._subs) > 600
+    for key, rows in subs.items():
+        member = np.zeros(root.size, dtype=bool)
+        member[rows] = True
+        assert member[np.concatenate([subs[int(b)] for b in rows])].all(), key
+
+
 @pytest.mark.parametrize("case", ["d5hat", "sun6"])
 def test_disc_witness_is_first_maximizer(case):
     if case == "d5hat":
@@ -243,23 +290,30 @@ def test_wrong_kind_vectors_raise_type_error(d5hat_table):
 
 def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     # at (300, 0, ..., 0) every c = t - b lives on x1, where each <s, .> is s_1 >= 0,
-    # so no row of S_b has a negative entry that counts and each segment is [0]
-    lengths, check = [], schofield._all_nonneg
+    # so no row of S_b has a negative entry that counts: no product is formed,
+    # and each of the 300 * 299 / 2 candidates is accepted against 0 alone
+    products, check = [], schofield._nonneg_columns
 
-    def recorded(buf, start, stop, pe, c):
-        lengths.extend((stop - start).tolist())
-        return check(buf, start, stop, pe, c)
+    def recorded(rows, cols):
+        products.append(rows.shape)
+        return check(rows, cols)
 
-    monkeypatch.setattr(schofield, "_all_nonneg", recorded)
+    monkeypatch.setattr(schofield, "_nonneg_columns", recorded)
     q, _ = d5hat
-    assert len(ExtTable(q).generic_subdims((300, 0, 0, 0, 0, 0))) == 301
-    assert len(lengths) == 300 * 299 // 2 and set(lengths) == {1}
+    t = ExtTable(q)
+    assert len(t.generic_subdims((300, 0, 0, 0, 0, 0))) == 301
+    assert products == []
+    keys = [key for key in t._subs if any(key)]
+    assert len(keys) == 300
+    edges = sum(hi - lo - 2 for _, _, lo, hi in (t._subs[key] for key in keys))
+    assert edges == 300 * 299 // 2
 
 
 def test_reused_keys_are_sorted_again_for_the_new_support(d5hat):
-    # the keys of (0, 0, 1, 2, 0, 1) are sorted by signs on x3, x4, x6; under the
+    # the keys of (0, 0, 1, 2, 0, 1) are built with signs on x3, x4, x6; under the
     # full support of the next root the rows with s_4 > 0 are negative on x5 too
-    # and must move up, or a b that is no generic subdimension of its key is kept
+    # and must enter the push product, or a b that is no generic subdimension of
+    # its key is kept
     q, _ = d5hat
     t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
     t.generic_subdims((0, 0, 1, 2, 0, 1))
