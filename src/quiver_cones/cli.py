@@ -15,7 +15,7 @@ from .errors import QuiverConesError
 from .quiver import antisym_basis, euler_form
 from .quiverfile import format_vector, parse_dim_vector, parse_quiver_file, parse_weight
 from .quiverfile import serialize_quiver
-from .redundancy import irredundant_core
+from .redundancy import check_ambient_dim, irredundant_core
 from .schofield import ExtTable
 
 
@@ -103,6 +103,8 @@ def cmd_system(q, involutions, args):
         raise QuiverConesError("--coords requires an antiinv system")
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
+    if args.command == "reduce" and args.method != "antiinv":
+        check_ambient_dim(a.values)  # before the table is built
     inv = basis = None
     if args.method == "antiinv":
         inv = _pick_involution(involutions, args.involution)

@@ -82,6 +82,14 @@ def solve_max(lp):
         basis[leave] = enter
 
 
+def check_ambient_dim(alpha):
+    """Refuse an ambient system on alpha whose dimension is above the exact-LP guard."""
+    if len(alpha) - 1 > _MAX_AMBIENT_DIM:
+        raise DimensionTooLargeError(
+            f"ambient dimension {len(alpha) - 1} exceeds the exact-LP guard ({_MAX_AMBIENT_DIM})"
+        )
+
+
 def _system_rows(system):
     """Integer rows of the system in coordinates of alpha^perp.
 
@@ -95,10 +103,7 @@ def _system_rows(system):
         # sigma(alpha) = 0 is automatic for anti-symmetric sigma on symmetric alpha
         return system.restricted_rows()
     alpha = system.alpha.values
-    if len(alpha) - 1 > _MAX_AMBIENT_DIM:
-        raise DimensionTooLargeError(
-            f"ambient dimension {len(alpha) - 1} exceeds the exact-LP guard ({_MAX_AMBIENT_DIM})"
-        )
+    check_ambient_dim(alpha)
     rows = system.ambient_rows()
     k = next((j for j, a in enumerate(alpha) if a > 0), None)
     if k is None:

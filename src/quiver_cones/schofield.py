@@ -3,11 +3,12 @@
 Schofield's criterion (General representations of quivers, Proc. LMS 1992,
 Thm 5.4) decides generic subdimensions: b is a generic subdimension of t
 (b -> t) iff <s, t - b> >= 0 for every generic subdimension s of b.  An
-ExtTable evaluates it bottom-up, once per root a that a caller asks about,
-over box(a) = {b : 0 <= b <= a} in mixed-radix (lexicographic) order, where
-every b <= t with b != t comes before t:
+ExtTable evaluates it once per root a that a caller asks about, over
+box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
+|b| at a time, as every b <= t with b != t is lighter than t:
 
-* top-down, mark the root and, for each marked t, its candidates b <= t with
+* top-down, mark the root and, for the marked keys t of one level together,
+  in batches of about _CHUNK entries, their candidates b <= t with
   <b, t - b> >= 0 (the criterion at s = b, which prunes most of the box) and,
   for c = t - b and each vertex v, <b|V, c> >= 0 and <b, c|W> >= 0, V (W) the
   vertices on paths out of (into) v, v included.  V is closed under arrow
@@ -15,13 +16,12 @@ every b <= t with b != t comes before t:
   has a sub (quotient) of dimension b|V (c|W); Ext^1 over kQ is right exact,
   so ext(b, c) >= -<b|V, c>, -<b, c|W>, and as b -> t iff ext(b, c) = 0, only
   b that cannot be generic subdimensions of t are dropped;
-* bottom-up, walk the keys in ascending flat order; once S_b is final, push b
-  to every key t it is a candidate of with one int64 product of the rows s
-  of S_b with a negative entry on supp(root) against the columns t - b, and
-  accept b for t when the column's minimum is >= 0 (a b with no such row is
-  accepted for every t, with no product).  As t - b >= 0 and is zero off that
-  support, no other row can make <s, t - b> negative, so every kept b meets
-  the full test, and the filter changes no S_t;
+* bottom-up, level by level, in batches; once S_b is final, push b to every
+  key t it is a candidate of with one int64 product of the rows s of S_b with
+  a negative entry on supp(root) against the columns t - b, and accept b for
+  t when the column's minimum is >= 0 (a b with no such row is accepted for
+  every t, with no product).  As t - b >= 0 and is zero off that support, no
+  other row can make <s, t - b> negative, so the filter changes no S_t;
 * S_t = 0, the accepted candidates of t and t, in flat order: a slice of flat
   indices into one buffer per build.  Keys built for one root are reused by
   every later root, which finds their negative rows again for its own support.
@@ -48,7 +48,7 @@ _MAX_BOX_POINTS = 2**20
 # most candidates one table build may mark; a box with no arrow inside its
 # support makes every point a candidate of every larger point
 _MAX_CANDIDATES = 2**24
-# entries of one push product: S_b's rows times about _CHUNK // rows columns t - b
+# entries of one push product, and about as many per array (points x supp(root)) of a batch
 _CHUNK = 2**16
 
 
@@ -77,12 +77,8 @@ class _Box:
     def flat(self, coords):
         return coords @ self.strides
 
-    def coords(self, flat):
-        return flat[..., None] // self.strides % self.radix
-
-    def points(self):
-        """Every point as a row, in flat order."""
-        return self.coords(np.arange(self.size))
+    def coords(self, flat, axes=slice(None)):
+        return flat[..., None] // self.strides[axes] % self.radix[axes]
 
 
 def _rowdot(x, y):
@@ -96,6 +92,29 @@ def _nonneg_columns(rows, cols):
     step = max(1, _CHUNK // len(rows))
     return np.concatenate([(rows @ cols[i:i + step].T).min(axis=0) >= 0
                            for i in range(0, len(cols), step)])
+
+
+def _batches(weight, bound):
+    """(lo, hi) of runs of items, cut where the weight before an item passes a multiple of bound."""
+    cuts = (np.flatnonzero(np.diff((np.cumsum(weight) - weight) // max(1, bound))) + 1).tolist()
+    return zip([0, *cuts], [*cuts, len(weight)]) if len(weight) else ()
+
+
+def _grids(tops, w, strides):
+    """Flat index and <b, t> (w = tops @ E.T) of each b <= t, t row by row of tops, and
+    each grid's size: per axis, an outer sum over the widest t less the steps past t's."""
+    idx = dot = np.zeros(len(tops), dtype=np.int64)
+    size, radix = np.ones(len(tops), dtype=np.int64), tops + 1
+    least, most = radix.min(axis=0).tolist(), radix.max(axis=0).tolist()
+    for axis in [a for a, m in enumerate(most) if m > 1]:
+        steps = np.arange(most[axis])
+        idx = (idx[:, None] + steps * strides[axis]).ravel()
+        dot = (dot[:, None] + (w[:, axis, None] * steps).repeat(size if len(size) > 1 else 1, 0)).ravel()
+        if least[axis] < most[axis]:
+            keep = (steps < radix[:, axis].repeat(size)[:, None]).ravel()
+            idx, dot = idx[keep], dot[keep]
+        size *= radix[:, axis]
+    return idx, dot, size
 
 
 class ExtTable:
@@ -163,96 +182,109 @@ class ExtTable:
     def _build(self, root):
         """Decide S_t, into _subs, for root and the keys it needs that no earlier build decided."""
         self._check_int64(sum(root), sum(root))
-        box = _Box(root)
-        N = box.size
-        points = box.points()
-        pe = points @ self._euler
-        # every c = t - b below is zero outside supp(root), so those columns of
-        # <s, .> never decide a sign; zeroed, fewer rows have a negative entry
-        pe[:, np.asarray(root) == 0] = 0
+        box, on = _Box(root), np.flatnonzero(root)
+        # every b <= t <= root and c = t - b lives on supp(root): vectors are held
+        # there, and each closed set V or W is tested once by its trace on it
+        E, reach = self._euler[np.ix_(on, on)], self._reach
+        heads, tails = (np.array(sorted({*map(tuple, m.tolist())})) for m in (reach[:, on], reach[on].T))
+        points = box.coords(np.arange(box.size), on)
+        pe = points @ E  # <b, .>
         slack_base = _rowdot(pe, points)  # <b, b>
         del points
-        needed = np.zeros(N, dtype=bool)
-        needed[N - 1] = True
-        axis = np.arange(max(root) + 1)
-        known, new, edges = {}, {}, []  # t -> S_t; t -> (key, edge range); candidates of each new t
-        marked = 0
-        for t in range(N - 1, -1, -1):
-            if not needed[t]:
-                continue
-            top = box.coords(np.int64(t))
-            key = tuple(int(v) for v in top)
-            hit = self._subs.get(key)
-            if hit is not None:
-                src, src_buf, lo, hi = hit
-                known[t] = box.flat(src.coords(src_buf[lo:hi]))
-                continue
-            # flat index and <b, t> of every b <= t, as per-axis outer sums
-            idx = dot = np.zeros(1, dtype=np.int64)
-            for k, stride, w in zip(key, box.strides, self._euler @ top):
-                if k:
-                    steps = axis[:k + 1]
-                    idx = (idx[:, None] + steps * stride).ravel()
-                    dot = (dot[:, None] + steps * w).ravel()
-            cands = idx[np.flatnonzero(dot >= slack_base[idx])[1:-1]]  # <b, t - b> >= 0, without 0 and t
-            b = box.coords(cands)
-            c = top - b
-            sub = (b * (c @ self._euler.T)) @ self._reach.T  # <b|V, c>
-            quot = (pe[cands] * c) @ self._reach  # <b, c|W>
-            cands = cands[((sub >= 0) & (quot >= 0)).all(axis=1)]
-            marked += len(cands)
-            if marked > _MAX_CANDIDATES:
-                raise DimensionTooLargeError(
-                    f"table build for {root} marks over {_MAX_CANDIDATES} candidates, above the budget"
-                )
-            needed[cands] = True
-            new[t] = (key, marked - len(cands), marked)
-            edges.append(cands.astype(np.int32))
-        # edge e joins the candidate tail[e] to the key whose range in new holds e;
-        # one in-place sort of the pairs (tail[e], e), packed in an int64, groups
-        # the edges by candidate and keeps each group in t order
-        tail = np.concatenate(edges)
+        needed = np.zeros(box.size, dtype=bool)
+        needed[[0, -1]] = True  # 0 is in every S_t and no key of the build
+        # marked keys wait in runs, sorted arrays of (|root| - |b|) << shift | b;
+        # every candidate of t is lighter than t, so once a mass is the heaviest
+        # left, all its keys are marked
+        shift, runs = box.size.bit_length(), [np.array([box.size - 1])]
+        levels, tops, counts, edges, marked = [], [], [], [], 0
+        while runs:
+            depth = min(int(run[0]) for run in runs) >> shift
+            cuts = [np.searchsorted(run, (depth + 1) << shift) for run in runs]
+            keys = np.sort(np.concatenate([r[:k] for r, k in zip(runs, cuts)])) & ((1 << shift) - 1)
+            runs = [run[cut:] for run, cut in zip(runs, cuts) if cut < len(run)]
+            coords = box.coords(keys)
+            hits = [self._subs.get(key) for key in map(tuple, coords.tolist())]
+            new = np.array([hit is None for hit in hits])
+            old = [box.flat(src.coords(held[lo:hi])) for src, held, lo, hi in filter(None, hits)]
+            levels.append((keys[new], keys[~new], coords[~new][:, on], old))
+            tops.append(coords[new][:, on])
+            for lo, hi in _batches(np.prod(tops[-1] + 1, axis=1), _CHUNK // len(on)):
+                t = tops[-1][lo:hi]
+                idx, dot, size = _grids(t, t @ E.T, box.strides[on])
+                at = np.flatnonzero(dot >= slack_base[idx])  # <b, t - b> >= 0
+                cands, own = idx[at], np.searchsorted(np.cumsum(size), at, side="right")
+                b = box.coords(cands, on)
+                c = (t[own] if len(t) > 1 else t) - b
+                at = np.flatnonzero((((b * (c @ E.T)) @ heads.T).min(axis=1) >= 0)  # <b|V, c>
+                                    & (((pe[cands] * c) @ tails.T).min(axis=1) >= 0))  # <b, c|W>
+                # the edges of each t: 0, its candidates, t (b = 0 and b = t pass every test)
+                cands, own = cands[at], own[at]
+                marked += len(cands) - 2 * len(t)
+                if marked > _MAX_CANDIDATES:
+                    raise DimensionTooLargeError(
+                        f"table build for {root} marks over {_MAX_CANDIDATES} candidates, above the budget"
+                    )
+                counts.append(np.bincount(own, minlength=len(t)))
+                edges.append(cands.astype(np.int32))
+                unseen = np.flatnonzero(~needed[cands])
+                needed[cands] = True
+                if len(unseen):
+                    run = np.sort((sum(root) - b[at[unseen]].sum(axis=1)) << shift | cands[unseen])
+                    runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
+                del b, c
+        # edge e joins tail[e] to the new key j (marking order) with e in starts[j]:starts[j + 1];
+        # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with
+        # keys ranked 1, 2, ... as the push below walks them, puts key p's at ends[p]:ends[p + 1]
+        tail, tops = np.concatenate(edges), np.concatenate(tops)
         del edges
+        starts = np.cumsum(np.concatenate([[0], *counts]))
+        push = np.concatenate([np.concatenate(level[:2]) for level in reversed(levels)])
+        rank = np.zeros(box.size, dtype=np.int64)
+        rank[push] = np.arange(1, len(push) + 1)
+        order = rank[tail]
+        order[starts[1:] - 1] = 0  # the edge from t to itself, like those from 0, is never pushed
         shift = len(tail).bit_length()
-        order = tail.astype(np.int64)
         order <<= shift
         order |= np.arange(len(tail), dtype=np.int32)
         order.sort()
-        keys = np.flatnonzero(needed)
-        first, last = (np.searchsorted(order, k << shift) for k in (keys, keys + 1))
+        ends = np.searchsorted(order, np.arange(1, len(push) + 2) << shift)
         order &= (1 << shift) - 1
         order = order.astype(np.int32)
-        # the new keys in the order of new, and where the range of each starts
-        tops = np.array([key for key, _, _ in new.values()], dtype=np.int64)
-        starts = np.fromiter((lo for _, lo, _ in new.values()), dtype=np.int64, count=len(new))
         accepted = np.zeros(len(tail), dtype=bool)
-        buf = np.empty(len(tail) + 2 * len(new), dtype=np.int32)
-        end, spans = 0, {}
-        # ascending: every candidate b of t comes before t, so S_t is final when
-        # t is reached, and t is then pushed to each key it is a candidate of
-        for t, lo, hi in zip(keys.tolist(), first.tolist(), last.tolist()):
-            if t in new:
-                _, a, z = new[t]
-                subs = np.concatenate(([0], tail[a:z][accepted[a:z]], [t]))
-                spans[t] = (end, end + len(subs))
-                buf[end:end + len(subs)] = subs
-                end += len(subs)
-            else:
-                subs = known[t]
-            if lo == hi:
-                continue
-            pos = order[lo:hi]
-            rows = pe[subs]
-            rows = rows[(rows < 0).any(axis=1)]  # no other row makes a <s, c> negative
-            if len(rows):
-                # c = u - t for the key u of each edge
-                c = tops[np.searchsorted(starts, pos, side="right") - 1] - box.coords(np.int64(t))
-                pos = pos[_nonneg_columns(rows, c)]
-            accepted[pos] = True
+        accepted[starts[:-1]] = accepted[starts[1:] - 1] = True  # 0 and t
+        j, p = len(tops), 0
+        # by ascending mass, so the S_t of a level are final when it is reached;
+        # then each key of the level is pushed to every key it is a candidate of
+        for fresh, kept, kept_top, kept_subs in reversed(levels):
+            j -= len(fresh)
+            a, z = starts[j], starts[j + len(fresh)]
+            off = np.concatenate(([0], np.cumsum(accepted[a:z])))[starts[j:j + len(fresh) + 1] - a]
+            off = np.concatenate((off, off[-1] + np.cumsum([len(s) for s in kept_subs], dtype=int)))
+            subs = np.concatenate((tail[a:z][accepted[a:z]], *kept_subs))
+            top = np.concatenate((tops[j:j + len(fresh)], kept_top))
+            lens, got = off[1:] - off[:-1], ends[p + 1:p + len(top) + 1] - ends[p:p + len(top)]
+            for lo, hi in _batches(lens + got, _CHUNK // (2 * len(on))):
+                rows = pe[subs[off[lo]:off[hi]]]
+                neg = (rows < 0).any(axis=1)  # no other row makes a <s, c> negative
+                row_at = np.cumsum(np.concatenate(([0], neg)))[off[lo:hi + 1] - off[lo]]
+                rows, pos = rows[neg], order[ends[p + lo]:ends[p + hi]]
+                n = got[lo:hi] * (row_at[1:] > row_at[:-1])  # edges of the keys with such rows
+                tested = (n > 0).repeat(got[lo:hi])
+                accepted[pos[~tested]] = True
+                pos, col_at = pos[tested], np.concatenate(([0], np.cumsum(n)))
+                # c = u - t for the key u of each edge, one product per key
+                c = tops[np.searchsorted(starts, pos, side="right") - 1] - top[lo:hi].repeat(n, axis=0)
+                for i in n.nonzero()[0].tolist():
+                    cols = slice(col_at[i], col_at[i + 1])
+                    accepted[pos[cols][_nonneg_columns(rows[row_at[i]:row_at[i + 1]], c[cols])]] = True
+            p += len(top)
+        owned = tail[accepted]
         del tail, order, accepted
-        owned = buf[:end].copy()
-        for t, (key, _, _) in new.items():
-            self._subs[key] = (box, owned, *spans[t])
+        spans = [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
+        built = box.coords(np.concatenate([level[0] for level in levels])).tolist()
+        for key, lo, hi in zip(map(tuple, built), spans, spans[1:]):
+            self._subs[key] = (box, owned, lo, hi)
 
     def _subdim_rows(self, key):
         """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""

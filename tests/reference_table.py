@@ -1,0 +1,109 @@
+"""Reference oracle: the subdimension table built one key at a time.
+
+This is how ExtTable._build decided its keys before it walked the box by mass
+level in batches: top-down, the needed keys in descending flat order, each
+key's candidates from its own per-axis outer sums and filters; bottom-up, the
+keys in ascending flat order, each pushed to its parents with its own rows
+and columns.  It fills an ExtTable's _subs with the same entries, and the
+differential tests compare every entry against the batched build.
+
+    class PerKeyTable(ExtTable):
+        _build = build_per_key
+"""
+
+import numpy as np
+
+from quiver_cones.errors import DimensionTooLargeError
+from quiver_cones.schofield import _MAX_CANDIDATES, _Box, _nonneg_columns, _rowdot
+
+
+def build_per_key(self, root):
+    """Decide S_t, into self._subs, for root and the keys it needs that no earlier build decided."""
+    self._check_int64(sum(root), sum(root))
+    box = _Box(root)
+    N = box.size
+    points = box.coords(np.arange(N))
+    pe = points @ self._euler
+    pe[:, np.asarray(root) == 0] = 0
+    slack_base = _rowdot(pe, points)  # <b, b>
+    del points
+    needed = np.zeros(N, dtype=bool)
+    needed[N - 1] = True
+    axis = np.arange(max(root) + 1)
+    known, new, edges = {}, {}, []  # t -> S_t; t -> (key, edge range); candidates of each new t
+    marked = 0
+    for t in range(N - 1, -1, -1):
+        if not needed[t]:
+            continue
+        top = box.coords(np.int64(t))
+        key = tuple(int(v) for v in top)
+        hit = self._subs.get(key)
+        if hit is not None:
+            src, src_buf, lo, hi = hit
+            known[t] = box.flat(src.coords(src_buf[lo:hi]))
+            continue
+        # flat index and <b, t> of every b <= t, as per-axis outer sums
+        idx = dot = np.zeros(1, dtype=np.int64)
+        for k, stride, w in zip(key, box.strides, self._euler @ top):
+            if k:
+                steps = axis[:k + 1]
+                idx = (idx[:, None] + steps * stride).ravel()
+                dot = (dot[:, None] + steps * w).ravel()
+        cands = idx[np.flatnonzero(dot >= slack_base[idx])[1:-1]]  # <b, t - b> >= 0, without 0 and t
+        b = box.coords(cands)
+        c = top - b
+        sub = (b * (c @ self._euler.T)) @ self._reach.T  # <b|V, c>
+        quot = (pe[cands] * c) @ self._reach  # <b, c|W>
+        cands = cands[((sub >= 0) & (quot >= 0)).all(axis=1)]
+        marked += len(cands)
+        if marked > _MAX_CANDIDATES:
+            raise DimensionTooLargeError(
+                f"table build for {root} marks over {_MAX_CANDIDATES} candidates, above the budget"
+            )
+        needed[cands] = True
+        new[t] = (key, marked - len(cands), marked)
+        edges.append(cands.astype(np.int32))
+    # edge e joins the candidate tail[e] to the key whose range in new holds e;
+    # one in-place sort of the pairs (tail[e], e), packed in an int64, groups
+    # the edges by candidate and keeps each group in t order
+    tail = np.concatenate(edges)
+    del edges
+    shift = len(tail).bit_length()
+    order = tail.astype(np.int64)
+    order <<= shift
+    order |= np.arange(len(tail), dtype=np.int32)
+    order.sort()
+    keys = np.flatnonzero(needed)
+    first, last = (np.searchsorted(order, k << shift) for k in (keys, keys + 1))
+    order &= (1 << shift) - 1
+    order = order.astype(np.int32)
+    tops = np.array([key for key, _, _ in new.values()], dtype=np.int64)
+    starts = np.fromiter((lo for _, lo, _ in new.values()), dtype=np.int64, count=len(new))
+    accepted = np.zeros(len(tail), dtype=bool)
+    buf = np.empty(len(tail) + 2 * len(new), dtype=np.int32)
+    end, spans = 0, {}
+    # ascending: every candidate b of t comes before t, so S_t is final when
+    # t is reached, and t is then pushed to each key it is a candidate of
+    for t, lo, hi in zip(keys.tolist(), first.tolist(), last.tolist()):
+        if t in new:
+            _, a, z = new[t]
+            subs = np.concatenate(([0], tail[a:z][accepted[a:z]], [t]))
+            spans[t] = (end, end + len(subs))
+            buf[end:end + len(subs)] = subs
+            end += len(subs)
+        else:
+            subs = known[t]
+        if lo == hi:
+            continue
+        pos = order[lo:hi]
+        rows = pe[subs]
+        rows = rows[(rows < 0).any(axis=1)]  # no other row makes a <s, c> negative
+        if len(rows):
+            # c = u - t for the key u of each edge
+            c = tops[np.searchsorted(starts, pos, side="right") - 1] - box.coords(np.int64(t))
+            pos = pos[_nonneg_columns(rows, c)]
+        accepted[pos] = True
+    del tail, order, accepted
+    owned = buf[:end].copy()
+    for t, (key, _, _) in new.items():
+        self._subs[key] = (box, owned, *spans[t])

@@ -291,6 +291,26 @@ def test_cli_coords_rejected_before_any_lp(monkeypatch, d5file):
         assert (code, out) == (2, "") and "--coords requires an antiinv system" in err
 
 
+@pytest.mark.parametrize("method", ["dw", "inductive"])
+def test_cli_reduce_checks_ambient_dimension_before_building(monkeypatch, tmp_path, method):
+    # the exact-LP guard depends on the vertex count alone: Sun(6,2) has 12
+    # vertices, ambient dimension 11 > 8, so reduce exits 2 with no table build
+    q, invs = make_sun(3, 2)
+    path = tmp_path / "sun62.quiver"
+    path.write_text(serialize_quiver(q, invs))
+    builds = []
+
+    def spy(self, root):
+        builds.append(root)
+        raise AssertionError("the table was built before the ambient guard")
+
+    monkeypatch.setattr(quiver_cones.ExtTable, "_build", spy)
+    alpha = ",".join(f"{v}={x}" for v, x in zip(q.vertices, (1, 2) * 6))
+    code, out, err = run_cli(["reduce", str(path), "--alpha", alpha, "--method", method])
+    assert (code, out, builds) == (2, "", [])
+    assert err == "error: ambient dimension 11 exceeds the exact-LP guard (8)\n"
+
+
 def test_cli_file_without_involution(tmp_path):
     q, _ = make_d5hat()
     path = tmp_path / "plain.quiver"

@@ -27,6 +27,8 @@ from quiver_cones import cli, schofield
 from quiver_cones.errors import DimensionTooLargeError, ValueOverflowError
 
 import reference_schofield as ref
+import reference_table
+from goldens import D5HAT_TABLE, SUN61_TABLE, SUN62_ROW
 
 
 def _listed(quiver_and_involution):
@@ -42,6 +44,22 @@ ZOO = [
     ("sun6", *make_sun(3, 1), 2, 6),
     ("d5hat", *_listed(make_d5hat()), 2, 6),
 ]
+
+
+class _PerKeyTable(ExtTable):
+    _build = reference_table.build_per_key
+
+
+def _per_key_table(q, roots):
+    t = _PerKeyTable(q)
+    for a in roots:
+        t.generic_subdims(a)
+    return t
+
+
+def _entries(t):
+    """Every decided key -> its S_t as stored: the same set in the same (flat) order."""
+    return {key: box.coords(buf[lo:hi]).tolist() for key, (box, buf, lo, hi) in t._subs.items()}
 
 
 def _perm(q, inv):
@@ -76,8 +94,11 @@ def test_table_matches_recursion_on_zoo(family, q, invs, hi, draws):
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
-    # tiny chunks push every key through the multi-chunk path
+    # tiny chunks push every key through the multi-chunk path and cut the keys
+    # of one mass level into several batches, at most one key each at _CHUNK = 1
     monkeypatch.setattr(schofield, "_CHUNK", chunk)
+    batches, cut = [], schofield._batches
+    monkeypatch.setattr(schofield, "_batches", lambda *args: batches.append(list(cut(*args))) or batches[-1])
     q, inv = make_d5hat()
     t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
     for a in [(1, 2, 3, 3, 2, 1), (2, 1, 2, 2, 1, 2), (0, 2, 1, 1, 2, 0)]:
@@ -85,6 +106,19 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
         assert [b.values for b in t.inductive_normals(a)] == ref.inductive_normals(oracle, a)
         pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
         assert pairs == ref.iso_pairs(oracle, a, inv)
+    wide = _wide_shallow_quiver(random.Random("small-chunks"), 0)
+    sun62 = make_sun(3, 2)[0]
+    # one wide quiver, Sun(6,2) at a small alpha, and two roots on one table
+    for q, roots in [(wide, [(1,) * len(wide.vertices)]),
+                     (sun62, [(1, 1, 0, 1) * 3]),
+                     (sun62, [(1, 0) * 6, (1, 1) * 6])]:
+        t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
+        for a in roots:
+            assert [b.values for b in t.generic_subdims(a)] == oracle.generic_subdims(a), (q.name, a)
+        assert _entries(t) == _entries(_per_key_table(q, roots)), (q.name, roots)
+    if chunk == 1:
+        assert all(hi - lo == 1 for batch in batches for lo, hi in batch)
+    assert any(len(batch) > 1 for batch in batches)  # some level is cut
 
 
 @pytest.mark.parametrize("case", ["d5hat", "sun6"])
@@ -101,18 +135,26 @@ def test_cold_counts_builds_the_table_once(monkeypatch, case):
     assert roots == [alpha]
 
 
-@pytest.mark.parametrize("case", ["d5hat", "sun62"])
+@pytest.mark.parametrize("case", ["d5hat", "sun62", "d5hat4"])
 def test_cold_counts_decides_few_keys(case):
-    # which keys the build marks: every answer test still passes with the sub
-    # or the quotient tests of the closed-set filter left out, these counts not
+    # which keys the build marks and which candidates it accepts: every answer
+    # test still passes with the sub or the quotient tests of the closed-set
+    # filter left out, these counts not
     if case == "d5hat":
-        (q, inv), alpha, keys = make_d5hat(), (2, 3, 4, 4, 3, 2), 382
+        (q, inv), alpha, keys, accepted = make_d5hat(), (2, 3, 4, 4, 3, 2), 382, 14_170
+        invs = [inv]
+    elif case == "d5hat4":
+        (q, inv), alpha, keys, accepted = make_d5hat(), (4,) * 6, 2_319, 201_300
         invs = [inv]
     else:
-        (q, invs), alpha, keys = make_sun(3, 2), (1, 2) * 6, 673
+        (q, invs), alpha, keys, accepted = make_sun(3, 2), (1, 2) * 6, 673, 66_221
     t = ExtTable(q)
     counts(t, alpha, invs)
     assert len(t._subs) == keys
+    assert sum(hi - lo - 2 for key, (_, _, lo, hi) in t._subs.items() if any(key)) == accepted
+    # each key is decided once: the buffers hold the keys' sets and nothing else
+    buffers = {id(buf): len(buf) for _, buf, _, _ in t._subs.values()}
+    assert sum(buffers.values()) == sum(hi - lo for _, _, lo, hi in t._subs.values())
 
 
 def test_closures_are_built_in_one_pass_over_the_arrows():
@@ -177,6 +219,44 @@ def test_table_matches_recursion_on_wide_shallow_quivers(seed):
         a = tuple(rng.randint(0, 1) for _ in range(n))
         b = tuple(rng.randint(0, 1) for _ in range(n))
         assert t.ext(a, b) == oracle.ext(a, b), (q.arrows, a, b)
+
+
+GOLDEN_ROOTS = [
+    ("d5hat", make_d5hat()[0], [row[0] for row in D5HAT_TABLE]),
+    ("sun61", make_sun(3, 1)[0], [row[0] for row in SUN61_TABLE]),
+    ("sun62", make_sun(3, 2)[0], [SUN62_ROW[0]]),
+]
+
+
+@pytest.mark.parametrize("family, q, roots", GOLDEN_ROOTS, ids=[g[0] for g in GOLDEN_ROOTS])
+def test_batched_build_matches_per_key_build_on_goldens(family, q, roots):
+    # every _subs entry, key set and S_t in flat order, against the build that
+    # decides one key at a time: each golden alpha on a cold table, then all of
+    # them on one table, where later levels mix reused keys with new ones
+    for a in roots:
+        t = ExtTable(q)
+        t.generic_subdims(a)
+        assert _entries(t) == _entries(_per_key_table(q, [a])), (family, a)
+    t = ExtTable(q)
+    for a in roots:
+        t.generic_subdims(a)
+    assert _entries(t) == _entries(_per_key_table(q, roots)), family
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_build_matches_per_key_build_on_random_quivers(seed):
+    # random acyclic quivers with 2 to 4 vertices and wide, shallow ones with 8
+    # to 12, several roots on one table
+    rng = random.Random(f"batched-vs-per-key:{seed}")
+    if seed % 2:
+        q, hi = _wide_shallow_quiver(rng, seed), 1
+    else:
+        q, hi = _random_acyclic_quiver(rng, seed), 3
+    roots = [tuple(rng.randint(0, hi) for _ in q.vertices) for _ in range(5)]
+    t = ExtTable(q)
+    for a in roots:
+        t.generic_subdims(a)
+    assert _entries(t) == _entries(_per_key_table(q, roots)), (q.arrows, roots)
 
 
 @pytest.mark.parametrize("case", ["d5hat", "sun62"])
@@ -258,6 +338,19 @@ def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat)
     path.write_text(serialize_quiver(q, [inv]))
     code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=2000"])
     assert (code, out) == (2, "") and "budget" in err
+
+
+@pytest.mark.parametrize("budget, fits", [(300 * 299 // 2, True), (300 * 299 // 2 - 1, False)])
+def test_candidate_budget_counts_each_candidate_once(monkeypatch, d5hat, budget, fits):
+    # (300, 0, ..., 0) marks exactly 300 * 299 / 2 candidates: b < t on x1, neither 0
+    # nor t itself; the budget counts them, not the grid points or the stored edges
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", budget)
+    t = ExtTable(d5hat[0])
+    if fits:
+        assert len(t.generic_subdims((300, 0, 0, 0, 0, 0))) == 301
+    else:
+        with pytest.raises(DimensionTooLargeError, match="budget"):
+            t.generic_subdims((300, 0, 0, 0, 0, 0))
 
 
 def test_gate_rejects_foreign_and_oversized_vectors(d5hat_table, sun31):
