@@ -15,10 +15,9 @@ from .quiver import (
     validate_quiver,
     weight_eval,
 )
-from .schofield import ExtTable
+from .schofield import ExtTable, IsoPair
 from .cones import (
     InequalitySystem,
-    IsoPair,
     MembershipResult,
     counts,
     enumerate_I0,

@@ -25,7 +25,6 @@ from .quiver import (
     antisym_basis,
     weight_eval,
 )
-from .schofield import IsoPair  # noqa: F401  (re-exported; the I0 pairs are table reads)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def inequalities(t, a, method, inv=None, basis=None):
     if method == "dw":
         return InequalitySystem(a, tuple(t.generic_subdims(a)))
     if method == "inductive":
-        return InequalitySystem(a, tuple(t.inductive_normals(a)))
+        return InequalitySystem(a, t.inductive_normals(a))
     if method != "antiinv":
         raise ValueError(f"unknown method {method!r}")
     if inv is None:
@@ -147,8 +146,7 @@ def counts(t, a, involutions=()):
     n1 = #{beta <= alpha : beta generic subdim}; n2 restricts to nonvanishing
     pairing with alpha - beta; n3 = #I0 pairs for each given involution.
     """
-    subs = t.generic_subdims(a)
-    n1 = len(subs)
+    n1 = len(t.generic_subdims(a))
     n2 = len(t.inductive_normals(a))
     n3s = [len(enumerate_I0(t, a, inv)) for inv in involutions]
     return n1, n2, n3s

@@ -8,6 +8,7 @@ sums) outside that range raise ValueOverflowError instead of wrapping.
 
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     AxiomViolationError,
@@ -234,16 +235,17 @@ def euler_col(q, b):
 class Involution:
     """Self-inverse vertex/arrow maps exchanging heads and tails.
 
-    vmap/amap may omit fixed points; lookups default to the identity.
+    vmap/amap may omit fixed points; lookups default to the identity.  Both
+    are read-only views of private copies, so they cannot drift from the hash.
     """
 
     name: str
-    vmap: dict
-    amap: dict
+    vmap: MappingProxyType
+    amap: MappingProxyType
 
     def __post_init__(self):
-        object.__setattr__(self, "vmap", dict(self.vmap))
-        object.__setattr__(self, "amap", dict(self.amap))
+        object.__setattr__(self, "vmap", MappingProxyType(dict(self.vmap)))
+        object.__setattr__(self, "amap", MappingProxyType(dict(self.amap)))
         object.__setattr__(self, "_hash", hash((self.name, tuple(sorted(self.vmap.items())),
                                                 tuple(sorted(self.amap.items())))))
 

@@ -148,8 +148,7 @@ class ExtTable:
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
         # buffer[start:stop], in flat order
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
-        self._dense = {}  # tuple(a) -> (S, S @ E) for keys a public call or an I0 test read
-        self._reads = {}  # cached reads: inductive normals, I0 pairs, checked involutions
+        self._reads = {}  # tuple(a) -> (S, S @ E), never returned; inductive normals, I0 pairs, tau
 
     # -- internal ----------------------------------------------------------
 
@@ -288,14 +287,14 @@ class ExtTable:
 
     def _subdim_rows(self, key):
         """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""
-        dense = self._dense.get(key)
-        if dense is None:
+        rows = self._reads.get(key)
+        if rows is None:
             if key not in self._subs:
                 self._build(key)
             box, buf, lo, hi = self._subs[key]
             S = box.coords(buf[lo:hi])
-            dense = self._dense[key] = (S, S @ self._euler)
-        return dense
+            rows = self._reads[key] = (S, S @ self._euler)
+        return rows
 
     # -- operations ---------------------------------------------------------
 
@@ -326,20 +325,21 @@ class ExtTable:
         return [DimVector(self.quiver, row) for row in S.tolist()]
 
     def inductive_normals(self, a):
-        """The b <= a with b o (a - b) nonzero, lexicographic: the generic
-        subdimensions b of a with <b, a - b> = 0."""
+        """The b <= a with b o (a - b) nonzero, lexicographic, as a tuple shared
+        by every call: the generic subdimensions b of a with <b, a - b> = 0."""
         key = self._vector(a).values
         normals = self._reads.get(("inductive", key))
         if normals is None:
             S, M = self._subdim_rows(key)
             isotropic = M @ np.asarray(key, dtype=np.int64) == _rowdot(M, S)  # <b, a> = <b, b>
-            normals = [DimVector(self.quiver, row) for row in S[isotropic].tolist()]
+            normals = tuple(DimVector(self.quiver, row) for row in S[isotropic].tolist())
             self._reads[("inductive", key)] = normals
         return normals
 
     def iso_pairs(self, a, inv):
-        """The I0 pairs (beta, gamma) of a tau-symmetric a, lexicographic in beta:
-        gamma = a - beta - tau.beta >= 0 with beta o gamma and beta o tau.beta nonzero.
+        """The I0 pairs (beta, gamma) of a tau-symmetric a, lexicographic in beta, as
+        a tuple shared by every call: gamma = a - beta - tau.beta >= 0 with beta o gamma
+        and beta o tau.beta nonzero.
 
         Each such beta is an inductive normal of a: gamma + tau.beta = a - beta,
         so <beta, a - beta> = 0, and ext(beta, a - beta) = 0, since a general V
@@ -365,7 +365,7 @@ class ExtTable:
             _, M = self._subdim_rows(beta.values)  # ext(beta, c) = 0 iff min(M @ c) >= 0
             if (M @ np.stack((gamma, b[perm]), axis=1)).min() >= 0:
                 pairs.append(IsoPair(beta, DimVector(q, gamma.tolist())))
-        self._reads[("I0", key, inv)] = pairs
+        pairs = self._reads[("I0", key, inv)] = tuple(pairs)
         return pairs
 
     def disc(self, a, s):

@@ -1,11 +1,11 @@
-"""Pre-validated constructors for the quiver families used throughout.
+"""Constructors for the quiver families used throughout.
 
-All constructors return quivers together with their involutions, already
-checked against validate_quiver / validate_involution.
+All constructors return a quiver, validated by Quiver(), and its involutions,
+checked where they are used (ExtTable, antisym_basis, the quiver-file parser).
 """
 
 from .errors import BadParameterError
-from .quiver import Involution, Quiver, validate_involution
+from .quiver import Involution, Quiver
 
 
 def make_line(n):
@@ -20,7 +20,6 @@ def make_line(n):
         ((str(i), str(n + 1 - i)) for i in range(1, n + 1)),
         ((f"a{i}", f"a{n - i}") for i in range(1, n)),
     )
-    validate_involution(q, inv)
     return q, inv
 
 
@@ -31,7 +30,6 @@ def make_kronecker(n):
     arrows = [(f"a{i}", "s", "t") for i in range(1, n + 1)]
     q = Quiver(f"Theta{n}", ["s", "t"], arrows)
     inv = Involution.from_pairs("tau", [("s", "t")], [])
-    validate_involution(q, inv)
     return q, inv
 
 
@@ -71,7 +69,6 @@ def make_sun(k, n):
         [(aid(i, n), aid(-i, n)) for i in range(mod)]
         + [(aid(i, j), aid(1 - i, j)) for i in range(mod) for j in range(1, n)],
     )
-    validate_involution(q, tau)
     invs = [tau]
     if k % 2 == 1:
         rho = Involution.from_pairs(
@@ -79,7 +76,6 @@ def make_sun(k, n):
             ((vid(i, j), vid(i + k, j)) for i in range(k) for j in range(1, n + 1)),
             ((aid(i, j), aid(i + k, j)) for i in range(k) for j in range(1, n + 1)),
         )
-        validate_involution(q, rho)
         invs.append(rho)
     return q, invs
 
@@ -106,5 +102,4 @@ def make_d5hat():
     inv = Involution.from_pairs(
         "tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")], [("a1", "a5"), ("a2", "a4")]
     )
-    validate_involution(q, inv)
     return q, inv

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from quiver_cones import (
     counts,
     enumerate_I0,
     inequalities,
+    make_d5hat,
     make_sun,
     member_antiinv,
     member_dw,
@@ -215,3 +217,41 @@ def test_antiinv_basis_must_match_quiver_and_involution(sun31, sun31_table, d5ha
         inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(*d5hat))
     assert inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(q, tau)) == \
         inequalities(sun31_table, alpha, "antiinv", inv=tau)
+
+
+def _example1_answers(t, inv):
+    """counts, both sampled membership tests and the three systems at Example 1 alpha."""
+    q = t.quiver
+    a, basis = DimVector(q, ALPHA_BIG), antisym_basis(q, inv)
+    # every anti-symmetric weight with coordinates in -5..5, (-5,-5,-5,5,5,5) among them
+    weights = [basis.from_coords(c) for c in itertools.product(range(-5, 6), repeat=3)]
+    return (counts(t, a, [inv]),
+            [member_inductive(t, s, a) for s in weights],
+            [member_antiinv(t, s, a, inv) for s in weights],
+            [inequalities(t, a, method, inv=inv) for method in ("dw", "inductive", "antiinv")])
+
+
+def _attempt(mutate):
+    with contextlib.suppress(AttributeError, TypeError):
+        mutate()
+
+
+def test_cached_reads_cannot_be_changed_by_a_caller():
+    q, inv = make_d5hat()
+    t, a = ExtTable(q), DimVector(q, ALPHA_BIG)
+    _example1_answers(t, inv)
+    for read in (t.inductive_normals(a), t.iso_pairs(a, inv), enumerate_I0(t, a, inv)):
+        _attempt(lambda: read.__setitem__(0, read[-1]))
+        _attempt(lambda: read.clear())
+    fresh_q, fresh_inv = make_d5hat()
+    assert _example1_answers(t, inv) == _example1_answers(ExtTable(fresh_q), fresh_inv)
+
+
+def test_an_involution_cannot_change_under_a_table():
+    q, inv = make_d5hat()
+    t = ExtTable(q)
+    _example1_answers(t, inv)  # caches tau's permutation and its I0 pairs
+    _attempt(lambda: inv.vmap.clear())
+    _attempt(lambda: inv.amap.clear())
+    fresh_q, fresh_inv = make_d5hat()
+    assert _example1_answers(t, inv) == _example1_answers(ExtTable(fresh_q), fresh_inv)

@@ -432,3 +432,23 @@ def test_cli_process_exit_codes(d5file):
         done = subprocess.run([sys.executable, "-m", "quiver_cones.cli"] + argv, env=env,
                               capture_output=True, text=True)
         assert done.returncode == code, (argv, done.stderr)
+
+
+def test_cli_commands_leave_numpy_ma_unimported(d5file):
+    # numpy imports numpy.ma lazily (np.unique does, for one); the import costs about
+    # 1 MiB of peak RSS, a few percent of a small run's
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quiver_cones.__file__)))
+    calls = [
+        ["counts", d5file, "--alpha", EXAMPLE1_ALPHA, "--involution", "tau"],
+        ["reduce", d5file, "--alpha", SMALL_ALPHA, "--method", "dw"],
+        ["reduce", d5file, "--alpha", EXAMPLE1_ALPHA, "--method", "antiinv", "--involution", "tau",
+         "--coords"],
+    ] + [["member", d5file, "--alpha", EXAMPLE1_ALPHA, "--method", method, "--involution", "tau",
+          "--coords", "1,0,-1"] for method in ("dw", "inductive", "antiinv")]
+    script = ("import sys\nfrom quiver_cones.cli import main\n"
+              f"codes = [main(argv) for argv in {calls!r}]\n"
+              "print(codes, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 1, 1, 1] False"

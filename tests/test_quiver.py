@@ -12,7 +12,10 @@ from quiver_cones import (
     antisym_basis,
     euler_col,
     euler_form,
+    make_d5hat,
     make_line,
+    parse_quiver_file,
+    serialize_quiver,
     tau_dim,
     tau_weight,
     validate_involution,
@@ -97,6 +100,17 @@ def test_involution_hash_is_computed_once_from_sorted_maps(d5hat, monkeypatch):
     # a query hashes tau as part of its cache keys; that must not sort the maps again
     monkeypatch.setattr(quiver_module, "sorted", None, raising=False)
     assert hash(inv) == expected
+
+
+def test_involution_maps_are_read_only():
+    q, inv = make_d5hat()  # not the shared fixture, which a successful write would change
+    for m in (inv.vmap, inv.amap):
+        with pytest.raises(TypeError):
+            m["x1"] = "x1"
+        with pytest.raises(TypeError):
+            del m[next(iter(m))]
+    (parsed,) = parse_quiver_file(serialize_quiver(q, [inv]))[1]
+    assert parsed == inv and hash(parsed) == hash(inv)
 
 
 def test_conflicting_pairs_are_not_self_inverse(d5hat):

@@ -20,9 +20,11 @@ from quiver_cones import (
     redundant_row,
     solve_max,
 )
+from quiver_cones.cones import primitive_row
 from quiver_cones.errors import DimensionTooLargeError, LPInvariantError
 
 import reference_lp
+from goldens import D5HAT_TABLE, SUN61_TABLE
 
 ALPHA_BIG = (2, 3, 4, 4, 3, 2)
 
@@ -395,3 +397,38 @@ def test_core_in_alpha_perp_matches_core_with_plane(family, alpha, method):
     q = _QUIVERS[family]
     system = inequalities(ExtTable(q), DimVector(q, alpha), method)
     assert irredundant_core(system).normals == _core_with_plane(system)
+
+
+def _implied(rows, by):
+    """Whether every row is a nonnegative combination of the rows of by: one exact Farkas LP each."""
+    return all(redundant_row([*by, row], len(by)) for row in rows)
+
+
+def _golden_pairs(d5hat, d5hat_table, sun31, sun31_table):
+    """(table, alpha, involutions with a golden n3 at alpha) for the 20 golden alpha."""
+    (d5q, d5inv), (sq, sinvs) = d5hat, sun31
+    for alpha, *_ in D5HAT_TABLE:
+        yield d5hat_table, DimVector(d5q, alpha), [d5inv]
+    for alpha, _, _, *n3s in SUN61_TABLE:
+        yield sun31_table, DimVector(sq, alpha), [i for i, n3 in zip(sinvs, n3s) if n3 is not None]
+
+
+def test_golden_cones_are_equal_exactly(d5hat, d5hat_table, sun31, sun31_table):
+    """The three characterisations cut out one cone on every golden row, by exact LPs
+    instead of sampled weights: the inductive rows imply every dw row in alpha^perp,
+    and on anti-symmetric weights the antiinv rows and the restricted dw rows imply
+    each other.  The inductive normals are dw rows, so the converse is immediate."""
+    pairs = 0
+    for t, alpha, invs in _golden_pairs(d5hat, d5hat_table, sun31, sun31_table):
+        dw, inductive = (redundancy._system_rows(inequalities(t, alpha, method))
+                         for method in ("dw", "inductive"))
+        assert _implied(dw, inductive), alpha
+        for inv in invs:
+            basis = antisym_basis(t.quiver, inv)
+            antiinv = inequalities(t, alpha, "antiinv", inv=inv, basis=basis).restricted_rows()
+            # the distinct primitive rows cut out the same cone as all of them
+            restricted = sorted({primitive_row(basis.restrict_normal(b))
+                                 for b in t.generic_subdims(alpha)})
+            assert _implied(restricted, antiinv) and _implied(antiinv, restricted), (alpha, inv.name)
+            pairs += 1
+    assert pairs == 22

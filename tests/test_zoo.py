@@ -7,6 +7,7 @@ from quiver_cones import (
     make_sun,
     parse_quiver_file,
     serialize_quiver,
+    validate_involution,
 )
 from quiver_cones.errors import BadParameterError
 
@@ -91,7 +92,7 @@ def test_d5hat_shape():
 FAMILIES = (
     [(f"line{n}", lambda n=n: make_line(n)) for n in range(1, 9)]
     + [(f"kronecker{n}", lambda n=n: make_kronecker(n)) for n in range(1, 5)]
-    + [(f"sun{k}.{n}", lambda k=k, n=n: make_sun(k, n)) for k in range(2, 6) for n in range(1, 4)]
+    + [(f"sun{k}.{n}", lambda k=k, n=n: make_sun(k, n)) for k in range(2, 8) for n in range(1, 4)]
     + [("d5hat", make_d5hat)]
 )
 
@@ -102,3 +103,14 @@ def test_involutions_equal_their_parsed_serialization(make):
     invs = invs if isinstance(invs, list) else [invs]
     q2, invs2 = parse_quiver_file(serialize_quiver(q, invs))
     assert q2 == q and invs2 == invs  # name, vmap and amap each
+
+
+def test_every_zoo_involution_satisfies_the_axioms():
+    # the constructors do not check their involutions; each consumer checks one where it is used
+    checked = 0
+    for _, make in FAMILIES:
+        q, invs = make()
+        for inv in invs if isinstance(invs, list) else [invs]:
+            validate_involution(q, inv)
+            checked += 1
+    assert checked == 40
