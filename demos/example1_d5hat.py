@@ -42,18 +42,18 @@ system = inequalities(t, alpha, "antiinv", inv=tau, basis=basis)
 
 print("reduced system in coordinates (sigma(x4), sigma(x5), sigma(x6)),")
 print("each row c meaning c . sigma <= 0:")
-rows = sorted(set(system.restricted_rows(primitive=True)))
+rows = sorted(set(system.restricted_rows()))
 for row in rows:
     if any(row):
         print("   ", row)
 print()
 
 # One of the nine is already implied by the others:
-idx = system.restricted_rows(primitive=True).index((0, 3, 2))
+idx = system.restricted_rows().index((0, 3, 2))
 print("(0, 3, 2) redundant against the rest?", is_redundant(system, idx))
 
 core = irredundant_core(system)
 print("irredundant core:")
-for row in sorted(set(core.restricted_rows(primitive=True))):
+for row in sorted(set(core.restricted_rows())):
     if any(row):
         print("   ", row)

@@ -113,7 +113,7 @@ def cmd_system(q, involutions, args):
     if args.command == "reduce":
         system = irredundant_core(system)
     if args.coords:
-        rows = [row for row in sorted(system.restricted_rows(primitive=True)) if any(row)]
+        rows = [row for row in sorted(system.restricted_rows()) if any(row)]
     else:
         rows = [b.values for b in system.normals]
     for row in rows:

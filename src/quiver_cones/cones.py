@@ -42,27 +42,23 @@ class InequalitySystem:
     """sigma(alpha) = 0 together with sigma(beta) <= 0 for each normal beta.
 
     When coordinate_space is set the system is read in anti-symmetric orbit
-    coordinates; restricted_rows() gives the integer coefficient vectors.
+    coordinates; restricted_rows() gives the primitive integer coefficient vectors.
     """
 
     alpha: DimVector
     normals: tuple
     coordinate_space: Optional[OrbitBasis] = None
 
-    def restricted_rows(self, primitive=False):
-        """Coefficient vectors in orbit coordinates; primitive divides by the gcd,
-        which keeps the halfspace but matches the conventional normal form."""
+    def restricted_rows(self):
+        """Primitive coefficient vectors in orbit coordinates: dividing by the gcd
+        keeps the halfspace and gives the conventional normal form."""
         if self.coordinate_space is None:
             raise ValueError("system has no coordinate space")
-        rows = [self.coordinate_space.restrict_normal(b) for b in self.normals]
-        return [primitive_row(r) for r in rows] if primitive else rows
-
-    def ambient_rows(self):
-        return [b.values for b in self.normals]
+        return [primitive_row(self.coordinate_space.restrict_normal(b)) for b in self.normals]
 
 
 def primitive_row(row):
-    g = gcd(*row) if row else 0
+    g = gcd(*row)
     return tuple(c // g for c in row) if g else tuple(row)
 
 

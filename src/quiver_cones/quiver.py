@@ -141,6 +141,10 @@ class _VertexVector:
     def __getitem__(self, vertex):
         return self.values[self.quiver.vertex_index(vertex)]
 
+    def _bound_to(self, quiver):
+        if self.quiver is not quiver and self.quiver != quiver:
+            raise ValueError(f"{type(self).__name__} bound to a different quiver")
+
     def _same_quiver(self, other):
         if self.quiver is not other.quiver and self.quiver != other.quiver:
             raise ValueError("vectors bound to different quivers")
@@ -271,7 +275,8 @@ class Involution:
 
 
 def validate_involution(q, inv):
-    """Check self-inverseness and the exchange axioms h(tau a) = tau(t a), t(tau a) = tau(h a)."""
+    """Check self-inverseness and the exchange axioms h(tau a) = tau(t a), t(tau a) = tau(h a);
+    return perm, perm[i] = index of tau(vertex i)."""
     arrow_by_id = {a: (t, h) for a, t, h in q.arrows}
     for kind, what, m, known in (("vmap", "vertex", inv.vmap, set(q.vertices)),
                                  ("amap", "arrow", inv.amap, arrow_by_id)):
@@ -290,12 +295,12 @@ def validate_involution(q, inv):
             raise AxiomViolationError(
                 a, f"tail({ta!r})={tt!r} != vmap(head({a!r}))={inv.vertex(h)!r}"
             )
+    return [q.vertex_index(inv.vertex(v)) for v in q.vertices]
 
 
 def tau_dim(inv, a):
-    """(tau.a)(x) = a(tau x), of the kind of a: a DimVector or a Weight."""
-    q = a.quiver
-    return type(a)(q, tuple(a[inv.vertex(v)] for v in q.vertices))
+    """(tau.a)(x) = a(tau x), of the kind of a; inv is checked against a.quiver."""
+    return type(a)(a.quiver, tuple(a.values[p] for p in validate_involution(a.quiver, inv)))
 
 
 tau_weight = tau_dim
@@ -318,6 +323,7 @@ class OrbitBasis:
         return tuple(rep for rep, _ in self.swapped)
 
     def to_coords(self, s):
+        s._bound_to(self.quiver)
         ts = tau_weight(self.involution, s)
         if s != -ts:
             raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
@@ -335,6 +341,7 @@ class OrbitBasis:
 
     def restrict_normal(self, beta):
         """Coefficients of sigma(beta) <= 0 in orbit coordinates: beta(rep) - beta(tau rep)."""
+        beta._bound_to(self.quiver)
         return tuple(beta[rep] - beta[other] for rep, other in self.swapped)
 
 

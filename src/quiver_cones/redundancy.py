@@ -3,9 +3,9 @@
 A row c.x <= 0 of a cone is redundant iff the other rows imply it, which by
 Farkas' lemma holds iff c is a nonnegative combination of them: an LP with
 one row per coordinate.  The cone lies in the hyperplane sigma(alpha) = 0
-(Derksen-Weyman), so rows are taken in coordinates of alpha^perp.  Each LP is
-solved by a tableau simplex with Bland's rule and integer-preserving pivots
-(Bareiss, as in Avis' lrs), so every division is exact and it terminates.
+(Derksen-Weyman), so rows are taken in coordinates of alpha^perp on supp(alpha).
+Each LP is solved by a tableau simplex with Bland's rule and integer-preserving
+pivots (Bareiss, as in Avis' lrs), so every division is exact and it terminates.
 """
 
 from dataclasses import dataclass
@@ -83,33 +83,33 @@ def solve_max(lp):
 
 
 def check_ambient_dim(alpha):
-    """Refuse an ambient system on alpha whose dimension is above the exact-LP guard."""
-    if len(alpha) - 1 > _MAX_AMBIENT_DIM:
+    """Refuse alpha if |supp(alpha)| - 1, the row count of its LPs, is above the exact-LP guard."""
+    dim = sum(1 for a in alpha if a > 0) - 1
+    if dim > _MAX_AMBIENT_DIM:
         raise DimensionTooLargeError(
-            f"ambient dimension {len(alpha) - 1} exceeds the exact-LP guard ({_MAX_AMBIENT_DIM})"
+            f"ambient dimension {dim} exceeds the exact-LP guard ({_MAX_AMBIENT_DIM})"
         )
 
 
 def _system_rows(system):
-    """Integer rows of the system in coordinates of alpha^perp.
+    """Integer rows of the system in coordinates of alpha^perp on supp(alpha).
 
-    For ambient rows take the first k with alpha_k > 0: the entries sigma_j,
-    j != k, parametrise alpha^perp (sigma_k follows from sigma(alpha) = 0),
-    and row c becomes alpha_k * c(sigma) = (alpha_k c_j - c_k alpha_j)_{j != k},
-    a positive multiple of the same functional, so every LP flags the same
-    rows as redundant.  With alpha = 0 there is no hyperplane to remove.
+    Every normal must be <= alpha (those of inequalities() are), so every row vanishes
+    off supp(alpha).  With k the first vertex of supp(alpha), the sigma_j for the other
+    j in supp(alpha) parametrise alpha^perp there, and row c becomes alpha_k * c(sigma) =
+    (alpha_k c_j - c_k alpha_j)_j, a positive multiple of the same functional, so every
+    LP flags the same rows as redundant.  On alpha = 0 every row is empty.
     """
     if system.coordinate_space is not None:
         # sigma(alpha) = 0 is automatic for anti-symmetric sigma on symmetric alpha
         return system.restricted_rows()
     alpha = system.alpha.values
     check_ambient_dim(alpha)
-    rows = system.ambient_rows()
-    k = next((j for j, a in enumerate(alpha) if a > 0), None)
-    if k is None:
-        return rows
-    others = [j for j in range(len(alpha)) if j != k]
-    return [tuple(alpha[k] * c[j] - c[k] * alpha[j] for j in others) for c in rows]
+    if not all(b <= system.alpha for b in system.normals):
+        raise ValueError("every normal of the system must be <= alpha")
+    supp = [j for j, a in enumerate(alpha) if a > 0]
+    return [tuple(alpha[supp[0]] * b.values[j] - b.values[supp[0]] * alpha[j] for j in supp[1:])
+            for b in system.normals]
 
 
 def redundant_row(rows, index):
@@ -140,16 +140,11 @@ def is_redundant(system, index):
 
 
 def irredundant_core(system):
-    """Greedy removal, in canonical order, of rows redundant against the survivors."""
-    rows = _system_rows(system)
-    keep = list(range(len(rows)))
-    i = 0
-    while i < len(keep):
-        current = [rows[j] for j in keep]
-        if redundant_row(current, i):
-            del keep[i]
-        else:
-            i += 1
+    """Greedy removal in canonical order: each row is tested against the kept rows and the rest."""
+    rows, keep = _system_rows(system), []
+    for i in range(len(rows)):
+        if not redundant_row([rows[j] for j in keep] + rows[i:], len(keep)):
+            keep.append(i)
     return InequalitySystem(
         system.alpha,
         tuple(system.normals[j] for j in keep),

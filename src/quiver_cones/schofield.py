@@ -158,8 +158,8 @@ class ExtTable:
             if isinstance(x, _VertexVector):  # iterating one would index it by position
                 raise TypeError(f"expected a {kind.__name__}, got a {type(x).__name__}")
             x = kind(self.quiver, x)  # rejects a wrong length, a non-integer or negative dimension
-        elif x.quiver is not self.quiver and x.quiver != self.quiver:
-            raise ValueError(f"{kind.__name__} bound to a different quiver")
+        else:
+            x._bound_to(self.quiver)
         if max(map(abs, x.values), default=0) >= _ENTRY_BOUND:
             raise ValueOverflowError("entries too large for the exact int64 path")
         return x
@@ -168,10 +168,7 @@ class ExtTable:
         """perm[i] = index of tau(vertex i); inv is checked against self.quiver once."""
         perm = self._reads.get(("tau", inv))
         if perm is None:
-            q = self.quiver
-            validate_involution(q, inv)
-            perm = [q.vertex_index(inv.vertex(v)) for v in q.vertices]
-            self._reads[("tau", inv)] = perm
+            perm = self._reads[("tau", inv)] = validate_involution(self.quiver, inv)
         return perm
 
     def _check_int64(self, mass_a, mass_b):

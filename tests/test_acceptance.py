@@ -128,7 +128,7 @@ def test_criterion_4_redundancy(d5hat, d5hat_table, capsys):
     system = inequalities(
         d5hat_table, DimVector(q, (2, 3, 4, 4, 3, 2)), "antiinv", inv=inv, basis=basis
     )
-    rows = system.restricted_rows(primitive=True)
+    rows = system.restricted_rows()
     ok = (
         is_redundant(system, rows.index((0, 3, 2)))
         and not is_redundant(system, rows.index((0, 1, 0)))

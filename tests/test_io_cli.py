@@ -293,8 +293,8 @@ def test_cli_coords_rejected_before_any_lp(monkeypatch, d5file):
 
 @pytest.mark.parametrize("method", ["dw", "inductive"])
 def test_cli_reduce_checks_ambient_dimension_before_building(monkeypatch, tmp_path, method):
-    # the exact-LP guard depends on the vertex count alone: Sun(6,2) has 12
-    # vertices, ambient dimension 11 > 8, so reduce exits 2 with no table build
+    # the exact-LP guard counts the support of alpha: (1,2)x6 is supported on all
+    # 12 vertices of Sun(6,2), ambient dimension 11 > 8, so reduce exits 2 with no table build
     q, invs = make_sun(3, 2)
     path = tmp_path / "sun62.quiver"
     path.write_text(serialize_quiver(q, invs))
@@ -309,6 +309,19 @@ def test_cli_reduce_checks_ambient_dimension_before_building(monkeypatch, tmp_pa
     code, out, err = run_cli(["reduce", str(path), "--alpha", alpha, "--method", method])
     assert (code, out, builds) == (2, "", [])
     assert err == "error: ambient dimension 11 exceeds the exact-LP guard (8)\n"
+
+
+@pytest.mark.parametrize("method", ["dw", "inductive"])
+def test_cli_reduce_on_a_small_support_of_a_wide_quiver(tmp_path, method):
+    # alpha = 0.2+1.2+2.2 on Sun(6,2): LPs of dimension 2, though the quiver has 12 vertices;
+    # on 0.2 -> 1.2 <- 2.2 at (1,1,1), sigma(1.2) = sigma(0.2+1.2) + sigma(1.2+2.2) - sigma(alpha)
+    q, invs = make_sun(3, 2)
+    path = tmp_path / "sun62.quiver"
+    path.write_text(serialize_quiver(q, invs))
+    code, out, err = run_cli(["reduce", str(path), "--alpha", "0.2=1,1.2=1,2.2=1",
+                              "--method", method])
+    assert (code, err) == (0, "")
+    assert out == "0\t0\t0\t1\t0\t1\t0\t0\t0\t0\t0\t0\n0\t1\t0\t1\t0\t0\t0\t0\t0\t0\t0\t0\n"
 
 
 def test_cli_file_without_involution(tmp_path):

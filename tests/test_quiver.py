@@ -212,6 +212,24 @@ def test_basis_roundtrip(d5hat):
         assert basis.to_coords(s) == coords
 
 
+def test_tau_rejects_a_foreign_involution(d5hat, sun31):
+    # D5-hat's tau names no Sun(6,1) vertex; read as the identity, it returned a unchanged
+    (_, tau), (q, _) = d5hat, sun31
+    for vector in (DimVector(q, (1, 2, 3, 4, 5, 6)), Weight(q, (1, -2, 3, -4, 5, -6))):
+        for tau_of in (tau_dim, tau_weight):
+            with pytest.raises(DanglingEndpointError):
+                tau_of(tau, vector)
+
+
+def test_basis_rejects_a_vector_of_another_quiver(d5hat, sun31):
+    (q, inv), (other, _) = d5hat, sun31
+    basis = antisym_basis(q, inv)
+    with pytest.raises(ValueError, match="DimVector bound to a different quiver"):
+        basis.restrict_normal(DimVector(other, (1, 2, 3, 4, 5, 6)))
+    with pytest.raises(ValueError, match="Weight bound to a different quiver"):
+        basis.to_coords(Weight(other, (1, -1, 0, 0, 1, -1)))
+
+
 def test_basis_rejects_non_antisymmetric(d5hat):
     q, inv = d5hat
     basis = antisym_basis(q, inv)

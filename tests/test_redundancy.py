@@ -17,6 +17,7 @@ from quiver_cones import (
     make_d5hat,
     make_kronecker,
     make_line,
+    make_sun,
     redundant_row,
     solve_max,
 )
@@ -277,7 +278,7 @@ def test_sum_of_rows_is_redundant():
 def test_example1_redundant_inequality(d5hat, d5hat_table):
     # 3 sigma(x5) + 2 sigma(x6) <= 0 follows from the other eight
     system = _example1_system(d5hat, d5hat_table)
-    rows = system.restricted_rows(primitive=True)
+    rows = system.restricted_rows()
     idx = rows.index((0, 3, 2))
     assert is_redundant(system, idx)
     idx2 = rows.index((1, 1, 0))
@@ -287,7 +288,7 @@ def test_example1_redundant_inequality(d5hat, d5hat_table):
 def test_example1_core(d5hat, d5hat_table):
     system = _example1_system(d5hat, d5hat_table)
     core = irredundant_core(system)
-    rows = {r for r in core.restricted_rows(primitive=True) if any(r)}
+    rows = {r for r in core.restricted_rows() if any(r)}
     assert rows == {(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)}
 
 
@@ -333,10 +334,10 @@ def test_core_order_robust(d5hat, d5hat_table):
     reversed_system = InequalitySystem(
         system.alpha, tuple(reversed(system.normals)), system.coordinate_space
     )
-    a = {tuple(r) for r in irredundant_core(system).restricted_rows(primitive=True)}
+    a = {tuple(r) for r in irredundant_core(system).restricted_rows()}
     b = {
         tuple(r)
-        for r in irredundant_core(reversed_system).restricted_rows(primitive=True)
+        for r in irredundant_core(reversed_system).restricted_rows()
     }
     assert a == b
 
@@ -363,12 +364,25 @@ def test_ambient_dimension_guard():
         irredundant_core(system)
 
 
+def test_a_normal_off_the_support_of_alpha_is_refused():
+    # rows are read on supp(alpha) only; (0,1,1) would lose its entry at vertex 3 and
+    # make (0,1,0) look redundant, though at sigma = (-1,1,-2) it is the only violated row
+    from quiver_cones.cones import InequalitySystem
+
+    q, _ = make_line(3)
+    beta, other = DimVector(q, (0, 1, 0)), DimVector(q, (0, 1, 1))
+    system = InequalitySystem(DimVector(q, (1, 1, 0)), (beta, other))
+    for reduce in (irredundant_core, lambda s: is_redundant(s, 0)):
+        with pytest.raises(ValueError, match="must be <= alpha"):
+            reduce(system)
+
+
 def _core_with_plane(system):
     """The greedy core in ambient coordinates by the primal reference test,
     with sigma(alpha) = 0 kept as the two rows alpha and -alpha."""
     alpha = system.alpha.values
     plane = [alpha, tuple(-x for x in alpha)]
-    rows = system.ambient_rows()
+    rows = [b.values for b in system.normals]
     keep = list(range(len(rows)))
     i = 0
     while i < len(keep):
@@ -379,7 +393,8 @@ def _core_with_plane(system):
     return tuple(system.normals[j] for j in keep)
 
 
-_QUIVERS = {"line3": make_line(3)[0], "kronecker": make_kronecker(2)[0], "d5hat": make_d5hat()[0]}
+_QUIVERS = {"line3": make_line(3)[0], "kronecker": make_kronecker(2)[0], "d5hat": make_d5hat()[0],
+            "sun62": make_sun(3, 2)[0]}
 _PLANE_CASES = [
     ("line3", (0, 2, 1)),  # alpha_0 = 0: the eliminated vertex is not the first
     ("line3", (1, 2, 1)),
@@ -387,6 +402,7 @@ _PLANE_CASES = [
     ("d5hat", (0, 1, 2, 2, 1, 0)),
     ("d5hat", (1, 1, 2, 2, 1, 1)),
     ("d5hat", (0, 0, 0, 0, 0, 0)),
+    ("sun62", (0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0)),  # 12 vertices, 3 in supp(alpha)
 ]
 
 
