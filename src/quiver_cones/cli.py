@@ -39,12 +39,12 @@ def _basis(q, inv, args):
 
 
 def _weight(q, involutions, args):
+    if (args.sigma is None) == (args.coords is None):
+        raise QuiverConesError("pass --sigma or --coords, not both")
     if args.sigma is not None:
         return parse_weight(q, args.sigma)
-    if args.coords is not None:
-        inv = _pick_involution(involutions, args.involution)
-        return _basis(q, inv, args).from_coords(int(c) for c in args.coords.split(","))
-    raise QuiverConesError("pass --sigma or --coords")
+    inv = _pick_involution(involutions, args.involution)
+    return _basis(q, inv, args).from_coords(int(c) for c in args.coords.split(","))
 
 
 def _worker_cap():

@@ -1,9 +1,11 @@
 """Quiver model, involutions, the Euler-Ringel form and the weight pairing.
 
 Vertices and arrows are opaque strings; the canonical order is declaration
-order and every enumeration in the package iterates in that order.  All
-public arithmetic is checked 64-bit signed: results (and running partial
-sums) outside that range raise ValueOverflowError instead of wrapping.
+order and every enumeration in the package iterates in that order.  The
+pairings are checked 64-bit signed: euler_col checks each column of <., b>,
+weight_eval each product and running sum, so euler_form, which evaluates the
+column weight, checks both; a value outside that range raises
+ValueOverflowError instead of wrapping.
 """
 
 import operator
@@ -145,18 +147,14 @@ class _VertexVector:
         if self.quiver is not quiver and self.quiver != quiver:
             raise ValueError(f"{type(self).__name__} bound to a different quiver")
 
-    def _same_quiver(self, other):
-        if self.quiver is not other.quiver and self.quiver != other.quiver:
-            raise ValueError("vectors bound to different quivers")
-
     def __add__(self, other):
-        self._same_quiver(other)
+        other._bound_to(self.quiver)
         return type(self)(
             self.quiver, tuple(x + y for x, y in zip(self.values, other.values))
         )
 
     def __sub__(self, other):
-        self._same_quiver(other)
+        other._bound_to(self.quiver)
         return type(self)(
             self.quiver, tuple(x - y for x, y in zip(self.values, other.values))
         )
@@ -168,7 +166,7 @@ class _VertexVector:
         return type(self)(self.quiver, tuple(k * x for x in self.values))
 
     def __le__(self, other):
-        self._same_quiver(other)
+        other._bound_to(self.quiver)
         return all(x <= y for x, y in zip(self.values, other.values))
 
     def __eq__(self, other):
@@ -202,22 +200,13 @@ class Weight(_VertexVector):
 
 
 def euler_form(q, a, b):
-    """Euler-Ringel form  sum_x a(x)b(x) - sum_arrows a(tail)b(head)."""
-    a._same_quiver(b)
-    if a.quiver != q:
-        raise ValueError("vectors not bound to the given quiver")
-    acc = 0
-    for x, y in zip(a.values, b.values):
-        acc = _check64(acc + _check64(x * y))
-    idx = q.vertex_index
-    for _, t, h in q.arrows:
-        acc = _check64(acc - _check64(a.values[idx(t)] * b.values[idx(h)]))
-    return acc
+    """Euler-Ringel form sum_x a(x)b(x) - sum_arrows a(tail)b(head): the weight <., b> at a."""
+    return weight_eval(euler_col(q, b), a)
 
 
 def weight_eval(s, a):
     """sigma(alpha) = sum_x sigma(x) alpha(x), checked arithmetic."""
-    s._same_quiver(a)
+    a._bound_to(s.quiver)
     acc = 0
     for x, y in zip(s.values, a.values):
         acc = _check64(acc + _check64(x * y))
@@ -226,8 +215,7 @@ def weight_eval(s, a):
 
 def euler_col(q, b):
     """The weight <.,b> : a |-> euler_form(a, b)."""
-    if b.quiver != q:
-        raise ValueError("vectors not bound to the given quiver")
+    b._bound_to(q)
     cols = list(b.values)
     idx = q.vertex_index
     for _, t, h in q.arrows:
@@ -324,8 +312,7 @@ class OrbitBasis:
 
     def to_coords(self, s):
         s._bound_to(self.quiver)
-        ts = tau_weight(self.involution, s)
-        if s != -ts:
+        if any(s[v] for v in self.fixed) or any(s[p] != -s[r] for r, p in self.swapped):
             raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
         return tuple(s[rep] for rep, _ in self.swapped)
 

@@ -7,7 +7,9 @@ For representations V (dim a) and W (dim b), the linear map
 has kernel Hom(V, W) and cokernel Ext(V, W).  The generic values are the
 minima over representations, attained at maximal rank of d, so sampling
 random integer matrices and taking the best rank gives the generic hom and
-ext simultaneously.  Ranks are computed exactly over rationals.
+ext simultaneously.  Ranks are computed exactly over rationals, or over F_p for a
+large prime p: Schofield's criterion, and so the generic values, hold in every
+characteristic (Crawley-Boevey, Bull. LMS 28, 1996).
 """
 
 import itertools
@@ -31,6 +33,27 @@ def exact_rank(matrix):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], pr)]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def rank_mod_p(matrix, p):
+    """Rank over F_p, p prime, by Gaussian elimination on residues."""
+    m = [[x % p for x in row] for row in matrix]
+    rank, rows, cols = 0, len(m), len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = pr = [x * inv % p for x in m[rank]]
+        for r in range(rank + 1, rows):
+            f = m[r][col]
+            if f:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], pr)]
         rank += 1
         if rank == rows:
             break
@@ -61,16 +84,15 @@ def _d_matrix(q, a, b, V, W):
     return rows, ncols, len(rows)
 
 
-def _random_rep(q, dims, rng):
+def _random_rep(q, dims, rng, lo, hi):
     dv = dict(zip(q.vertices, dims))
     return {
-        aid: [[rng.randint(-7, 7) for _ in range(dv[t])] for _ in range(dv[h])]
+        aid: [[rng.randint(lo, hi) for _ in range(dv[t])] for _ in range(dv[h])]
         for aid, t, h in q.arrows
     }
 
 
-def generic_hom_ext(q, a, b, samples=20, seed=12345):
-    """(hom, ext) for dimension tuples a, b, minimized over random samples."""
+def _best_rank_hom_ext(q, a, b, samples, seed, lo, hi, rank):
     mix = seed
     for v in tuple(a) + (-1,) + tuple(b):
         mix = mix * 1000003 + v + 11
@@ -78,11 +100,21 @@ def generic_hom_ext(q, a, b, samples=20, seed=12345):
     best_rank = 0
     ncols = nrows = None
     for _ in range(samples):
-        V = _random_rep(q, a, rng)
-        W = _random_rep(q, b, rng)
+        V = _random_rep(q, a, rng, lo, hi)
+        W = _random_rep(q, b, rng, lo, hi)
         mat, ncols, nrows = _d_matrix(q, a, b, V, W)
-        best_rank = max(best_rank, exact_rank(mat))
+        best_rank = max(best_rank, rank(mat))
     return ncols - best_rank, nrows - best_rank
+
+
+def generic_hom_ext(q, a, b, samples=20, seed=12345):
+    """(hom, ext) for dimension tuples a, b, minimized over random samples."""
+    return _best_rank_hom_ext(q, a, b, samples, seed, -7, 7, exact_rank)
+
+
+def generic_hom_ext_mod_p(q, a, b, p, samples=2, seed=12345):
+    """(hom, ext) from representations with entries uniform in F_p, ranks over F_p."""
+    return _best_rank_hom_ext(q, a, b, samples, seed, 0, p - 1, lambda m: rank_mod_p(m, p))
 
 
 def vectors_of_mass(nvertices, mass):

@@ -152,6 +152,17 @@ def test_inequalities_dw_a2(a2):
     assert [b.values for b in zero.normals] == [(0, 0)]
 
 
+def test_inequalities_reject_a_bad_method_or_a_missing_involution(d5hat, d5hat_table):
+    q, _ = d5hat
+    a = DimVector(q, ALPHA_BIG)
+    with pytest.raises(ValueError, match="unknown method 'lp'"):
+        inequalities(d5hat_table, a, "lp")
+    with pytest.raises(ValueError, match="antiinv requires an involution"):
+        inequalities(d5hat_table, a, "antiinv")
+    with pytest.raises(ValueError, match="system has no coordinate space"):
+        inequalities(d5hat_table, a, "inductive").restricted_rows()
+
+
 def test_inequalities_antiinv_example1(d5hat, d5hat_table):
     q, inv = d5hat
     basis = antisym_basis(q, inv, representatives=("x4", "x5", "x6"))

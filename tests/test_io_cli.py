@@ -105,6 +105,12 @@ def test_syntax_errors_carry_line_numbers():
         ("quiver q\narrow a x\n", 2),
         ("quiver q\nvmap x y\n", 2),
         ("quiver q\nbogus\n", 2),
+        ("quiver\n", 1),
+        ("quiver q r\n", 1),
+        ("quiver q\nvertices\n", 2),
+        ("quiver q\ninvolution\n", 2),
+        ("quiver q\nvertices x\ninvolution t\nvmap x\n", 4),
+        ("quiver q\nvertices x\ninvolution t\namap a b c\n", 4),
     ]
     for text, line_no in cases:
         with pytest.raises(QuiverFileSyntaxError) as exc:
@@ -183,6 +189,22 @@ def test_cli_member_exit_codes(d5file):
     code, _, err = run_cli(
         ["member", d5file, "--alpha", alpha, "--method", "antiinv"])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["disc"], ["member", "--method", "dw"], ["member", "--method", "inductive"],
+    ["member", "--method", "antiinv"],
+], ids=["disc", "member-dw", "member-inductive", "member-antiinv"])
+def test_cli_weight_takes_exactly_one_of_sigma_and_coords(d5file, command):
+    argv = command[:1] + [d5file, "--alpha", EXAMPLE1_ALPHA] + command[1:]
+    both = ["--sigma", "x1=1,x6=-1", "--coords", "0,0,-1"]
+    code, out, err = run_cli(argv + both)
+    assert (code, out) == (2, "") and "pass --sigma or --coords, not both" in err
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and "pass --sigma or --coords" in err
+    for one in (both[:2], both[2:]):
+        code, _, err = run_cli(argv + one)
+        assert code in (0, 1) and err == ""
 
 
 def test_cli_member_sigma(d5file):

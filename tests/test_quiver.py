@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from quiver_cones import (
     euler_col,
     euler_form,
     make_d5hat,
+    make_kronecker,
     make_line,
     parse_quiver_file,
     serialize_quiver,
@@ -59,6 +62,11 @@ def test_dangling_endpoint():
         Quiver("bad", ["x"], [("a", "x", "zz")])
 
 
+def test_unknown_tail():
+    with pytest.raises(DanglingEndpointError, match="arrow 'a': unknown tail 'zz'"):
+        Quiver("bad", ["x"], [("a", "zz", "x")])
+
+
 def test_d5hat_valid(d5hat):
     q, inv = d5hat
     assert len(q.vertices) == 6 and len(q.arrows) == 5
@@ -80,6 +88,15 @@ def test_identity_involution_fails_on_a2(a2):
     q, _ = a2
     with pytest.raises(AxiomViolationError):
         validate_involution(q, Involution("id", {}, {}))
+
+
+def test_involution_must_send_heads_to_tails():
+    # tau(a) = b keeps the head axiom at a (head(b) = x = tau(tail(a))) but not the tail one
+    q = Quiver("P3", ["x", "y", "z"], [("a", "x", "y"), ("b", "z", "x")])
+    message = re.escape("tail('b')='z' != vmap(head('a'))='y'")
+    with pytest.raises(AxiomViolationError, match=message) as exc:
+        validate_involution(q, Involution("t", {}, {"a": "b", "b": "a"}))
+    assert exc.value.arrow == "a"
 
 
 def test_from_pairs_takes_either_order_and_drops_fixed_points(d5hat):
@@ -237,6 +254,32 @@ def test_basis_rejects_non_antisymmetric(d5hat):
         basis.to_coords(Weight(q, (1, 0, 0, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("make, values", [
+    (lambda: make_line(3), (1, 1, -1)),  # anti-symmetric on the orbit {1, 3}, nonzero at fixed 2
+    (make_d5hat, (1, 0, 0, 0, 0, -2)),  # s(x6) != -s(x1)
+], ids=["line3-fixed-vertex", "d5hat-swapped-pair"])
+def test_to_coords_rejects_a_weight_off_the_orbits(make, values):
+    q, inv = make()
+    with pytest.raises(NotAntiSymmetricError):
+        antisym_basis(q, inv).to_coords(Weight(q, values))
+
+
+def test_to_coords_does_not_check_tau_again(d5hat, monkeypatch):
+    # antisym_basis checked tau when it built the basis
+    q, inv = d5hat
+    basis = antisym_basis(q, inv)
+    calls, real = [], quiver_module.validate_involution
+    monkeypatch.setattr(quiver_module, "validate_involution",
+                        lambda *args: calls.append(args) or real(*args))
+    assert basis.to_coords(basis.from_coords((1, -2, 3))) == (1, -2, 3)
+    assert calls == []
+
+
+def test_from_coords_checks_the_count(d5hat):
+    with pytest.raises(ValueError, match="coordinate count does not match swapped orbit count"):
+        antisym_basis(*d5hat).from_coords((1, 2))
+
+
 def test_basis_fixed_vertices_forced_zero():
     q, inv = make_line(3)  # middle vertex is tau-fixed
     basis = antisym_basis(q, inv)
@@ -274,8 +317,34 @@ def test_euler_col_checks_the_quiver(d5hat, sun31):
     b = DimVector(q, (1, 2, 0, 3, 0, 1))
     col = euler_col(q, b)
     assert all(col[v] == euler_form(q, DimVector.unit(q, v), b) for v in q.vertices)
-    with pytest.raises(ValueError, match="vectors not bound to the given quiver"):
+    with pytest.raises(ValueError, match="DimVector bound to a different quiver"):
         euler_col(q, DimVector(sun31[0], (1, 0, 0, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda q, d, f: euler_form(q, f, d),
+    lambda q, d, f: euler_form(q, d, f),
+    lambda q, d, f: euler_col(q, f),
+    lambda q, d, f: weight_eval(Weight(q, d.values), f),
+    lambda q, d, f: weight_eval(Weight(f.quiver, f.values), d),
+    lambda q, d, f: d + f,
+    lambda q, d, f: d - f,
+    lambda q, d, f: d <= f,
+], ids=["euler-form-a", "euler-form-b", "euler-col", "weight-eval-alpha", "weight-eval-sigma",
+        "add", "sub", "le"])
+def test_a_vector_of_another_quiver_is_rejected(d5hat, sun31, call):
+    # both quivers have six vertices, so an unchecked zip would pair their entries silently
+    q = d5hat[0]
+    d, foreign = DimVector(q, (1, 2, 0, 3, 0, 1)), DimVector(sun31[0], (1, 0, 2, 0, 0, 1))
+    with pytest.raises(ValueError, match="bound to a different quiver"):
+        call(q, d, foreign)
+
+
+def test_euler_form_checks_the_column_weight():
+    # <(0,1), (0,2^62)> = 2^62 fits, but the column of <., b> at s is -3 * 2^62
+    q, _ = make_kronecker(3)
+    with pytest.raises(ValueOverflowError):
+        euler_form(q, DimVector(q, (0, 1)), DimVector(q, (0, 2**62)))
 
 
 def test_euler_bilinearity_random(d5hat):
@@ -324,3 +393,19 @@ def test_vector_entries_must_be_integers(d5hat):
     a = DimVector(q, np.array([1, 0, 2, 0, 0, 0], dtype=np.int64))
     assert a.values == (1, 0, 2, 0, 0, 0) and all(type(v) is int for v in a.values)
     assert antisym_basis(q, inv).from_coords(np.arange(3)) == Weight(q, (-2, -1, 0, 0, 1, 2))
+
+
+def test_from_dict_rejects_an_unknown_vertex(d5hat):
+    q, _ = d5hat
+    with pytest.raises(DanglingEndpointError, match=re.escape("unknown vertices ['zz']")):
+        DimVector.from_dict(q, {"x1": 1, "zz": 2})
+
+
+def test_vectors_hash_by_kind_and_values_and_print_them(d5hat):
+    q, _ = d5hat
+    a = DimVector(q, (1, 0, 2, 0, 0, 3))
+    assert hash(a) == hash(DimVector(q, (1, 0, 2, 0, 0, 3))) == hash(("DimVector", a.values))
+    assert hash(Weight(q, a.values)) == hash(("Weight", a.values))
+    assert len({a, DimVector(q, a.values), Weight(q, a.values)}) == 2
+    assert repr(a) == "DimVector((1, 0, 2, 0, 0, 3))"
+    assert repr(-Weight(q, a.values)) == "Weight((-1, 0, -2, 0, 0, -3))"

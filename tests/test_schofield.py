@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quiver_cones import DimVector, ExtTable, Weight, make_line
-from oracle import all_pairs_up_to_mass, generic_hom_ext
+from oracle import all_pairs_up_to_mass, generic_hom_ext, generic_hom_ext_mod_p, rank_mod_p
 
 
 def test_ext_a2(a2):
@@ -102,6 +102,28 @@ def test_oracle_equivalence_lines(factory_n):
         hom, ext = generic_hom_ext(q, a, b)
         assert t.ext(a, b) == ext, (a, b)
         assert t.hom(a, b) == hom, (a, b)
+
+
+def test_rank_mod_p():
+    assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
+    assert rank_mod_p([[1, 2], [3, 4]], 7) == 2
+    assert rank_mod_p([[1, 2], [3, 4]], 2) == 1  # det -2 vanishes mod 2
+    assert rank_mod_p([[0, 7], [0, 0]], 7) == 0
+    assert rank_mod_p([], 7) == 0
+
+
+@pytest.mark.parametrize("quiver", ["d5hat", "sun31"])
+def test_hom_ext_match_random_representations_over_fp(request, quiver):
+    # entries uniform in F_p, p = 2^31 - 1: a maximal minor of d has degree at most
+    # 2 rank in the entries, so a sample falls below the generic rank with
+    # probability at most 2 rank / p (Schwartz-Zippel); two samples per pair suffice
+    q, _ = request.getfixturevalue(quiver)
+    t, p = ExtTable(q), 2**31 - 1
+    mismatches = []
+    for a, b in all_pairs_up_to_mass(len(q.vertices), 5):
+        if (t.hom(a, b), t.ext(a, b)) != generic_hom_ext_mod_p(q, a, b, p):
+            mismatches.append((a, b))
+    assert mismatches == []
 
 
 def test_oracle_equivalence_theta2(theta2):
