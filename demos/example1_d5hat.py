@@ -16,7 +16,6 @@ description for anti-symmetric weights only 10 (including the trivial one).
 from quiver_cones import (
     DimVector,
     ExtTable,
-    antisym_basis,
     counts,
     inequalities,
     irredundant_core,
@@ -37,8 +36,7 @@ print()
 
 # Anti-symmetric weights are determined by their values on one vertex per
 # swapped orbit; we use (x4, x5, x6) so sigma = (-c, -b, -a, c, b, a).
-basis = antisym_basis(q, tau, representatives=("x4", "x5", "x6"))
-system = inequalities(t, alpha, "antiinv", inv=tau, basis=basis)
+system = inequalities(t, alpha, "antiinv", inv=tau, representatives=("x4", "x5", "x6"))
 
 print("reduced system in coordinates (sigma(x4), sigma(x5), sigma(x6)),")
 print("each row c meaning c . sigma <= 0:")

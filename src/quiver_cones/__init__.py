@@ -15,7 +15,7 @@ from .quiver import (
     validate_quiver,
     weight_eval,
 )
-from .schofield import ExtTable, IsoPair
+from .schofield import ExtTable
 from .cones import (
     InequalitySystem,
     MembershipResult,
@@ -42,7 +42,7 @@ __all__ = [
     "validate_quiver", "validate_involution", "euler_form", "weight_eval",
     "euler_col", "tau_dim", "tau_weight", "antisym_basis",
     "ExtTable",
-    "InequalitySystem", "IsoPair", "MembershipResult",
+    "InequalitySystem", "MembershipResult",
     "member_dw", "member_inductive", "member_antiinv",
     "enumerate_I0", "inequalities", "counts",
     "RationalLP", "solve_max", "redundant_row", "is_redundant", "irredundant_core",

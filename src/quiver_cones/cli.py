@@ -33,18 +33,25 @@ def _pick_involution(involutions, name):
     raise QuiverConesError(f"no involution named {name!r} in file")
 
 
-def _basis(q, inv, args):
+def _orbit_options(involutions, args, reads_basis, reads_tau=False):
+    """(tau, representatives) of a command that reads an orbit basis, and so tau,
+    or tau alone; an --involution or --representatives that nothing reads exits 2."""
+    reads_tau = reads_tau or reads_basis
+    for name, read in (("involution", reads_tau), ("representatives", reads_basis)):
+        if getattr(args, name) is not None and not read:
+            raise QuiverConesError(f"--{name} is not read by {args.command} with these options")
     reps = args.representatives.split(",") if args.representatives else None
-    return antisym_basis(q, inv, representatives=reps)
+    return (_pick_involution(involutions, args.involution) if reads_tau else None), reps
 
 
-def _weight(q, involutions, args):
+def _weight(q, involutions, args, reads_tau=False):
+    """(sigma, tau): the weight of --sigma or --coords, and tau if reads_tau or --coords."""
     if (args.sigma is None) == (args.coords is None):
         raise QuiverConesError("pass --sigma or --coords, not both")
+    inv, reps = _orbit_options(involutions, args, args.coords is not None, reads_tau)
     if args.sigma is not None:
-        return parse_weight(q, args.sigma)
-    inv = _pick_involution(involutions, args.involution)
-    return _basis(q, inv, args).from_coords(int(c) for c in args.coords.split(","))
+        return parse_weight(q, args.sigma), inv
+    return antisym_basis(q, inv, reps).from_coords(int(c) for c in args.coords.split(",")), inv
 
 
 def _worker_cap():
@@ -74,7 +81,7 @@ def cmd_pair(q, involutions, args):
 
 def cmd_disc(q, involutions, args):
     t = ExtTable(q)
-    s = _weight(q, involutions, args)
+    s, _ = _weight(q, involutions, args)
     print(t.disc(parse_dim_vector(q, args.alpha), s))
     return 0
 
@@ -82,9 +89,9 @@ def cmd_disc(q, involutions, args):
 def cmd_member(q, involutions, args):
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
-    s = _weight(q, involutions, args)
+    s, inv = _weight(q, involutions, args, args.method == "antiinv")
     if args.method == "antiinv":
-        res = member_antiinv(t, s, a, _pick_involution(involutions, args.involution))
+        res = member_antiinv(t, s, a, inv)
     else:
         res = (member_dw if args.method == "dw" else member_inductive)(t, s, a)
     if res:
@@ -101,15 +108,12 @@ def cmd_system(q, involutions, args):
     """inequalities and reduce: the system of one method, reduced for reduce."""
     if args.coords and args.method != "antiinv":
         raise QuiverConesError("--coords requires an antiinv system")
+    inv, reps = _orbit_options(involutions, args, args.method == "antiinv")
     t = ExtTable(q)
     a = parse_dim_vector(q, args.alpha)
     if args.command == "reduce" and args.method != "antiinv":
         check_ambient_dim(a.values)  # before the table is built
-    inv = basis = None
-    if args.method == "antiinv":
-        inv = _pick_involution(involutions, args.involution)
-        basis = _basis(q, inv, args)
-    system = inequalities(t, a, args.method, inv=inv, basis=basis)
+    system = inequalities(t, a, args.method, inv=inv, representatives=reps)
     if args.command == "reduce":
         system = irredundant_core(system)
     if args.coords:

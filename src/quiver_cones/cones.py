@@ -8,8 +8,8 @@ Three equivalent characterisations are implemented:
                 <beta,.> lies in the cone of alpha - beta (tested through the
                 nonvanishing pairing);
 * antiinv    -- for symmetric alpha and anti-symmetric sigma, one inequality
-                per pair (beta, gamma) with alpha = beta + gamma + tau.beta
-                and both pairings beta o gamma, beta o tau.beta nonzero;
+                per beta with gamma = alpha - beta - tau.beta >= 0 and both
+                pairings beta o gamma, beta o tau.beta nonzero (the I0 betas);
                 each such beta is an inductive normal, so n3 <= n2.
 """
 
@@ -63,7 +63,7 @@ def primitive_row(row):
 
 
 def enumerate_I0(t, a, inv):
-    """The pairs (beta, gamma): gamma = a - beta - tau.beta >= 0, both pairings nonzero."""
+    """The I0 betas: gamma = a - beta - tau.beta >= 0, beta o gamma and beta o tau.beta nonzero."""
     return t.iso_pairs(a, inv)
 
 
@@ -101,38 +101,37 @@ def member_antiinv(t, s, a, inv):
     if any(s.values[p] != -x for p, x in zip(perm, s.values)):  # s != -tau.s
         raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
     # iso_pairs rejects an alpha that is not tau-symmetric; on one, sigma(alpha) = 0
-    return _first_positive(s, (pair.beta for pair in enumerate_I0(t, a, inv)))
+    return _first_positive(s, enumerate_I0(t, a, inv))
 
 
-def inequalities(t, a, method, inv=None, basis=None):
+def inequalities(t, a, method, inv=None, representatives=None):
     """The inequality system of the chosen characterisation.
 
-    For antiinv the system carries the orbit coordinate space, and normals
-    whose restricted coefficient vectors coincide are emitted once (first
-    occurrence in enumeration order).
+    Only antiinv reads the involution tau and the orbit representatives (as
+    antisym_basis does).  Its system carries that orbit coordinate space, and
+    normals whose restricted coefficient vectors coincide are emitted once
+    (first occurrence in enumeration order).
     """
     a = t._vector(a)  # a raw tuple is bound to the table's quiver, as the table reads do
+    if method not in ("dw", "inductive", "antiinv"):
+        raise ValueError(f"unknown method {method!r}")
+    if method != "antiinv" and (inv is not None or representatives is not None):
+        raise ValueError(f"{method} reads no involution or representatives")
     if method == "dw":
         return InequalitySystem(a, tuple(t.generic_subdims(a)))
     if method == "inductive":
         return InequalitySystem(a, t.inductive_normals(a))
-    if method != "antiinv":
-        raise ValueError(f"unknown method {method!r}")
     if inv is None:
         raise ValueError("antiinv requires an involution")
-    if basis is None:
-        basis = antisym_basis(t.quiver, inv)
-    elif basis.quiver != t.quiver or basis.involution != inv:
-        raise ValueError("basis built for another quiver or involution")
-    pairs = enumerate_I0(t, a, inv)
+    basis = antisym_basis(t.quiver, inv, representatives)
     # distinct beta may cut out the same halfspace on the anti-symmetric
     # sublattice; compare primitive coefficient vectors
     seen, normals = set(), []
-    for p in pairs:
-        row = primitive_row(basis.restrict_normal(p.beta))
+    for beta in enumerate_I0(t, a, inv):
+        row = primitive_row(basis.restrict_normal(beta))
         if row not in seen:
             seen.add(row)
-            normals.append(p.beta)
+            normals.append(beta)
     return InequalitySystem(a, tuple(normals), coordinate_space=basis)
 
 
@@ -140,7 +139,7 @@ def counts(t, a, involutions=()):
     """(n1, n2, [n3 per involution]); trivial members are counted.
 
     n1 = #{beta <= alpha : beta generic subdim}; n2 restricts to nonvanishing
-    pairing with alpha - beta; n3 = #I0 pairs for each given involution.
+    pairing with alpha - beta; n3 = #I0 betas for each given involution.
     """
     n1 = len(t.generic_subdims(a))
     n2 = len(t.inductive_normals(a))

@@ -303,12 +303,8 @@ class OrbitBasis:
     """
 
     quiver: Quiver
-    involution: Involution
     fixed: tuple
     swapped: tuple  # ordered (representative, partner) pairs
-
-    def representatives(self):
-        return tuple(rep for rep, _ in self.swapped)
 
     def to_coords(self, s):
         s._bound_to(self.quiver)
@@ -350,4 +346,4 @@ def antisym_basis(q, inv, representatives=None):
     swapped = tuple((r, partner[r]) for r in representatives)
     if sorted(v for pair in swapped for v in pair) != sorted(partner):
         raise ValueError("representatives must cover each swapped orbit exactly once")
-    return OrbitBasis(q, inv, fixed, swapped)
+    return OrbitBasis(q, fixed, swapped)

@@ -28,12 +28,11 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
 
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
-inductive normals are the b in S_a with <b, a - b> = 0, and the I0 pairs are
+inductive normals are the b in S_a with <b, a - b> = 0, and the I0 betas are
 the normals beta with a - beta - tau.beta >= 0 passing two ext tests on S_beta.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +49,6 @@ _MAX_BOX_POINTS = 2**20
 _MAX_CANDIDATES = 2**24
 # entries of one push product, and about as many per array (points x supp(root)) of a batch
 _CHUNK = 2**16
-
-
-@dataclass(frozen=True)
-class IsoPair:
-    """(beta, gamma) with alpha = beta + gamma + tau.beta for the ambient alpha."""
-
-    beta: DimVector
-    gamma: DimVector
 
 
 class _Box:
@@ -148,7 +139,7 @@ class ExtTable:
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
         # buffer[start:stop], in flat order
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
-        self._reads = {}  # tuple(a) -> (S, S @ E), never returned; inductive normals, I0 pairs, tau
+        self._reads = {}  # tuple(a) -> (S, S @ E), never returned; inductive normals, I0 betas, tau
 
     # -- internal ----------------------------------------------------------
 
@@ -334,9 +325,9 @@ class ExtTable:
         return normals
 
     def iso_pairs(self, a, inv):
-        """The I0 pairs (beta, gamma) of a tau-symmetric a, lexicographic in beta, as
-        a tuple shared by every call: gamma = a - beta - tau.beta >= 0 with beta o gamma
-        and beta o tau.beta nonzero.
+        """The I0 betas of a tau-symmetric a, lexicographic, as a tuple shared by
+        every call: gamma = a - beta - tau.beta >= 0 with beta o gamma and
+        beta o tau.beta nonzero (gamma follows from beta, so it is not kept).
 
         Each such beta is an inductive normal of a: gamma + tau.beta = a - beta,
         so <beta, a - beta> = 0, and ext(beta, a - beta) = 0, since a general V
@@ -347,13 +338,13 @@ class ExtTable:
         isotropy tests; <beta, gamma> = 0 is tested first only to skip S_beta.
         """
         key = self._vector(a).values
-        pairs = self._reads.get(("I0", key, inv))
-        if pairs is not None:
-            return pairs
-        q, perm = self.quiver, self._involution(inv)
+        betas = self._reads.get(("I0", key, inv))
+        if betas is not None:
+            return betas
+        perm = self._involution(inv)
         if tuple(key[p] for p in perm) != key:
             raise NotSymmetricDimensionError(f"{key} is not tau-symmetric")
-        root, pairs = np.asarray(key, dtype=np.int64), []
+        root, betas = np.asarray(key, dtype=np.int64), []
         for beta in self.inductive_normals(key):
             b = np.asarray(beta.values, dtype=np.int64)
             gamma = root - b - b[perm]
@@ -361,9 +352,9 @@ class ExtTable:
                 continue
             _, M = self._subdim_rows(beta.values)  # ext(beta, c) = 0 iff min(M @ c) >= 0
             if (M @ np.stack((gamma, b[perm]), axis=1)).min() >= 0:
-                pairs.append(IsoPair(beta, DimVector(q, gamma.tolist())))
-        pairs = self._reads[("I0", key, inv)] = tuple(pairs)
-        return pairs
+                betas.append(beta)
+        betas = self._reads[("I0", key, inv)] = tuple(betas)
+        return betas
 
     def disc(self, a, s):
         """disc(a, s) = max of s(b) over generic subdims b of a; >= 0 since 0 is one."""

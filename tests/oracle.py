@@ -10,6 +10,10 @@ random integer matrices and taking the best rank gives the generic hom and
 ext simultaneously.  Ranks are computed exactly over rationals, or over F_p for a
 large prime p: Schofield's criterion, and so the generic values, hold in every
 characteristic (Crawley-Boevey, Bull. LMS 28, 1996).
+
+The cone itself has an oracle that shares no code with the table: on the
+triple-flag quiver T_n, membership is a Littlewood-Richardson coefficient
+being nonzero (Derksen-Weyman, JAMS 13, 2000; Knutson-Tao, JAMS 12, 1999).
 """
 
 import itertools
@@ -134,3 +138,76 @@ def all_pairs_up_to_mass(nvertices, total):
             for a in vectors_of_mass(nvertices, sa):
                 for b in vectors_of_mass(nvertices, s - sa):
                     yield a, b
+
+
+def triple_flag(n):
+    """(T_n, beta(n)): three arms x, y, w, each x1 -> x2 -> ... -> x(n-1) -> z, and
+    beta(n) with i at x_i and n at z; vertices arm by arm, z last."""
+    from quiver_cones import Quiver
+
+    arms = [[f"{arm}{i}" for i in range(1, n)] + ["z"] for arm in "xyw"]
+    arrows = [(f"a{path[i]}", path[i], path[i + 1]) for path in arms for i in range(n - 1)]
+    vertices = [v for path in arms for v in path[:-1]] + ["z"]
+    return Quiver(f"T{n}", vertices, arrows), tuple(list(range(1, n)) * 3 + [n])
+
+
+def _partitions(parts, bound, top):
+    """Weakly decreasing tuples of that many entries, each <= top, summing to <= bound."""
+    if parts == 0:
+        yield ()
+        return
+    for first in range(min(bound, top) + 1):
+        for rest in _partitions(parts - 1, bound - first, first):
+            yield (first,) + rest
+
+
+def lr_triples(n, bound):
+    """(a, b, c, nu): partitions of n parts, the last 0, each of size <= bound, with
+    |a| + |b| + |c| = n m and nu = (m - c_n, ..., m - c_1) >= 0."""
+    partitions = [p + (0,) for p in _partitions(n - 1, bound, bound)]
+    for a, b, c in itertools.product(partitions, repeat=3):
+        m, rest = divmod(sum(a) + sum(b) + sum(c), n)
+        if rest == 0 and m >= c[0]:
+            yield a, b, c, tuple(m - x for x in reversed(c))
+
+
+def lr_weight(n, a, b, c):
+    """sigma on T_n (triple_flag order): a_i - a_(i+1) at x_i, likewise on y with b and
+    on w with c, and -m at z; sigma is in the cone of beta(n) iff c^nu_{a,b} != 0."""
+    m = (sum(a) + sum(b) + sum(c)) // n
+    return tuple(p[i] - p[i + 1] for p in (a, b, c) for i in range(n - 1)) + (-m,)
+
+
+def lr_coefficient(lam, mu, nu):
+    """c^nu_{lam,mu}: the LR tableaux of shape nu/lam and content mu, by brute force.
+
+    Cells are filled in reverse reading order, rows top to bottom and each row
+    right to left: rows weakly increase, columns strictly increase, and every
+    prefix of the reading word is a lattice word (no v + 1 read more often than v).
+    """
+    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
+    if len(lam) > len(nu) or sum(nu) != sum(lam) + sum(mu) or any(x > y for x, y in zip(lam, nu)):
+        return 0
+    mu = [x for x in mu if x]
+    cells = [(r, col) for r in range(len(nu)) for col in reversed(range(lam[r], nu[r]))]
+    entry, used = {}, [0] * len(mu)
+
+    def fill(i):
+        if i == len(cells):
+            return 1
+        r, col = cells[i]
+        right, above = entry.get((r, col + 1)), entry.get((r - 1, col))
+        found = 0
+        for v in range(len(mu)):
+            if used[v] == mu[v] or (v and used[v] == used[v - 1]):
+                continue
+            if (right is not None and v > right) or (above is not None and v <= above):
+                continue
+            entry[r, col] = v
+            used[v] += 1
+            found += fill(i + 1)
+            used[v] -= 1
+        entry.pop((r, col), None)
+        return found
+
+    return fill(0)

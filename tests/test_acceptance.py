@@ -124,9 +124,9 @@ def test_criterion_3_example1_inequalities(tmp_path, capsys):
 
 def test_criterion_4_redundancy(d5hat, d5hat_table, capsys):
     q, inv = d5hat
-    basis = antisym_basis(q, inv, representatives=("x4", "x5", "x6"))
     system = inequalities(
-        d5hat_table, DimVector(q, (2, 3, 4, 4, 3, 2)), "antiinv", inv=inv, basis=basis
+        d5hat_table, DimVector(q, (2, 3, 4, 4, 3, 2)), "antiinv", inv=inv,
+        representatives=("x4", "x5", "x6"),
     )
     rows = system.restricted_rows()
     ok = (

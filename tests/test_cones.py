@@ -99,11 +99,11 @@ def test_enumerate_I0_lengths(d5hat, d5hat_table):
 def test_enumerate_I0_contains_trivial_pair(d5hat, d5hat_table):
     q, inv = d5hat
     a = DimVector(q, ALPHA_BIG)
-    pairs = enumerate_I0(d5hat_table, a, inv)
-    assert pairs[0].beta == DimVector.zero(q) and pairs[0].gamma == a
+    betas = enumerate_I0(d5hat_table, a, inv)
+    assert type(betas) is tuple and betas[0] == DimVector.zero(q)  # gamma = a
     from quiver_cones import tau_dim
-    for p in pairs:
-        assert p.beta + p.gamma + tau_dim(inv, p.beta) == a
+    for beta in betas:
+        assert type(beta) is DimVector and beta + tau_dim(inv, beta) <= a  # gamma >= 0
 
 
 def test_enumerate_I0_requires_symmetric(d5hat, d5hat_table):
@@ -153,20 +153,25 @@ def test_inequalities_dw_a2(a2):
 
 
 def test_inequalities_reject_a_bad_method_or_a_missing_involution(d5hat, d5hat_table):
-    q, _ = d5hat
+    q, inv = d5hat
     a = DimVector(q, ALPHA_BIG)
     with pytest.raises(ValueError, match="unknown method 'lp'"):
         inequalities(d5hat_table, a, "lp")
     with pytest.raises(ValueError, match="antiinv requires an involution"):
         inequalities(d5hat_table, a, "antiinv")
+    # dw and inductive read no involution; one passed to them is refused, not ignored
+    for method in ("dw", "inductive"):
+        for option in ({"inv": inv}, {"representatives": ("x4", "x5", "x6")}):
+            with pytest.raises(ValueError, match=f"{method} reads no involution or representatives"):
+                inequalities(d5hat_table, a, method, **option)
     with pytest.raises(ValueError, match="system has no coordinate space"):
         inequalities(d5hat_table, a, "inductive").restricted_rows()
 
 
 def test_inequalities_antiinv_example1(d5hat, d5hat_table):
     q, inv = d5hat
-    basis = antisym_basis(q, inv, representatives=("x4", "x5", "x6"))
-    system = inequalities(d5hat_table, DimVector(q, ALPHA_BIG), "antiinv", inv=inv, basis=basis)
+    system = inequalities(d5hat_table, DimVector(q, ALPHA_BIG), "antiinv", inv=inv,
+                          representatives=("x4", "x5", "x6"))
     rows = {r for r in system.restricted_rows() if any(r)}
     assert rows == {
         (0, 0, 1), (0, 1, 0), (0, 3, 2), (1, 0, 1), (1, 0, 2),
@@ -240,14 +245,18 @@ def test_circ_nonzero_implies_subdim(d5hat_table):
 
 
 def test_antiinv_basis_must_match_quiver_and_involution(sun31, sun31_table, d5hat):
+    # antiinv builds its orbit basis from tau itself, so a basis of another tau cannot be passed
     q, (tau, rho) = sun31
     alpha = DimVector(q, (2,) * 6)
-    with pytest.raises(ValueError, match="basis"):  # rho's orbit coordinates
-        inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(q, rho))
-    with pytest.raises(ValueError, match="basis"):  # a basis of another quiver
-        inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(*d5hat))
-    assert inequalities(sun31_table, alpha, "antiinv", inv=tau, basis=antisym_basis(q, tau)) == \
-        inequalities(sun31_table, alpha, "antiinv", inv=tau)
+    with pytest.raises(ValueError, match="cover each swapped orbit"):  # tau's orbit 2.1-5.1 left out
+        inequalities(sun31_table, alpha, "antiinv", inv=tau, representatives=("1.1", "4.1"))
+    with pytest.raises(ValueError, match="cover each swapped orbit"):  # rho's representatives
+        inequalities(sun31_table, alpha, "antiinv", inv=tau, representatives=("3.1", "4.1", "5.1"))
+    with pytest.raises(DanglingEndpointError):  # D5-hat's tau names no Sun(6,1) vertex
+        inequalities(sun31_table, alpha, "antiinv", inv=d5hat[1])
+    system = inequalities(sun31_table, alpha, "antiinv", inv=tau, representatives=("1.1", "4.1", "5.1"))
+    assert system == inequalities(sun31_table, alpha, "antiinv", inv=tau)
+    assert system.coordinate_space == antisym_basis(q, tau)
 
 
 def _example1_answers(t, inv):
@@ -259,7 +268,8 @@ def _example1_answers(t, inv):
     return (counts(t, a, [inv]),
             [member_inductive(t, s, a) for s in weights],
             [member_antiinv(t, s, a, inv) for s in weights],
-            [inequalities(t, a, method, inv=inv) for method in ("dw", "inductive", "antiinv")])
+            [inequalities(t, a, "dw"), inequalities(t, a, "inductive"),
+             inequalities(t, a, "antiinv", inv=inv)])
 
 
 def _attempt(mutate):

@@ -207,6 +207,47 @@ def test_cli_weight_takes_exactly_one_of_sigma_and_coords(d5file, command):
         assert code in (0, 1) and err == ""
 
 
+SIGMA = "x1=1,x6=-1"  # anti-symmetric under tau, with sigma(alpha) = 0 at Example 1
+
+
+@pytest.mark.parametrize("command, unread", [
+    (["member", "--method", "dw", "--sigma", SIGMA, "--representatives", "bogus"],
+     "--representatives"),
+    (["member", "--method", "dw", "--sigma", SIGMA, "--involution", "nope"], "--involution"),
+    (["member", "--method", "antiinv", "--sigma", SIGMA, "--representatives", "bogus"],
+     "--representatives"),
+    (["disc", "--sigma", SIGMA, "--involution", "nope"], "--involution"),
+    (["inequalities", "--method", "dw", "--representatives", "bogus"], "--representatives"),
+    (["inequalities", "--method", "inductive", "--involution", "nope"], "--involution"),
+    (["reduce", "--method", "inductive", "--involution", "nope", "--representatives", "bogus"],
+     "--involution"),
+], ids=["member-dw-reps", "member-dw-involution", "member-antiinv-sigma-reps", "disc-sigma-involution",
+        "inequalities-dw-reps", "inequalities-inductive-involution", "reduce-inductive-both"])
+def test_cli_refuses_an_orbit_option_nothing_reads(monkeypatch, d5file, command, unread):
+    # tau is read only by antiinv or with an orbit basis, which only --coords weights and
+    # antiinv systems read, and so --representatives; each of these once exited 0 ignoring it
+    build, builds = quiver_cones.ExtTable._build, []
+    monkeypatch.setattr(quiver_cones.ExtTable, "_build",
+                        lambda self, root: builds.append(root) or build(self, root))
+    argv = command[:1] + [d5file, "--alpha", EXAMPLE1_ALPHA] + command[1:]
+    code, out, err = run_cli(argv)
+    assert (code, out, builds) == (2, "", [])
+    assert err == f"error: {unread} is not read by {command[0]} with these options\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["member", "--method", "antiinv", "--sigma", SIGMA, "--involution", "tau"],
+    ["member", "--method", "dw", "--coords", "0,0,-1", "--involution", "tau",
+     "--representatives", "x4,x5,x6"],
+    ["disc", "--coords", "0,0,-1", "--representatives", "x4,x5,x6"],
+    ["inequalities", "--method", "antiinv", "--involution", "tau", "--representatives", "x4,x5,x6"],
+], ids=["member-antiinv-sigma", "member-dw-coords", "disc-coords", "inequalities-antiinv"])
+def test_cli_reads_each_orbit_option_it_is_given(d5file, command):
+    argv = command[:1] + [d5file, "--alpha", EXAMPLE1_ALPHA] + command[1:]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "") and out
+
+
 def test_cli_member_sigma(d5file):
     code, out, _ = run_cli(
         ["member", d5file, "--alpha", "x1=1,x3=1", "--method", "dw",

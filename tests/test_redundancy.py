@@ -32,9 +32,8 @@ ALPHA_BIG = (2, 3, 4, 4, 3, 2)
 
 def _example1_system(d5hat, d5hat_table):
     q, inv = d5hat
-    basis = antisym_basis(q, inv, representatives=("x4", "x5", "x6"))
     return inequalities(
-        d5hat_table, DimVector(q, ALPHA_BIG), "antiinv", inv=inv, basis=basis
+        d5hat_table, DimVector(q, ALPHA_BIG), "antiinv", inv=inv, representatives=("x4", "x5", "x6")
     )
 
 
@@ -441,7 +440,7 @@ def test_golden_cones_are_equal_exactly(d5hat, d5hat_table, sun31, sun31_table):
         assert _implied(dw, inductive), alpha
         for inv in invs:
             basis = antisym_basis(t.quiver, inv)
-            antiinv = inequalities(t, alpha, "antiinv", inv=inv, basis=basis).restricted_rows()
+            antiinv = inequalities(t, alpha, "antiinv", inv=inv).restricted_rows()
             # the distinct primitive rows cut out the same cone as all of them
             restricted = sorted({primitive_row(basis.restrict_normal(b))
                                  for b in t.generic_subdims(alpha)})

@@ -85,9 +85,9 @@ def test_table_matches_recursion_on_zoo(family, q, invs, hi, draws):
         for inv in invs:
             if _symmetrize(a, _perm(q, inv)) != a:
                 continue
-            pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
+            betas = [beta.values for beta in t.iso_pairs(a, inv)]
             ref_pairs = ref.iso_pairs(oracle, a, inv)
-            assert pairs == ref_pairs, (family, a, inv.name)  # n3
+            assert betas == [b for b, _ in ref_pairs], (family, a, inv.name)  # n3
             # iso_pairs filters the inductive normals; the oracle walks the box
             assert {b for b, _ in ref_pairs} <= set(ref_normals), (family, a, inv.name)
 
@@ -104,8 +104,8 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
     for a in [(1, 2, 3, 3, 2, 1), (2, 1, 2, 2, 1, 2), (0, 2, 1, 1, 2, 0)]:
         assert [b.values for b in t.generic_subdims(a)] == oracle.generic_subdims(a)
         assert [b.values for b in t.inductive_normals(a)] == ref.inductive_normals(oracle, a)
-        pairs = [(p.beta.values, p.gamma.values) for p in t.iso_pairs(a, inv)]
-        assert pairs == ref.iso_pairs(oracle, a, inv)
+        betas = [beta.values for beta in t.iso_pairs(a, inv)]
+        assert betas == [b for b, _ in ref.iso_pairs(oracle, a, inv)]
     wide = _wide_shallow_quiver(random.Random("small-chunks"), 0)
     sun62 = make_sun(3, 2)[0]
     # one wide quiver, Sun(6,2) at a small alpha, and two roots on one table
