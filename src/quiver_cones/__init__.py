@@ -10,7 +10,6 @@ from .quiver import (
     euler_form,
     euler_col,
     tau_dim,
-    tau_weight,
     validate_involution,
     validate_quiver,
     weight_eval,
@@ -40,7 +39,7 @@ from . import errors
 __all__ = [
     "Quiver", "DimVector", "Weight", "Involution", "OrbitBasis",
     "validate_quiver", "validate_involution", "euler_form", "weight_eval",
-    "euler_col", "tau_dim", "tau_weight", "antisym_basis",
+    "euler_col", "tau_dim", "antisym_basis",
     "ExtTable",
     "InequalitySystem", "MembershipResult",
     "member_dw", "member_inductive", "member_antiinv",

@@ -16,7 +16,6 @@ from .errors import (
     AxiomViolationError,
     DanglingEndpointError,
     DuplicateIdError,
-    NotAntiSymmetricError,
     NotSelfInverseError,
     OrientedCycleError,
     ValueOverflowError,
@@ -291,9 +290,6 @@ def tau_dim(inv, a):
     return type(a)(a.quiver, tuple(a.values[p] for p in validate_involution(a.quiver, inv)))
 
 
-tau_weight = tau_dim
-
-
 @dataclass(frozen=True)
 class OrbitBasis:
     """Coordinates for anti-symmetric weights (sigma = -tau.sigma).
@@ -303,14 +299,7 @@ class OrbitBasis:
     """
 
     quiver: Quiver
-    fixed: tuple
     swapped: tuple  # ordered (representative, partner) pairs
-
-    def to_coords(self, s):
-        s._bound_to(self.quiver)
-        if any(s[v] for v in self.fixed) or any(s[p] != -s[r] for r, p in self.swapped):
-            raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
-        return tuple(s[rep] for rep, _ in self.swapped)
 
     def from_coords(self, coords):
         coords = tuple(map(operator.index, coords))
@@ -336,8 +325,7 @@ def antisym_basis(q, inv, representatives=None):
     ordered representative list overrides both choices.
     """
     validate_involution(q, inv)
-    fixed = tuple(v for v in q.vertices if inv.vertex(v) == v)
-    partner = {v: inv.vertex(v) for v in q.vertices if v not in fixed}
+    partner = {v: inv.vertex(v) for v in q.vertices if inv.vertex(v) != v}
     if representatives is None:
         representatives = sorted(v for v, w in partner.items() if v > w)
     for r in representatives:
@@ -346,4 +334,4 @@ def antisym_basis(q, inv, representatives=None):
     swapped = tuple((r, partner[r]) for r in representatives)
     if sorted(v for pair in swapped for v in pair) != sorted(partner):
         raise ValueError("representatives must cover each swapped orbit exactly once")
-    return OrbitBasis(q, fixed, swapped)
+    return OrbitBasis(q, swapped)

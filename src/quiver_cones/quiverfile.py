@@ -71,11 +71,12 @@ def parse_quiver_file(text):
 
 
 def serialize_quiver(q, involutions=()):
-    """Deterministic textual form; parse(serialize(...)) is the identity."""
+    """Deterministic textual form, each involution checked against q; parse inverts it."""
     lines = [f"quiver {q.name}", "vertices " + " ".join(q.vertices)]
     for a, t, h in q.arrows:
         lines.append(f"arrow {a} {t} {h}")
     for inv in involutions:
+        validate_involution(q, inv)
         lines.append(f"involution {inv.name}")
         for kind, ids, image in (("vmap", q.vertices, inv.vertex),
                                  ("amap", q.arrow_ids, inv.arrow)):
@@ -88,7 +89,7 @@ def serialize_quiver(q, involutions=()):
     return "\n".join(lines) + "\n"
 
 
-def _parse_assignments(q, text):
+def _parse_assignments(text):
     entries = {}
     text = text.strip()
     if text in ("", "0"):  # format_vector writes the zero vector as 0
@@ -98,8 +99,6 @@ def _parse_assignments(q, text):
             raise ValueError(f"bad assignment {item!r}; expected vertex=value")
         v, val = item.split("=", 1)
         v = v.strip()
-        if v not in set(q.vertices):
-            raise ValueError(f"unknown vertex {v!r}")
         if v in entries:
             raise ValueError(f"vertex {v!r} assigned twice")
         entries[v] = int(val)
@@ -107,11 +106,11 @@ def _parse_assignments(q, text):
 
 
 def parse_dim_vector(q, text):
-    return DimVector.from_dict(q, _parse_assignments(q, text))
+    return DimVector.from_dict(q, _parse_assignments(text))
 
 
 def parse_weight(q, text):
-    return Weight.from_dict(q, _parse_assignments(q, text))
+    return Weight.from_dict(q, _parse_assignments(text))
 
 
 def format_vector(vec):

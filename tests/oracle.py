@@ -20,6 +20,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 
 def exact_rank(matrix):
     """Rank by fraction-exact Gaussian elimination."""
@@ -44,20 +46,22 @@ def exact_rank(matrix):
 
 
 def rank_mod_p(matrix, p):
-    """Rank over F_p, p prime, by Gaussian elimination on residues."""
-    m = [[x % p for x in row] for row in matrix]
-    rank, rows, cols = 0, len(m), len(m[0]) if m else 0
+    """Rank over F_p, p < 2**31 prime, by int64 Gaussian elimination on residues:
+    every residue is below 2**31, so every product stays below 2**62."""
+    m = np.array(matrix, dtype=np.int64) % p
+    if m.size == 0:
+        return 0
+    rank, (rows, cols) = 0, m.shape
     for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
+        nonzero = np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = pr = [x * inv % p for x in m[rank]]
-        for r in range(rank + 1, rows):
-            f = m[r][col]
-            if f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], pr)]
+        pivot = rank + nonzero[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        below = m[rank + 1:]
+        below -= np.outer(below[:, col], m[rank])
+        below %= p
         rank += 1
         if rank == rows:
             break
@@ -138,6 +142,36 @@ def all_pairs_up_to_mass(nvertices, total):
             for a in vectors_of_mass(nvertices, sa):
                 for b in vectors_of_mass(nvertices, s - sa):
                     yield a, b
+
+
+def random_involution_quiver(rng, n):
+    """(Q, tau): vertices v0..v(n-1) on a line, tau their reversal, and arrows i -> j
+    (i < j, so Q is acyclic) drawn 0, 1 or 2 times each together with their images
+    tau(j) -> tau(i).  An arrow with i + j = n - 1 is its own image on vertices: each
+    copy is either fixed by tau or drawn with a parallel partner it is swapped with."""
+    from quiver_cones import Involution, Quiver
+
+    vertices = [f"v{i}" for i in range(n)]
+    arrows, apairs = [], []
+
+    def arrow(i, j):
+        arrows.append((f"a{len(arrows)}", vertices[i], vertices[j]))
+        return arrows[-1][0]
+
+    for i, j in itertools.combinations(range(n), 2):
+        image = (n - 1 - j, n - 1 - i)
+        if image < (i, j):
+            continue  # drawn with its image
+        for _ in range(rng.randint(0, 2)):
+            if image != (i, j):
+                apairs.append((arrow(i, j), arrow(*image)))
+            elif rng.random() < 0.5:
+                apairs.append((arrow(i, j), arrow(i, j)))
+            else:
+                arrow(i, j)  # fixed
+    tau = Involution.from_pairs("tau", [(v, vertices[n - 1 - i]) for i, v in enumerate(vertices)],
+                                apairs)
+    return Quiver(f"line{n}-{len(arrows)}", vertices, arrows), tau
 
 
 def triple_flag(n):

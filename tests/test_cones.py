@@ -223,14 +223,14 @@ def test_membership_scale_invariance(d5hat, d5hat_table):
 
 def test_minus_tau_stability(d5hat, d5hat_table):
     import random
-    from quiver_cones import tau_weight
+    from quiver_cones import tau_dim
     q, inv = d5hat
     a = DimVector(q, ALPHA_BIG)
     rng = random.Random(23)
     for _ in range(100):
         s = Weight(q, [rng.randint(-3, 3) for _ in q.vertices])
         assert bool(member_dw(d5hat_table, s, a)) == bool(
-            member_dw(d5hat_table, -tau_weight(inv, s), a)
+            member_dw(d5hat_table, -tau_dim(inv, s), a)
         )
 
 

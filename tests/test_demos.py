@@ -1,5 +1,5 @@
 """Each walkthrough in demos/ runs to the end against the current package, and so
-does each command-line example in the README."""
+do the README's library overview and each of its command-line examples."""
 
 import io
 import os
@@ -60,3 +60,21 @@ def test_readme_command_line_examples_run(monkeypatch, tmp_path):
         assert set(expected) <= set(out.getvalue().splitlines()), argv
         documented += expected
     assert "2,3,4,4,3,2\t244\t57\t10" in documented
+
+
+def test_readme_library_overview_runs():
+    # the block runs as written, and each value its comments state holds
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library overview", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    calls = [line.split("#", 1)[0].strip() for line in block.splitlines() if "#" in line]
+
+    def value(prefix):
+        (call,) = [c for c in calls if c.startswith(prefix)]
+        return eval(call, names)
+
+    assert value("t.ext(") == 1
+    assert value("counts(") == (244, 57, [10])
+    assert len(value("enumerate_I0(")) == 10
+    assert len(value('inequalities(t, alpha, "dw")').normals) == 244

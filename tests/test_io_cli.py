@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,6 +9,7 @@ import pytest
 
 import quiver_cones
 from quiver_cones import (
+    Involution,
     make_d5hat,
     make_kronecker,
     make_line,
@@ -18,7 +20,7 @@ from quiver_cones import (
     serialize_quiver,
 )
 from quiver_cones.cli import main
-from quiver_cones.errors import DuplicateIdError, QuiverFileSyntaxError
+from quiver_cones.errors import DanglingEndpointError, DuplicateIdError, QuiverFileSyntaxError
 from quiver_cones.quiverfile import format_vector
 
 from goldens import D5HAT_TABLE
@@ -30,6 +32,22 @@ vertices 1 2
 arrow a 1 2
 involution tau
 vmap 1 2
+"""
+
+D5HAT_FILE = """\
+quiver D5hat
+vertices x1 x2 x3 x4 x5 x6
+arrow a1 x1 x3
+arrow a2 x2 x3
+arrow a3 x3 x4
+arrow a4 x4 x5
+arrow a5 x4 x6
+involution tau
+vmap x1 x6
+vmap x2 x5
+vmap x3 x4
+amap a1 a5
+amap a2 a4
 """
 
 
@@ -72,6 +90,17 @@ def test_roundtrip_all_zoo():
     text = serialize_quiver(q, invs)
     q2, invs2 = parse_quiver_file(text)
     assert serialize_quiver(q2, invs2) == text
+
+
+def test_serialize_checks_each_involution(d5hat, sun31):
+    # written unchecked, the first is an empty block that parse refuses, and the
+    # second drops its y <-> z pair and parses back as a different involution
+    (q, tau), (_, (sun_tau, _)) = d5hat, sun31
+    grown = Involution.from_pairs("tau", list(tau.vmap.items()) + [("y", "z")], tau.amap.items())
+    for inv in (sun_tau, grown):
+        with pytest.raises(DanglingEndpointError, match="vmap mentions unknown vertex"):
+            serialize_quiver(q, [tau, inv])
+    assert serialize_quiver(q, [tau]) == D5HAT_FILE
 
 
 def test_two_involution_blocks(sunfile):
@@ -131,10 +160,15 @@ def test_vector_literals():
     assert parse_weight(q, " 0 ").values == (0, 0)
     with pytest.raises(ValueError, match="bad assignment"):
         parse_dim_vector(q, "0,1=1")
-    with pytest.raises(ValueError):
+    with pytest.raises(DanglingEndpointError, match=re.escape("unknown vertices ['zz']")):
         parse_dim_vector(q, "zz=1")
     with pytest.raises(ValueError):
         parse_dim_vector(q, "1=1,1=2")
+
+
+def test_cli_unknown_vertex_in_a_literal_exits_2(d5file):
+    # from_dict is the one check of an unknown vertex, in a literal too
+    assert run_cli(["counts", d5file, "--alpha", "x9=1"]) == (2, "", "error: unknown vertices ['x9']\n")
 
 
 def test_cli_validate(d5file):

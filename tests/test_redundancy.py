@@ -26,6 +26,7 @@ from quiver_cones.errors import DimensionTooLargeError, LPInvariantError
 
 import reference_lp
 from goldens import D5HAT_TABLE, SUN61_TABLE
+from oracle import random_involution_quiver
 
 ALPHA_BIG = (2, 3, 4, 4, 3, 2)
 
@@ -428,22 +429,41 @@ def _golden_pairs(d5hat, d5hat_table, sun31, sun31_table):
         yield sun31_table, DimVector(sq, alpha), [i for i, n3 in zip(sinvs, n3s) if n3 is not None]
 
 
+def _assert_cones_equal(t, alpha, invs):
+    """The three characterisations cut out one cone at alpha, by exact LPs instead of
+    sampled weights: the inductive rows imply every dw row in alpha^perp, and on
+    anti-symmetric weights the antiinv rows and the restricted dw rows imply each
+    other.  The inductive normals are dw rows, so the converse is immediate."""
+    dw, inductive = (redundancy._system_rows(inequalities(t, alpha, method))
+                     for method in ("dw", "inductive"))
+    assert _implied(dw, inductive), alpha
+    for inv in invs:
+        basis = antisym_basis(t.quiver, inv)
+        antiinv = inequalities(t, alpha, "antiinv", inv=inv).restricted_rows()
+        # the distinct primitive rows cut out the same cone as all of them
+        restricted = sorted({primitive_row(basis.restrict_normal(b))
+                             for b in t.generic_subdims(alpha)})
+        assert _implied(restricted, antiinv) and _implied(antiinv, restricted), (alpha, inv.name)
+
+
 def test_golden_cones_are_equal_exactly(d5hat, d5hat_table, sun31, sun31_table):
-    """The three characterisations cut out one cone on every golden row, by exact LPs
-    instead of sampled weights: the inductive rows imply every dw row in alpha^perp,
-    and on anti-symmetric weights the antiinv rows and the restricted dw rows imply
-    each other.  The inductive normals are dw rows, so the converse is immediate."""
     pairs = 0
     for t, alpha, invs in _golden_pairs(d5hat, d5hat_table, sun31, sun31_table):
-        dw, inductive = (redundancy._system_rows(inequalities(t, alpha, method))
-                         for method in ("dw", "inductive"))
-        assert _implied(dw, inductive), alpha
-        for inv in invs:
-            basis = antisym_basis(t.quiver, inv)
-            antiinv = inequalities(t, alpha, "antiinv", inv=inv).restricted_rows()
-            # the distinct primitive rows cut out the same cone as all of them
-            restricted = sorted({primitive_row(basis.restrict_normal(b))
-                                 for b in t.generic_subdims(alpha)})
-            assert _implied(restricted, antiinv) and _implied(antiinv, restricted), (alpha, inv.name)
-            pairs += 1
+        _assert_cones_equal(t, alpha, invs)
+        pairs += len(invs)
     assert pairs == 22
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cones_are_equal_on_random_quivers_with_an_involution(seed):
+    # 4 to 9 vertices on a line, tau their reversal; two nonzero tau-symmetric alpha
+    # with entries <= 4, so |supp alpha| <= 9 stays within the exact-LP guard
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    q, tau = random_involution_quiver(rng, n)
+    t = ExtTable(q)
+    for _ in range(2):
+        half = [0]
+        while not any(half):
+            half = [rng.randint(0, 4) for _ in range((n + 1) // 2)]
+        _assert_cones_equal(t, DimVector(q, half + half[:n // 2][::-1]), [tau])

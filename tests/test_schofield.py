@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -123,6 +124,28 @@ def test_hom_ext_match_random_representations_over_fp(request, quiver):
     for a, b in all_pairs_up_to_mass(len(q.vertices), 5):
         if (t.hom(a, b), t.ext(a, b)) != generic_hom_ext_mod_p(q, a, b, p):
             mismatches.append((a, b))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("quiver", ["d5hat", "sun31"])
+def test_hom_ext_match_over_fp_at_larger_mass(request, quiver):
+    # 200 seeded pairs with entries <= 6 and 14 <= |a| + |b| <= 30, ten b per root a:
+    # a table read builds root a, so twenty roots keep the sample cheap
+    q, _ = request.getfixturevalue(quiver)
+    t, p, n = ExtTable(q), 2**31 - 1, len(q.vertices)
+    rng = random.Random(2026)
+    draw = lambda: tuple(rng.randint(0, 6) for _ in range(n))
+    mismatches = []
+    for _ in range(20):
+        a = draw()
+        while sum(a) > 16:
+            a = draw()
+        for _ in range(10):
+            b = draw()
+            while not 14 <= sum(a) + sum(b) <= 30:
+                b = draw()
+            if (t.hom(a, b), t.ext(a, b)) != generic_hom_ext_mod_p(q, a, b, p):
+                mismatches.append((a, b))
     assert mismatches == []
 
 
