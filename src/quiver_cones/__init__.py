@@ -25,7 +25,7 @@ from .cones import (
     member_dw,
     member_inductive,
 )
-from .redundancy import RationalLP, irredundant_core, is_redundant, redundant_row, solve_max
+from .redundancy import irredundant_core, is_redundant, redundant_row, solve_max
 from .zoo import make_d5hat, make_kronecker, make_line, make_sun
 from .quiverfile import (
     format_vector,
@@ -44,7 +44,7 @@ __all__ = [
     "InequalitySystem", "MembershipResult",
     "member_dw", "member_inductive", "member_antiinv",
     "enumerate_I0", "inequalities", "counts",
-    "RationalLP", "solve_max", "redundant_row", "is_redundant", "irredundant_core",
+    "solve_max", "redundant_row", "is_redundant", "irredundant_core",
     "make_line", "make_kronecker", "make_sun", "make_d5hat",
     "parse_quiver_file", "serialize_quiver", "parse_dim_vector", "parse_weight",
     "format_vector",

@@ -57,7 +57,7 @@ class DimensionTooLargeError(QuiverConesError):
 
 
 class LPInvariantError(QuiverConesError):
-    """Internal exactness assertion of the rational simplex failed."""
+    """The integer simplex met ragged data, a negative rhs or an unbounded LP."""
 
 
 class QuiverFileSyntaxError(QuiverConesError):

@@ -1,4 +1,4 @@
-"""Exact-rational redundancy elimination for cone inequality systems.
+"""Exact redundancy elimination for cone inequality systems, by integer LPs.
 
 A row c.x <= 0 of a cone is redundant iff the other rows imply it, which by
 Farkas' lemma holds iff c is a nonnegative combination of them: an LP with
@@ -8,10 +8,8 @@ Each LP is solved by a tableau simplex with Bland's rule and integer-preserving
 pivots (Bareiss, as in Avis' lrs), so every division is exact and it terminates.
 """
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from math import lcm
-from numbers import Rational
 
 from .errors import DimensionTooLargeError, LPInvariantError
 from .cones import InequalitySystem
@@ -19,49 +17,29 @@ from .cones import InequalitySystem
 _MAX_AMBIENT_DIM = 8
 
 
-@dataclass
-class RationalLP:
-    """max objective.x  s.t.  rows.x <= rhs, x >= 0."""
+def solve_max(objective, rows, rhs):
+    """max objective.x  s.t.  rows.x <= rhs, x >= 0; requires rhs >= 0 (the origin is feasible).
 
-    objective: list
-    rows: list
-    rhs: list
-
-
-def _integer_row(values):
-    """The values times the lcm of their denominators, as ints, and that lcm."""
-    if all(type(x) is int for x in values):
-        return list(values), 1
-    if not all(isinstance(x, Rational) for x in values):
-        raise LPInvariantError("exact LP data must be rational: int, Fraction or numpy integer")
-    scale = lcm(*(int(x.denominator) for x in values))
-    return [int(x.numerator) * (scale // int(x.denominator)) for x in values], scale
-
-
-def solve_max(lp):
-    """Optimum of the LP; requires rhs >= 0 (the origin must be feasible).
-
-    Bland's rule from the slack basis, on integers: each row of [A | I | b]
-    times the lcm of its denominators (not the slack), so D = 1.  A pivot on
-    p = T[r][e] maps each other row x to (p.x - x[e].T[r]) // D, then D = p:
+    Every entry must be an integer (operator.index): a float or a Fraction is a TypeError.
+    Bland's rule from the slack basis on the integer tableau [A | I | b], with D = 1.
+    A pivot on p = T[r][e] maps each other row x to (p.x - x[e].T[r]) // D, then D = p:
     entries are D times the rational tableau's; ratios are cross-multiplied.
     """
-    if len(lp.rhs) != len(lp.rows) or any(len(r) != len(lp.objective) for r in lp.rows):
+    if len(rhs) != len(rows) or any(len(r) != len(objective) for r in rows):
         raise LPInvariantError("LP needs one rhs per row and one entry per variable in each row")
-    c, scale = _integer_row(lp.objective)
-    T = [_integer_row([*row, rhs])[0] for row, rhs in zip(lp.rows, lp.rhs)]
+    m, n = len(rows), len(objective)
+    # the objective row holds D times the negated reduced costs
+    z = [-operator.index(x) for x in objective] + [0] * (m + 1)
+    T = [[*map(operator.index, row), *(int(i == k) for k in range(m)), operator.index(b)]
+         for i, (row, b) in enumerate(zip(rows, rhs))]
     if any(row[-1] < 0 for row in T):
         raise LPInvariantError("origin-infeasible system; this solver assumes rhs >= 0")
-    m, n = len(T), len(c)
-    T = [row[:-1] + [int(i == k) for k in range(m)] + row[-1:] for i, row in enumerate(T)]
-    # the objective row holds D times the negated reduced costs
-    z = [-x for x in c] + [0] * (m + 1)
     basis = list(range(n, n + m))
     D = 1
     while True:
         enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
-            return Fraction(z[-1], D * scale)
+            return Fraction(z[-1], D)
         leave = None
         for i, row in enumerate(T):
             if row[enter] > 0:
@@ -126,12 +104,10 @@ def redundant_row(rows, index):
     target = rows[index]
     other = [r for i, r in enumerate(rows) if i != index]
     signs = [-1 if x < 0 else 1 for x in target]
-    lp = RationalLP(
-        objective=[sum(s * x for s, x in zip(signs, r)) for r in other],
-        rows=[[s * r[k] for r in other] for k, s in enumerate(signs)],
-        rhs=[abs(x) for x in target],
-    )
-    return solve_max(lp) == sum(lp.rhs)
+    objective = [sum(s * x for s, x in zip(signs, r)) for r in other]
+    by_coordinate = [[s * r[k] for r in other] for k, s in enumerate(signs)]
+    rhs = [abs(x) for x in target]
+    return solve_max(objective, by_coordinate, rhs) == sum(rhs)
 
 
 def is_redundant(system, index):

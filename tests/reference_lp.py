@@ -1,9 +1,10 @@
 """Reference LP solver: the dense Fraction tableau simplex that
 `quiver_cones.redundancy.solve_max` replaced with integer-preserving pivots.
 
-Same contract (max c.x over A.x <= b, x >= 0, b >= 0; Bland's rule from the
-slack basis), every entry a `fractions.Fraction`.  Kept only as the oracle of
-the differential tests in tests/test_redundancy.py.
+Same contract (max objective.x over rows.x <= rhs, x >= 0, rhs >= 0; Bland's
+rule from the slack basis) and the same three integer arguments, every entry
+read as a `fractions.Fraction`.  Kept only as the oracle of the differential
+tests in tests/test_redundancy.py.
 """
 
 from fractions import Fraction
@@ -11,19 +12,13 @@ from fractions import Fraction
 from quiver_cones.errors import LPInvariantError
 
 
-def _frac(x):
-    if isinstance(x, float):
-        raise LPInvariantError("floating-point value in exact LP data")
-    return Fraction(x)
-
-
-def solve_max(lp):
+def solve_max(objective, rows, rhs):
     """Optimum of the LP; requires rhs >= 0 (the origin must be feasible)."""
-    if len(lp.rhs) != len(lp.rows) or any(len(r) != len(lp.objective) for r in lp.rows):
+    if len(rhs) != len(rows) or any(len(r) != len(objective) for r in rows):
         raise LPInvariantError("LP needs one rhs per row and one entry per variable in each row")
-    c = [_frac(x) for x in lp.objective]
-    A = [[_frac(x) for x in r] for r in lp.rows]
-    b = [_frac(x) for x in lp.rhs]
+    c = [Fraction(x) for x in objective]
+    A = [[Fraction(x) for x in r] for r in rows]
+    b = [Fraction(x) for x in rhs]
     if any(x < 0 for x in b):
         raise LPInvariantError("origin-infeasible system; this solver assumes rhs >= 0")
     m, n = len(A), len(c)

@@ -494,20 +494,46 @@ def test_cli_inequalities_ambient(d5file, d5hat_table, method, alpha, values, n)
     assert _rows(out) == [b.values for b in getattr(d5hat_table, values)(alpha)]
 
 
-@pytest.mark.parametrize("method, alpha, expected", [
-    ("dw", SMALL_ALPHA, [
+SUN_ALPHA = ",".join(f"{i}.1={v}" for i, v in enumerate((3, 2, 4, 3, 2, 4)))
+SUN_TWOS = ",".join(f"{i}.1=2" for i in range(6))
+
+
+@pytest.mark.parametrize("quiver, argv, expected", [
+    ("d5file", ["--alpha", SMALL_ALPHA, "--method", "dw"], [
         (0, 1, 1, 1, 1, 0), (0, 2, 2, 2, 2, 1), (0, 2, 2, 3, 2, 1), (0, 2, 3, 3, 2, 1),
         (1, 1, 2, 2, 1, 1), (1, 1, 2, 2, 2, 1), (1, 1, 2, 3, 2, 1), (1, 1, 3, 3, 2, 1)]),
-    ("inductive", EXAMPLE1_ALPHA, [
+    ("d5file", ["--alpha", EXAMPLE1_ALPHA, "--method", "inductive"], [
         (1, 2, 2, 2, 2, 1), (1, 2, 3, 3, 2, 1), (1, 3, 3, 3, 3, 2), (1, 3, 3, 4, 3, 2),
         (2, 1, 2, 2, 3, 2), (2, 1, 2, 4, 3, 2), (2, 2, 3, 3, 2, 2)]),
     # 244 dw rows at the alpha of Example 1, one Farkas LP each
-    ("dw", EXAMPLE1_ALPHA, [
+    ("d5file", ["--alpha", EXAMPLE1_ALPHA, "--method", "dw"], [
         (1, 2, 2, 2, 2, 1), (1, 2, 3, 3, 2, 1), (1, 3, 3, 4, 3, 2), (1, 3, 4, 4, 3, 2),
         (2, 2, 3, 3, 2, 2), (2, 2, 3, 4, 3, 2), (2, 2, 4, 4, 3, 2)]),
-], ids=["dw", "inductive", "dw-example1"])
-def test_cli_reduce_ambient(d5file, method, alpha, expected):
-    code, out, _ = run_cli(["reduce", d5file, "--alpha", alpha, "--method", method])
+    # Sun(6,1): 112 inductive rows; dw here (924 rows) takes seconds and is left out
+    ("sunfile", ["--alpha", SUN_ALPHA, "--method", "inductive"], [
+        (1, 2, 4, 3, 2, 2), (2, 1, 3, 2, 1, 3), (2, 1, 3, 3, 2, 3), (3, 2, 3, 2, 2, 4),
+        (3, 2, 4, 3, 0, 4), (3, 2, 4, 3, 1, 3)]),
+    ("sunfile", ["--alpha", SUN_ALPHA, "--method", "antiinv", "--involution", "rho"], [
+        (0, 1, 3, 2, 0, 0), (1, 0, 1, 1, 1, 2), (2, 1, 1, 0, 0, 2), (3, 2, 1, 0, 0, 3)]),
+    ("sunfile", ["--alpha", SUN_ALPHA, "--method", "antiinv", "--involution", "rho", "--coords"],
+     [(-3, -2, 2), (-2, -1, 1), (0, 1, 1), (2, -1, -3)]),
+    ("sunfile", ["--alpha", SUN_TWOS, "--method", "dw"], [
+        (1, 1, 1, 1, 1, 2), (1, 1, 1, 2, 1, 1), (1, 1, 1, 2, 2, 2), (1, 2, 1, 1, 1, 1),
+        (1, 2, 2, 2, 1, 1), (1, 2, 2, 2, 2, 2), (2, 2, 1, 1, 1, 2), (2, 2, 1, 2, 2, 2),
+        (2, 2, 2, 2, 1, 2)]),
+    ("sunfile", ["--alpha", SUN_TWOS, "--method", "inductive"], [
+        (0, 0, 0, 0, 0, 2), (0, 0, 0, 2, 0, 0), (0, 0, 0, 2, 2, 2), (0, 2, 0, 0, 0, 0),
+        (0, 2, 2, 2, 0, 0), (0, 2, 2, 2, 2, 2), (2, 2, 0, 0, 0, 2), (2, 2, 0, 2, 2, 2),
+        (2, 2, 2, 2, 0, 2)]),
+    ("sunfile", ["--alpha", SUN_TWOS, "--method", "antiinv", "--involution", "tau", "--coords"],
+     [(0, -1, 0), (0, 0, 1), (1, -1, -1), (1, 0, 0)]),
+    ("sunfile", ["--alpha", SUN_TWOS, "--method", "antiinv", "--involution", "rho", "--coords"],
+     [(-1, -1, 1), (1, -1, -1), (1, 1, 1)]),
+], ids=["dw", "inductive", "dw-example1", "sun-inductive", "sun-antiinv-rho",
+        "sun-antiinv-rho-coords", "sun-twos-dw", "sun-twos-inductive",
+        "sun-twos-antiinv-tau-coords", "sun-twos-antiinv-rho-coords"])
+def test_cli_reduce_ambient(request, quiver, argv, expected):
+    code, out, _ = run_cli(["reduce", request.getfixturevalue(quiver), *argv])
     assert code == 0 and out == "".join("\t".join(map(str, r)) + "\n" for r in expected)
 
 

@@ -9,7 +9,6 @@ import quiver_cones.redundancy as redundancy
 from quiver_cones import (
     DimVector,
     ExtTable,
-    RationalLP,
     antisym_basis,
     inequalities,
     irredundant_core,
@@ -39,41 +38,36 @@ def _example1_system(d5hat, d5hat_table):
 
 
 def test_solve_max_simple():
-    lp = RationalLP(objective=[1, 1], rows=[[1, 0], [0, 1]], rhs=[2, 3])
-    assert solve_max(lp) == 5
+    assert solve_max([1, 1], [[1, 0], [0, 1]], [2, 3]) == 5
 
 
 def test_solve_max_fractional_optimum():
-    lp = RationalLP(objective=[1], rows=[[3]], rhs=[1])
-    assert solve_max(lp) == Fraction(1, 3)
+    assert solve_max([1], [[3]], [1]) == Fraction(1, 3)
 
 
-def test_solve_max_rejects_floats():
-    with pytest.raises(LPInvariantError):
-        solve_max(RationalLP(objective=[0.5], rows=[[1]], rhs=[1]))
-
-
-@pytest.mark.parametrize("bad", ["1/2", Decimal("0.1"), np.float64(0.5), 1j, None],
-                         ids=["str", "decimal", "numpy-float", "complex", "none"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.1"), np.float64(0.5), 1j, None,
+                                 Fraction(1, 2), Fraction(2)],
+                         ids=["float", "str", "decimal", "numpy-float", "complex", "none",
+                              "fraction", "whole-fraction"])
 @pytest.mark.parametrize("where", ["objective", "row", "rhs"])
-def test_solve_max_accepts_only_rationals(bad, where):
-    # a string used to be parsed and a Decimal read as the rational it prints as
-    lp = RationalLP(objective=[1], rows=[[1]], rhs=[3])
+def test_solve_max_accepts_only_integers(bad, where):
+    # LP data is integer like a vector entry: a Fraction, even a whole one, is refused
+    objective, rows, rhs = [1], [[1]], [3]
     if where == "objective":
-        lp.objective = [bad]
+        objective = [bad]
     elif where == "row":
-        lp.rows = [[bad]]
+        rows = [[bad]]
     else:
-        lp.rhs = [bad]
-    with pytest.raises(LPInvariantError, match="must be rational"):
-        solve_max(lp)
+        rhs = [bad]
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        solve_max(objective, rows, rhs)
 
 
 def test_solve_max_takes_numpy_integers():
     objective, rows, rhs = [3, 2], [[2, 1], [1, 3]], [4, 5]
-    as_numpy = RationalLP(np.array(objective, dtype=np.int64),
-                          list(np.array(rows, dtype=np.int64)), list(np.array(rhs, dtype=np.int64)))
-    assert solve_max(as_numpy) == solve_max(RationalLP(objective, rows, rhs)) == Fraction(33, 5)
+    as_numpy = (np.array(objective, dtype=np.int64), list(np.array(rows, dtype=np.int64)),
+                list(np.array(rhs, dtype=np.int64)))
+    assert solve_max(*as_numpy) == solve_max(objective, rows, rhs) == Fraction(33, 5)
 
 
 def test_solve_max_builds_one_fraction_on_integer_data(monkeypatch):
@@ -83,23 +77,23 @@ def test_solve_max_builds_one_fraction_on_integer_data(monkeypatch):
         built.append(args)
         return Fraction(*args)
 
-    lp = RationalLP(objective=[3, 2, 4], rows=[[1, 1, 2], [2, 0, 3], [2, 1, 3]], rhs=[4, 5, 7])
-    expected = reference_lp.solve_max(lp)
+    lp = ([3, 2, 4], [[1, 1, 2], [2, 0, 3], [2, 1, 3]], [4, 5, 7])
+    expected = reference_lp.solve_max(*lp)
     monkeypatch.setattr(redundancy, "Fraction", counting_fraction)
-    assert solve_max(lp) == expected
+    assert solve_max(*lp) == expected
     assert len(built) == 1, built
 
 
 def test_solve_max_rejects_negative_rhs():
     with pytest.raises(LPInvariantError):
-        solve_max(RationalLP(objective=[1], rows=[[1]], rhs=[-1]))
+        solve_max([1], [[1]], [-1])
 
 
 def test_solve_max_variables_are_nonnegative():
     # max -x over x <= 1 is unbounded for free x; with x >= 0 it is 0
-    assert solve_max(RationalLP(objective=[-1], rows=[[1]], rhs=[1])) == 0
+    assert solve_max([-1], [[1]], [1]) == 0
     with pytest.raises(LPInvariantError):
-        solve_max(RationalLP(objective=[1], rows=[[-1]], rhs=[1]))
+        solve_max([1], [[-1]], [1])
 
 
 @pytest.mark.parametrize("objective, rows, rhs", [
@@ -110,25 +104,24 @@ def test_solve_max_variables_are_nonnegative():
 ], ids=["short-row", "long-row", "extra-rhs", "missing-rhs"])
 def test_solve_max_rejects_ragged_data(objective, rows, rhs):
     with pytest.raises(LPInvariantError):
-        solve_max(RationalLP(objective=objective, rows=rows, rhs=rhs))
+        solve_max(objective, rows, rhs)
 
 
 def _outcome(solve, lp):
     try:
-        return solve(lp)
+        return solve(*lp)
     except LPInvariantError as exc:
         return str(exc)
 
 
 def _random_lp(rng, kind):
     m, n = rng.randint(1, 5), rng.randint(1, 6)
-    if kind == "fraction":
-        # each row its own denominators, so each row needs its own lcm
-        def entry():
-            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7, 9)))
-    else:
-        def entry():
-            return rng.randint(-4, 4)
+    # up to 10^9: the pivots' products run through multi-word ints
+    bound = 10**9 if kind == "large" else 4
+
+    def entry():
+        return rng.randint(-bound, bound)
+
     rows = [[entry() for _ in range(n)] for _ in range(m)]
     objective = [entry() for _ in range(n)]
     rhs = [abs(entry()) for _ in range(m)]
@@ -143,10 +136,10 @@ def _random_lp(rng, kind):
         objective[j] = rng.randint(1, 4)
         for r in rows:
             r[j] = -abs(r[j])
-    return RationalLP(objective, rows, rhs)
+    return objective, rows, rhs
 
 
-@pytest.mark.parametrize("kind", ["integer", "fraction", "degenerate", "zero-objective", "unbounded"])
+@pytest.mark.parametrize("kind", ["integer", "large", "degenerate", "zero-objective", "unbounded"])
 def test_solve_max_matches_fraction_reference(kind, monkeypatch):
     # both solvers pick the entering variable by one next() per pivot;
     # recording its answers compares the Bland pivot sequences too
@@ -178,14 +171,16 @@ def test_solve_max_matches_fraction_reference(kind, monkeypatch):
         assert optima == [0] * len(outcomes)
     else:
         assert "unbounded LP" in outcomes and len(set(optima)) > 10
+    if kind == "large":
+        assert any(x.denominator > 2**64 for x in optima)
 
 
 def test_reduce_lps_match_fraction_reference(d5hat, d5hat_table, monkeypatch):
     lps = []
 
-    def recording(lp):
+    def recording(*lp):
         lps.append(lp)
-        return solve_max(lp)
+        return solve_max(*lp)
 
     monkeypatch.setattr(redundancy, "solve_max", recording)
     q, _ = d5hat
@@ -193,7 +188,10 @@ def test_reduce_lps_match_fraction_reference(d5hat, d5hat_table, monkeypatch):
         irredundant_core(inequalities(d5hat_table, DimVector(q, (1, 2, 3, 3, 2, 1)), method))
     irredundant_core(_example1_system(d5hat, d5hat_table))
     assert len(lps) > 50
-    assert [solve_max(lp) for lp in lps] == [reference_lp.solve_max(lp) for lp in lps]
+    # reduce hands the LP layer plain ints only
+    entries = [x for objective, rows, rhs in lps for part in (objective, *rows, rhs) for x in part]
+    assert {type(x) for x in entries} == {int}
+    assert [solve_max(*lp) for lp in lps] == [reference_lp.solve_max(*lp) for lp in lps]
 
 
 @pytest.mark.parametrize("rows", [[(1,), (1, 0)], [(1, 0), (1,)]], ids=["short-target", "long-target"])
@@ -221,12 +219,8 @@ def _primal_redundant(rows, index):
 
     target = rows[index]
     other = [r for i, r in enumerate(rows) if i != index]
-    lp = RationalLP(
-        objective=split(target),
-        rows=[split(r) for r in other + [target]],
-        rhs=[0] * len(other) + [1],
-    )
-    return solve_max(lp) <= 0
+    return solve_max(split(target), [split(r) for r in other + [target]],
+                     [0] * len(other) + [1]) <= 0
 
 
 def _random_rows(rng, d):
