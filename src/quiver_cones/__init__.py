@@ -10,7 +10,6 @@ from .quiver import (
     euler_form,
     euler_col,
     tau_dim,
-    validate_involution,
     validate_quiver,
     weight_eval,
 )
@@ -38,7 +37,7 @@ from . import errors
 
 __all__ = [
     "Quiver", "DimVector", "Weight", "Involution", "OrbitBasis",
-    "validate_quiver", "validate_involution", "euler_form", "weight_eval",
+    "validate_quiver", "euler_form", "weight_eval",
     "euler_col", "tau_dim", "antisym_basis",
     "ExtTable",
     "InequalitySystem", "MembershipResult",

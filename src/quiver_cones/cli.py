@@ -40,7 +40,7 @@ def _orbit_options(involutions, args, reads_basis, reads_tau=False):
     for name, read in (("involution", reads_tau), ("representatives", reads_basis)):
         if getattr(args, name) is not None and not read:
             raise QuiverConesError(f"--{name} is not read by {args.command} with these options")
-    reps = args.representatives.split(",") if args.representatives else None
+    reps = args.representatives.split(",") if args.representatives is not None else None
     return (_pick_involution(involutions, args.involution) if reads_tau else None), reps
 
 

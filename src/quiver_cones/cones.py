@@ -97,8 +97,9 @@ def member_inductive(t, s, a):
 
 def member_antiinv(t, s, a, inv):
     """Reduced test for anti-symmetric weights on a tau-symmetric dimension."""
-    s, perm = t._vector(s, Weight), t._involution(inv)  # an inv of another quiver raises here
-    if any(s.values[p] != -x for p, x in zip(perm, s.values)):  # s != -tau.s
+    s = t._vector(s, Weight)
+    inv._bound_to(t.quiver)
+    if any(s.values[p] != -x for p, x in zip(inv.perm, s.values)):  # s != -tau.s
         raise NotAntiSymmetricError(f"weight {s.values} is not anti-symmetric")
     # iso_pairs rejects an alpha that is not tau-symmetric; on one, sigma(alpha) = 0
     return _first_positive(s, enumerate_I0(t, a, inv))

@@ -9,7 +9,7 @@ ValueOverflowError instead of wrapping.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import (
@@ -58,16 +58,25 @@ class Quiver:
         return tuple(a for a, _, _ in self.arrows)
 
 
+def _check_id(what, x):
+    """A name or id that the quiver file and vector literals can carry."""
+    if not isinstance(x, str) or not x or any(c.isspace() or c in "#,=" for c in x):
+        raise ValueError(f"{what} {x!r} must be a non-empty str without whitespace, '#', ',' or '='")
+
+
 def validate_quiver(q):
-    """Check id uniqueness, endpoint declarations and acyclicity."""
+    """Check ids, their uniqueness, endpoint declarations and acyclicity."""
+    _check_id("quiver name", q.name)
     seen = set()
     for v in q.vertices:
+        _check_id("vertex id", v)
         if v in seen:
             raise DuplicateIdError(f"duplicate vertex id {v!r}")
         seen.add(v)
     vset = seen
     seen = set()
     for a, t, h in q.arrows:
+        _check_id("arrow id", a)
         if a in seen:
             raise DuplicateIdError(f"duplicate arrow id {a!r}")
         seen.add(a)
@@ -224,32 +233,54 @@ def euler_col(q, b):
 
 @dataclass(frozen=True)
 class Involution:
-    """Self-inverse vertex/arrow maps exchanging heads and tails.
+    """Self-inverse vertex/arrow maps of one quiver, exchanging heads and tails.
 
-    vmap/amap may omit fixed points; lookups default to the identity.  Both
-    are read-only views of private copies, so they cannot drift from the hash.
+    Checked once, when made; perm[i] is the index of tau(vertex i).  vmap/amap
+    may omit fixed points; lookups default to the identity.  Both are
+    read-only views of private copies, so they cannot drift from the hash.
     """
 
+    quiver: Quiver = field(repr=False)
     name: str
     vmap: MappingProxyType
     amap: MappingProxyType
 
     def __post_init__(self):
+        _check_id("involution name", self.name)
         object.__setattr__(self, "vmap", MappingProxyType(dict(self.vmap)))
         object.__setattr__(self, "amap", MappingProxyType(dict(self.amap)))
+        q, arrow_by_id = self.quiver, {a: (t, h) for a, t, h in self.quiver.arrows}
+        for kind, what, m, known in (("vmap", "vertex", self.vmap, set(q.vertices)),
+                                     ("amap", "arrow", self.amap, arrow_by_id)):
+            for x, y in m.items():
+                if x not in known or y not in known:
+                    raise DanglingEndpointError(f"{kind} mentions unknown {what} in {x!r} -> {y!r}")
+                if m.get(y, y) != x:
+                    raise NotSelfInverseError(f"{kind} is not self-inverse at {x!r}")
+        for a, (t, h) in arrow_by_id.items():  # h(tau a) = tau(t a), t(tau a) = tau(h a)
+            ta, (tt, th) = self.arrow(a), arrow_by_id[self.arrow(a)]
+            if th != self.vertex(t):
+                raise AxiomViolationError(
+                    a, f"head({ta!r})={th!r} != vmap(tail({a!r}))={self.vertex(t)!r}"
+                )
+            if tt != self.vertex(h):
+                raise AxiomViolationError(
+                    a, f"tail({ta!r})={tt!r} != vmap(head({a!r}))={self.vertex(h)!r}"
+                )
+        object.__setattr__(self, "perm", tuple(q.vertex_index(self.vertex(v)) for v in q.vertices))
         object.__setattr__(self, "_hash", hash((self.name, tuple(sorted(self.vmap.items())),
                                                 tuple(sorted(self.amap.items())))))
 
     @classmethod
-    def from_pairs(cls, name, vpairs, apairs):
-        """The involution swapping each (x, y) pair, listed in either order;
-        x = x pairs are fixed points and are dropped."""
+    def from_pairs(cls, quiver, name, vpairs, apairs):
+        """The involution of quiver swapping each (x, y) pair, listed in either
+        order; x = x pairs are fixed points and are dropped."""
         maps = ({}, {})
         for m, pairs in zip(maps, (vpairs, apairs)):
             for x, y in pairs:
                 if x != y:
                     m[x], m[y] = y, x
-        return cls(name, *maps)
+        return cls(quiver, name, *maps)
 
     def vertex(self, v):
         return self.vmap.get(v, v)
@@ -257,37 +288,16 @@ class Involution:
     def arrow(self, a):
         return self.amap.get(a, a)
 
+    _bound_to = _VertexVector._bound_to
+
     def __hash__(self):
         return self._hash
 
 
-def validate_involution(q, inv):
-    """Check self-inverseness and the exchange axioms h(tau a) = tau(t a), t(tau a) = tau(h a);
-    return perm, perm[i] = index of tau(vertex i)."""
-    arrow_by_id = {a: (t, h) for a, t, h in q.arrows}
-    for kind, what, m, known in (("vmap", "vertex", inv.vmap, set(q.vertices)),
-                                 ("amap", "arrow", inv.amap, arrow_by_id)):
-        for x, y in m.items():
-            if x not in known or y not in known:
-                raise DanglingEndpointError(f"{kind} mentions unknown {what} in {x!r} -> {y!r}")
-            if m.get(y, y) != x:
-                raise NotSelfInverseError(f"{kind} is not self-inverse at {x!r}")
-    for a, (t, h) in arrow_by_id.items():
-        ta, (tt, th) = inv.arrow(a), arrow_by_id[inv.arrow(a)]
-        if th != inv.vertex(t):
-            raise AxiomViolationError(
-                a, f"head({ta!r})={th!r} != vmap(tail({a!r}))={inv.vertex(t)!r}"
-            )
-        if tt != inv.vertex(h):
-            raise AxiomViolationError(
-                a, f"tail({ta!r})={tt!r} != vmap(head({a!r}))={inv.vertex(h)!r}"
-            )
-    return [q.vertex_index(inv.vertex(v)) for v in q.vertices]
-
-
 def tau_dim(inv, a):
-    """(tau.a)(x) = a(tau x), of the kind of a; inv is checked against a.quiver."""
-    return type(a)(a.quiver, tuple(a.values[p] for p in validate_involution(a.quiver, inv)))
+    """(tau.a)(x) = a(tau x), of the kind of a; inv is bound to a.quiver."""
+    inv._bound_to(a.quiver)
+    return type(a)(a.quiver, tuple(a.values[p] for p in inv.perm))
 
 
 @dataclass(frozen=True)
@@ -324,7 +334,7 @@ def antisym_basis(q, inv, representatives=None):
     larger vertex id and orbits are sorted by representative; passing an
     ordered representative list overrides both choices.
     """
-    validate_involution(q, inv)
+    inv._bound_to(q)
     partner = {v: inv.vertex(v) for v in q.vertices if inv.vertex(v) != v}
     if representatives is None:
         representatives = sorted(v for v, w in partner.items() if v > w)

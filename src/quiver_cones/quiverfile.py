@@ -16,7 +16,7 @@ vertices defaulting to 0; the zero vector may also be written '0'.
 """
 
 from .errors import DuplicateIdError, QuiverFileSyntaxError
-from .quiver import DimVector, Involution, Quiver, Weight, validate_involution
+from .quiver import DimVector, Involution, Quiver, Weight
 
 
 def parse_quiver_file(text):
@@ -64,19 +64,16 @@ def parse_quiver_file(text):
     if name is None:
         raise QuiverFileSyntaxError(0, "missing quiver line")
     q = Quiver(name, vertices, arrows)
-    involutions = [Involution.from_pairs(*block) for block in inv_blocks]
-    for inv in involutions:
-        validate_involution(q, inv)
-    return q, involutions
+    return q, [Involution.from_pairs(q, *block) for block in inv_blocks]
 
 
 def serialize_quiver(q, involutions=()):
-    """Deterministic textual form, each involution checked against q; parse inverts it."""
+    """Deterministic textual form, each involution bound to q; parse inverts it."""
     lines = [f"quiver {q.name}", "vertices " + " ".join(q.vertices)]
     for a, t, h in q.arrows:
         lines.append(f"arrow {a} {t} {h}")
     for inv in involutions:
-        validate_involution(q, inv)
+        inv._bound_to(q)
         lines.append(f"involution {inv.name}")
         for kind, ids, image in (("vmap", q.vertices, inv.vertex),
                                  ("amap", q.arrow_ids, inv.arrow)):

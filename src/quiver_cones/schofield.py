@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import DimensionTooLargeError, NotSymmetricDimensionError, ValueOverflowError
-from .quiver import DimVector, Weight, euler_form, validate_involution, weight_eval
+from .quiver import DimVector, Weight, euler_form, weight_eval
 from .quiver import _topological_order, _VertexVector
 
 # largest entry of a dimension vector or weight passed in (see _check_int64)
@@ -139,7 +139,7 @@ class ExtTable:
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
         # buffer[start:stop], in flat order
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
-        self._reads = {}  # tuple(a) -> (S, S @ E), never returned; inductive normals, I0 betas, tau
+        self._reads = {}  # tuple(a) -> (S, S @ E), never returned; inductive normals, I0 betas
 
     # -- internal ----------------------------------------------------------
 
@@ -154,13 +154,6 @@ class ExtTable:
         if max(map(abs, x.values), default=0) >= _ENTRY_BOUND:
             raise ValueOverflowError("entries too large for the exact int64 path")
         return x
-
-    def _involution(self, inv):
-        """perm[i] = index of tau(vertex i); inv is checked against self.quiver once."""
-        perm = self._reads.get(("tau", inv))
-        if perm is None:
-            perm = self._reads[("tau", inv)] = validate_involution(self.quiver, inv)
-        return perm
 
     def _check_int64(self, mass_a, mass_b):
         if (1 + self._multiplicity) * mass_a * mass_b >= 2**63:
@@ -341,7 +334,8 @@ class ExtTable:
         betas = self._reads.get(("I0", key, inv))
         if betas is not None:
             return betas
-        perm = self._involution(inv)
+        inv._bound_to(self.quiver)
+        perm = list(inv.perm)  # a tuple would index b[perm] by axis
         if tuple(key[p] for p in perm) != key:
             raise NotSymmetricDimensionError(f"{key} is not tau-symmetric")
         root, betas = np.asarray(key, dtype=np.int64), []

@@ -1,7 +1,7 @@
 """Constructors for the quiver families used throughout.
 
 All constructors return a quiver, validated by Quiver(), and its involutions,
-checked where they are used (ExtTable, antisym_basis, the quiver-file parser).
+each bound to it and checked when made.
 """
 
 from .errors import BadParameterError
@@ -16,7 +16,7 @@ def make_line(n):
     arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
     q = Quiver(f"A{n}", vertices, arrows)
     inv = Involution.from_pairs(
-        "tau",
+        q, "tau",
         ((str(i), str(n + 1 - i)) for i in range(1, n + 1)),
         ((f"a{i}", f"a{n - i}") for i in range(1, n)),
     )
@@ -29,7 +29,7 @@ def make_kronecker(n):
         raise BadParameterError("Kronecker quiver needs n >= 1")
     arrows = [(f"a{i}", "s", "t") for i in range(1, n + 1)]
     q = Quiver(f"Theta{n}", ["s", "t"], arrows)
-    inv = Involution.from_pairs("tau", [("s", "t")], [])
+    inv = Involution.from_pairs(q, "tau", [("s", "t")], [])
     return q, inv
 
 
@@ -64,7 +64,7 @@ def make_sun(k, n):
     q = Quiver(f"Sun{mod}.{n}", vertices, arrows)
 
     tau = Involution.from_pairs(
-        "tau",
+        q, "tau",
         ((vid(i, j), vid(1 - i, j)) for i in range(mod) for j in range(1, n + 1)),
         [(aid(i, n), aid(-i, n)) for i in range(mod)]
         + [(aid(i, j), aid(1 - i, j)) for i in range(mod) for j in range(1, n)],
@@ -72,7 +72,7 @@ def make_sun(k, n):
     invs = [tau]
     if k % 2 == 1:
         rho = Involution.from_pairs(
-            "rho",
+            q, "rho",
             ((vid(i, j), vid(i + k, j)) for i in range(k) for j in range(1, n + 1)),
             ((aid(i, j), aid(i + k, j)) for i in range(k) for j in range(1, n + 1)),
         )
@@ -100,6 +100,6 @@ def make_d5hat():
         ],
     )
     inv = Involution.from_pairs(
-        "tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")], [("a1", "a5"), ("a2", "a4")]
+        q, "tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")], [("a1", "a5"), ("a2", "a4")]
     )
     return q, inv

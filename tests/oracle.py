@@ -169,9 +169,9 @@ def random_involution_quiver(rng, n):
                 apairs.append((arrow(i, j), arrow(i, j)))
             else:
                 arrow(i, j)  # fixed
-    tau = Involution.from_pairs("tau", [(v, vertices[n - 1 - i]) for i, v in enumerate(vertices)],
-                                apairs)
-    return Quiver(f"line{n}-{len(arrows)}", vertices, arrows), tau
+    q = Quiver(f"line{n}-{len(arrows)}", vertices, arrows)
+    vpairs = [(v, vertices[n - 1 - i]) for i, v in enumerate(vertices)]
+    return q, Involution.from_pairs(q, "tau", vpairs, apairs)
 
 
 def triple_flag(n):

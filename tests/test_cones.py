@@ -6,6 +6,7 @@ import pytest
 from quiver_cones import (
     DimVector,
     ExtTable,
+    Involution,
     Weight,
     antisym_basis,
     counts,
@@ -16,9 +17,11 @@ from quiver_cones import (
     member_antiinv,
     member_dw,
     member_inductive,
+    parse_quiver_file,
+    serialize_quiver,
+    tau_dim,
 )
 from quiver_cones.errors import (
-    DanglingEndpointError,
     NotAntiSymmetricError,
     NotSymmetricDimensionError,
 )
@@ -86,7 +89,7 @@ def test_member_antiinv_binds_sigma_and_checks_the_involution(d5hat, d5hat_table
     with pytest.raises(TypeError, match="expected a Weight, got a DimVector"):
         member_antiinv(d5hat_table, DimVector(q, ALPHA_BIG), s, inv)
     # Sun(6,1)'s tau names no D5-hat vertex: read as the identity, s looked not anti-symmetric
-    with pytest.raises(DanglingEndpointError):
+    with pytest.raises(ValueError, match="Involution bound to a different quiver"):
         member_antiinv(d5hat_table, s, DimVector(q, ALPHA_BIG), sun31[1][0])
 
 
@@ -101,7 +104,6 @@ def test_enumerate_I0_contains_trivial_pair(d5hat, d5hat_table):
     a = DimVector(q, ALPHA_BIG)
     betas = enumerate_I0(d5hat_table, a, inv)
     assert type(betas) is tuple and betas[0] == DimVector.zero(q)  # gamma = a
-    from quiver_cones import tau_dim
     for beta in betas:
         assert type(beta) is DimVector and beta + tau_dim(inv, beta) <= a  # gamma >= 0
 
@@ -119,28 +121,25 @@ def test_foreign_involution_rejected(d5hat, sun31):
     for call in (lambda: t.iso_pairs(a, tau),
                  lambda: counts(t, a, [tau]),
                  lambda: member_antiinv(t, Weight.zero(q), a, tau)):
-        with pytest.raises(DanglingEndpointError):
+        with pytest.raises(ValueError, match="Involution bound to a different quiver"):
             call()
 
 
-def test_member_antiinv_checks_tau_once_per_table(monkeypatch):
-    # an uncached check would add about 10 us to a warm query of about 26 us (D5-hat, Python 3.11)
-    import quiver_cones.quiver
-    import quiver_cones.schofield
-
-    q, inv = make_d5hat()
-    t, basis = ExtTable(q), antisym_basis(q, inv)
-    original, calls = quiver_cones.quiver.validate_involution, []
-
-    def spy(quiver, involution):
-        calls.append(involution)
-        return original(quiver, involution)
-
-    for module in (quiver_cones.quiver, quiver_cones.schofield):
-        monkeypatch.setattr(module, "validate_involution", spy)
+def test_each_involution_is_checked_once_when_made(monkeypatch):
+    # parsing checks tau; no later use (counts, 200 queries, a system, a basis, tau.a,
+    # a serialization) checks it again, where each once re-ran the check or a cache of it
+    made, tau = make_d5hat()
+    text = serialize_quiver(made, [tau])
+    check, calls = Involution.__post_init__, []
+    monkeypatch.setattr(Involution, "__post_init__", lambda inv: calls.append(inv) or check(inv))
+    q, (inv,) = parse_quiver_file(text)
+    t, a, basis = ExtTable(q), DimVector(q, ALPHA_BIG), antisym_basis(q, inv)
+    assert counts(t, a, [inv])[2] == [10]
     for k in range(200):
-        member_antiinv(t, basis.from_coords((k % 3 - 1, k % 5 - 2, k % 7 - 3)), ALPHA_BIG, inv)
-    assert calls == [inv]
+        member_antiinv(t, basis.from_coords((k % 3 - 1, k % 5 - 2, k % 7 - 3)), a, inv)
+    assert inequalities(t, a, "antiinv", inv=inv).coordinate_space == basis
+    assert tau_dim(inv, a) == a and serialize_quiver(q, [inv]) == text
+    assert len(calls) == 1 and calls[0] is inv and inv.quiver is q
 
 
 def test_inequalities_dw_a2(a2):
@@ -223,7 +222,6 @@ def test_membership_scale_invariance(d5hat, d5hat_table):
 
 def test_minus_tau_stability(d5hat, d5hat_table):
     import random
-    from quiver_cones import tau_dim
     q, inv = d5hat
     a = DimVector(q, ALPHA_BIG)
     rng = random.Random(23)
@@ -252,7 +250,7 @@ def test_antiinv_basis_must_match_quiver_and_involution(sun31, sun31_table, d5ha
         inequalities(sun31_table, alpha, "antiinv", inv=tau, representatives=("1.1", "4.1"))
     with pytest.raises(ValueError, match="cover each swapped orbit"):  # rho's representatives
         inequalities(sun31_table, alpha, "antiinv", inv=tau, representatives=("3.1", "4.1", "5.1"))
-    with pytest.raises(DanglingEndpointError):  # D5-hat's tau names no Sun(6,1) vertex
+    with pytest.raises(ValueError, match="Involution bound to a different quiver"):
         inequalities(sun31_table, alpha, "antiinv", inv=d5hat[1])
     system = inequalities(sun31_table, alpha, "antiinv", inv=tau, representatives=("1.1", "4.1", "5.1"))
     assert system == inequalities(sun31_table, alpha, "antiinv", inv=tau)

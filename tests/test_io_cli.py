@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from quiver_cones.errors import DanglingEndpointError, DuplicateIdError, QuiverF
 from quiver_cones.quiverfile import format_vector
 
 from goldens import D5HAT_TABLE
+from oracle import random_involution_quiver
 
 GOOD_FILE = """\
 # a tiny quiver
@@ -93,14 +95,37 @@ def test_roundtrip_all_zoo():
 
 
 def test_serialize_checks_each_involution(d5hat, sun31):
-    # written unchecked, the first is an empty block that parse refuses, and the
-    # second drops its y <-> z pair and parses back as a different involution
+    # written unbound, the first is an empty block that parse refuses; the second,
+    # which would drop its y <-> z pair and parse back as another involution, cannot be made
     (q, tau), (_, (sun_tau, _)) = d5hat, sun31
-    grown = Involution.from_pairs("tau", list(tau.vmap.items()) + [("y", "z")], tau.amap.items())
-    for inv in (sun_tau, grown):
-        with pytest.raises(DanglingEndpointError, match="vmap mentions unknown vertex"):
-            serialize_quiver(q, [tau, inv])
+    with pytest.raises(ValueError, match="Involution bound to a different quiver"):
+        serialize_quiver(q, [tau, sun_tau])
+    with pytest.raises(DanglingEndpointError, match="vmap mentions unknown vertex"):
+        Involution.from_pairs(q, "tau", list(tau.vmap.items()) + [("y", "z")], tau.amap.items())
     assert serialize_quiver(q, [tau]) == D5HAT_FILE
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_involution_quivers_round_trip(seed):
+    rng = random.Random(seed)  # the quivers of the random cone-equality test
+    q, tau = random_involution_quiver(rng, rng.randint(4, 9))
+    assert parse_quiver_file(serialize_quiver(q, [tau])) == (q, [tau])
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("quiver q\nvertices a,b c=d\n", "vertex id 'a,b'"),
+    ("quiver q\nvertices a b\narrow a=b a b\n", "arrow id 'a=b'"),
+    ("quiver q,1\nvertices a\n", "quiver name 'q,1'"),
+    ("quiver q\nvertices a b\ninvolution t=u\nvmap a b\n", "involution name 't=u'"),
+], ids=["vertex", "arrow", "quiver", "involution"])
+def test_parse_refuses_ids_no_literal_can_name(tmp_path, text, bad):
+    # --alpha a,b=1 once read 'a' as a bad assignment, and format_vector wrote a,b=1,c=d=2
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        parse_quiver_file(text)
+    path = tmp_path / "bad.quiver"
+    path.write_text(text)
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "") and bad in err
 
 
 def test_two_involution_blocks(sunfile):
@@ -280,6 +305,40 @@ def test_cli_reads_each_orbit_option_it_is_given(d5file, command):
     argv = command[:1] + [d5file, "--alpha", EXAMPLE1_ALPHA] + command[1:]
     code, out, err = run_cli(argv)
     assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("command", [
+    ["inequalities", "--method", "antiinv"],
+    ["reduce", "--method", "antiinv", "--coords"],
+    ["member", "--method", "antiinv", "--coords", "0,0,-1"],
+    ["disc", "--coords", "0,0,-1"],
+], ids=["inequalities", "reduce", "member", "disc"])
+def test_cli_empty_representatives_exit_2(d5file, command):
+    # an empty list once fell back to the default representatives and answered
+    argv = command[:1] + [d5file, "--alpha", EXAMPLE1_ALPHA] + command[1:]
+    code, out, err = run_cli(argv + ["--representatives", ""])
+    assert (code, out, err) == (2, "", "error: '' is not in a swapped orbit\n")
+
+
+@pytest.mark.parametrize("quiver, argv, checks", [
+    ("d5file", ["counts", "--alpha", "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2", "--involution", "tau"], 1),
+    ("d5file", ["member", "--method", "antiinv", "--coords", "0,0,-1"], 1),
+    ("d5file", ["inequalities", "--method", "antiinv"], 1),
+    ("d5file", ["reduce", "--method", "antiinv"], 1),
+    ("sunfile", ["counts", "--alpha", "0.1=2,1.1=2,2.1=2,3.1=2,4.1=2,5.1=2",
+                 "--involution", "tau", "--involution", "rho"], 2),
+], ids=["counts", "member", "inequalities", "reduce", "sun-counts"])
+def test_cli_checks_each_involution_once(monkeypatch, request, quiver, argv, checks):
+    # each involution is checked when the parser makes it, bound to the parsed quiver;
+    # a basis, a table read or a query once checked it again (2, 3, 3, 3 and 4 checks)
+    path = request.getfixturevalue(quiver)
+    if "--alpha" not in argv:
+        argv = argv + ["--alpha", EXAMPLE1_ALPHA]
+    check, made = Involution.__post_init__, []
+    monkeypatch.setattr(Involution, "__post_init__", lambda inv: made.append(inv) or check(inv))
+    code, out, _ = run_cli(argv[:1] + [path] + argv[1:])
+    assert code == 0 and out
+    assert len(made) == checks and len({id(inv.quiver) for inv in made}) == 1
 
 
 def test_cli_member_sigma(d5file):

@@ -20,7 +20,6 @@ from quiver_cones import (
     parse_quiver_file,
     serialize_quiver,
     tau_dim,
-    validate_involution,
     validate_quiver,
     weight_eval,
 )
@@ -68,24 +67,25 @@ def test_unknown_tail():
 def test_d5hat_valid(d5hat):
     q, inv = d5hat
     assert len(q.vertices) == 6 and len(q.arrows) == 5
-    validate_involution(q, inv)
+    assert inv.quiver is q and inv.perm == (5, 4, 3, 2, 1, 0)
 
 
 def test_alternative_d5hat_involution_also_validates(d5hat):
     # the other involution of the same quiver, isomorphic to the shipped one
     q, _ = d5hat
     other = Involution(
+        q,
         "tau2",
         {"x1": "x5", "x5": "x1", "x3": "x4", "x4": "x3", "x2": "x6", "x6": "x2"},
         {"a1": "a4", "a4": "a1", "a2": "a5", "a5": "a2"},
     )
-    validate_involution(q, other)
+    assert other.perm == (4, 5, 3, 2, 0, 1)
 
 
 def test_identity_involution_fails_on_a2(a2):
     q, _ = a2
     with pytest.raises(AxiomViolationError):
-        validate_involution(q, Involution("id", {}, {}))
+        Involution(q, "id", {}, {})
 
 
 def test_involution_must_send_heads_to_tails():
@@ -93,14 +93,14 @@ def test_involution_must_send_heads_to_tails():
     q = Quiver("P3", ["x", "y", "z"], [("a", "x", "y"), ("b", "z", "x")])
     message = re.escape("tail('b')='z' != vmap(head('a'))='y'")
     with pytest.raises(AxiomViolationError, match=message) as exc:
-        validate_involution(q, Involution("t", {}, {"a": "b", "b": "a"}))
+        Involution(q, "t", {}, {"a": "b", "b": "a"})
     assert exc.value.arrow == "a"
 
 
 def test_from_pairs_takes_either_order_and_drops_fixed_points(d5hat):
     q, inv = d5hat
     listed = Involution.from_pairs(
-        "tau",
+        q, "tau",
         [("x6", "x1"), ("x2", "x5"), ("x4", "x3"), ("x2", "x2")],
         [("a5", "a1"), ("a2", "a4"), ("a3", "a3"), ("a4", "a2")],
     )
@@ -130,13 +130,11 @@ def test_involution_maps_are_read_only():
 
 def test_conflicting_pairs_are_not_self_inverse(d5hat):
     q, _ = d5hat
-    inv = Involution.from_pairs("tau", [("x1", "x6"), ("x1", "x5"), ("x3", "x4")], [])
     with pytest.raises(NotSelfInverseError, match="vmap is not self-inverse"):
-        validate_involution(q, inv)
-    inv = Involution.from_pairs("tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")],
-                                [("a1", "a5"), ("a1", "a4")])
+        Involution.from_pairs(q, "tau", [("x1", "x6"), ("x1", "x5"), ("x3", "x4")], [])
     with pytest.raises(NotSelfInverseError, match="amap is not self-inverse"):
-        validate_involution(q, inv)
+        Involution.from_pairs(q, "tau", [("x1", "x6"), ("x2", "x5"), ("x3", "x4")],
+                              [("a1", "a5"), ("a1", "a4")])
 
 
 @pytest.mark.parametrize("vmap, amap, message", [
@@ -148,13 +146,32 @@ def test_conflicting_pairs_are_not_self_inverse(d5hat):
 def test_involution_map_faults_keep_their_messages(d5hat, vmap, amap, message):
     q, _ = d5hat
     with pytest.raises((DanglingEndpointError, NotSelfInverseError)) as exc:
-        validate_involution(q, Involution("bad", vmap, amap))
+        Involution(q, "bad", vmap, amap)
     assert str(exc.value) == message
 
 
 def test_theta2_swap_involution(theta2):
     q, inv = theta2
-    validate_involution(q, inv)  # swap of endpoints, arrows fixed
+    assert inv.perm == (1, 0) and not inv.amap  # swap of endpoints, arrows fixed
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: Quiver("q#1", ["x"], []), "quiver name 'q#1'"),
+    (lambda: Quiver("q", ["a", "b#1"], [("a1", "a", "b#1")]), "vertex id 'b#1'"),
+    (lambda: Involution(Quiver("q", ["x"], []), "t#u", {}, {}), "involution name 't#u'"),
+    (lambda: Quiver("my quiver", ["x"], []), "quiver name 'my quiver'"),
+    (lambda: Involution(Quiver("q", ["x"], []), "t u", {}, {}), "involution name 't u'"),
+    (lambda: Quiver("q", ["a", "b", "c=d"], []), "vertex id 'c=d'"),
+    (lambda: Quiver("q", ["x", "y"], [("a,1", "x", "y")]), "arrow id 'a,1'"),
+    (lambda: Quiver("q", [1], []), "vertex id 1"),
+    (lambda: Quiver("", ["x"], []), "quiver name ''"),
+], ids=["hash-name", "hash-vertex", "hash-involution", "space-name", "space-involution",
+        "equals-vertex", "comma-arrow", "int-vertex", "empty-name"])
+def test_ids_the_quiver_file_cannot_carry_are_refused(make, bad):
+    # each once wrote a file that parsed back as another quiver, or that the parser
+    # refused, or (an int id) raised a bare TypeError in serialize_quiver
+    with pytest.raises(ValueError, match=re.escape(bad) + " must be a non-empty str"):
+        make()
 
 
 def test_euler_form_a2(a2):
@@ -234,7 +251,7 @@ def test_tau_rejects_a_foreign_involution(d5hat, sun31):
     # D5-hat's tau names no Sun(6,1) vertex; read as the identity, it returned a unchanged
     (_, tau), (q, _) = d5hat, sun31
     for vector in (DimVector(q, (1, 2, 3, 4, 5, 6)), Weight(q, (1, -2, 3, -4, 5, -6))):
-        with pytest.raises(DanglingEndpointError):
+        with pytest.raises(ValueError, match="Involution bound to a different quiver"):
             tau_dim(tau, vector)
 
 

@@ -1,13 +1,13 @@
 import pytest
 
 from quiver_cones import (
+    Involution,
     make_d5hat,
     make_kronecker,
     make_line,
     make_sun,
     parse_quiver_file,
     serialize_quiver,
-    validate_involution,
 )
 from quiver_cones.errors import BadParameterError
 
@@ -105,12 +105,12 @@ def test_involutions_equal_their_parsed_serialization(make):
     assert q2 == q and invs2 == invs  # name, vmap and amap each
 
 
-def test_every_zoo_involution_satisfies_the_axioms():
-    # the constructors do not check their involutions; each consumer checks one where it is used
-    checked = 0
+def test_every_zoo_involution_satisfies_the_axioms(monkeypatch):
+    # each involution is checked when it is made, bound to the quiver made with it
+    made, check = [], Involution.__post_init__
+    monkeypatch.setattr(Involution, "__post_init__", lambda inv: check(inv) or made.append(inv))
     for _, make in FAMILIES:
         q, invs = make()
         for inv in invs if isinstance(invs, list) else [invs]:
-            validate_involution(q, inv)
-            checked += 1
-    assert checked == 40
+            assert inv.quiver is q and any(inv is m for m in made)
+    assert len(made) == 40
