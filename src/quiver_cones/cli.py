@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 mathematical rejection (not-member), 2 usage or
-validation error.  Output is deterministic: TSV rows, canonical vertex order,
-no timestamps.
+validation error, 141 stdout closed by its reader.  Output is deterministic:
+TSV rows, canonical vertex order, no timestamps.
 """
 
 import argparse
@@ -215,10 +215,16 @@ def main(argv=None):
     try:
         _worker_cap()  # computations run single-threaded; the cap is validated only
         if args.command == "zoo":
-            return cmd_zoo(args)
-        with open(args.file, encoding="utf-8") as fh:
-            q, involutions = parse_quiver_file(fh.read())
-        return args.fn(q, involutions, args)
+            code = cmd_zoo(args)
+        else:
+            with open(args.file, encoding="utf-8") as fh:
+                q, involutions = parse_quiver_file(fh.read())
+            code = args.fn(q, involutions, args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does: exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (QuiverConesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

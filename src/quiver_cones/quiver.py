@@ -10,6 +10,7 @@ ValueOverflowError instead of wrapping.
 
 import operator
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
 
 from .errors import (
@@ -33,9 +34,11 @@ def _check64(n):
 
 @dataclass(frozen=True)
 class Quiver:
-    """Immutable acyclic directed multigraph.
+    """Immutable acyclic directed multigraph, checked once, when made.
 
-    arrows is a tuple of (arrow id, tail vertex, head vertex).
+    arrows is a tuple of (arrow id, tail vertex, head vertex).  _order holds
+    the vertices in the topological order that check found (every tail
+    before its head); _vindex maps each vertex to its declaration index.
     """
 
     name: str
@@ -45,7 +48,7 @@ class Quiver:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "arrows", tuple(tuple(a) for a in self.arrows))
-        validate_quiver(self)
+        object.__setattr__(self, "_order", validate_quiver(self))
         object.__setattr__(
             self, "_vindex", {v: i for i, v in enumerate(self.vertices)}
         )
@@ -65,55 +68,26 @@ def _check_id(what, x):
 
 
 def validate_quiver(q):
-    """Check ids, their uniqueness, endpoint declarations and acyclicity."""
+    """Check ids, their uniqueness, endpoint declarations and acyclicity; return
+    the vertices in a topological order (every tail before its head)."""
     _check_id("quiver name", q.name)
-    seen = set()
-    for v in q.vertices:
-        _check_id("vertex id", v)
-        if v in seen:
-            raise DuplicateIdError(f"duplicate vertex id {v!r}")
-        seen.add(v)
-    vset = seen
-    seen = set()
+    for what, ids in (("vertex", q.vertices), ("arrow", q.arrow_ids)):
+        seen = set()
+        for x in ids:
+            _check_id(f"{what} id", x)
+            if x in seen:
+                raise DuplicateIdError(f"duplicate {what} id {x!r}")
+            seen.add(x)
+    tails = {v: [] for v in q.vertices}
     for a, t, h in q.arrows:
-        _check_id("arrow id", a)
-        if a in seen:
-            raise DuplicateIdError(f"duplicate arrow id {a!r}")
-        seen.add(a)
-        if t not in vset:
-            raise DanglingEndpointError(f"arrow {a!r}: unknown tail {t!r}")
-        if h not in vset:
-            raise DanglingEndpointError(f"arrow {a!r}: unknown head {h!r}")
-    _topological_order(q)
-
-
-def _topological_order(q):
-    """Kahn's algorithm; raises OrientedCycleError with a witness cycle."""
-    succ = {v: [] for v in q.vertices}
-    indeg = {v: 0 for v in q.vertices}
-    for _, t, h in q.arrows:
-        succ[t].append(h)
-        indeg[h] += 1
-    queue = [v for v in q.vertices if indeg[v] == 0]
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) < len(q.vertices):
-        remaining = {v for v in q.vertices if indeg[v] > 0}
-        # walk successors inside the remaining set until a vertex repeats
-        v = next(iter(sorted(remaining)))
-        path, pos = [], {}
-        while v not in pos:
-            pos[v] = len(path)
-            path.append(v)
-            v = next(w for w in succ[v] if w in remaining)
-        raise OrientedCycleError(path[pos[v]:] + [v])
-    return order
+        for end, v in (("tail", t), ("head", h)):
+            if v not in tails:
+                raise DanglingEndpointError(f"arrow {a!r}: unknown {end} {v!r}")
+        tails[h].append(t)
+    try:
+        return tuple(TopologicalSorter(tails).static_order())
+    except CycleError as exc:  # args[1] follows the arrows and repeats its first vertex
+        raise OrientedCycleError(exc.args[1]) from None
 
 
 class _VertexVector:

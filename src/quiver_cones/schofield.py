@@ -37,8 +37,7 @@ import math
 import numpy as np
 
 from .errors import DimensionTooLargeError, NotSymmetricDimensionError, ValueOverflowError
-from .quiver import DimVector, Weight, euler_form, weight_eval
-from .quiver import _topological_order, _VertexVector
+from .quiver import DimVector, Weight, _VertexVector, euler_form, weight_eval
 
 # largest entry of a dimension vector or weight passed in (see _check_int64)
 _ENTRY_BOUND = 2**20
@@ -131,7 +130,7 @@ class ExtTable:
         self._multiplicity = -int(E.min(initial=0))
         # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
         # head-closed vertex set holding v, column v the least tail-closed one
-        pos = {v: i for i, v in enumerate(_topological_order(quiver))}
+        pos = {v: i for i, v in enumerate(quiver._order)}
         self._reach = np.eye(n, dtype=np.int64)
         for t, h in sorted({(t, h) for _, t, h in quiver.arrows}, key=lambda e: -pos[e[0]]):
             self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, every
+absolute import is the standard library or numpy, and every module parses as
+the oldest Python that pyproject.toml supports."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,19 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_numpy_is_the_only_runtime_dependency(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    absolute = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert sorted(absolute - set(sys.stdlib_module_names) - {"numpy"}) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_sources_parse_as_the_oldest_supported_python(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))

@@ -629,6 +629,29 @@ def test_cli_process_exit_codes(d5file):
         assert done.returncode == code, (argv, done.stderr)
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_cli_exits_141_quietly_when_its_reader_closed_stdout(d5file, unbuffered):
+    # as `| head` does; a missing quiver file is still a validation error
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quiver_cones.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    missing = d5file + ".missing"
+    calls = [(["inequalities", d5file, "--alpha", EXAMPLE1_ALPHA, "--method", "dw"], 141, ""),
+             (["validate", d5file], 141, ""),
+             (["validate", missing], 2, f"error: [Errno 2] No such file or directory: {missing!r}\n")]
+    for argv, code, err in calls:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "quiver_cones.cli"] + argv, env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, err), argv
+
+
 def test_cli_commands_leave_numpy_ma_unimported(d5file):
     # numpy imports numpy.ma lazily (np.unique does, for one); the import costs about
     # 1 MiB of peak RSS, a few percent of a small run's

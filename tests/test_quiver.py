@@ -1,4 +1,6 @@
+import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from quiver_cones import (
     validate_quiver,
     weight_eval,
 )
+from quiver_cones.cli import main
 from quiver_cones.errors import (
     AxiomViolationError,
     DanglingEndpointError,
@@ -62,6 +65,49 @@ def test_dangling_endpoint():
 def test_unknown_tail():
     with pytest.raises(DanglingEndpointError, match="arrow 'a': unknown tail 'zz'"):
         Quiver("bad", ["x"], [("a", "zz", "x")])
+
+
+# quivers with oriented cycles: (vertices, arrows)
+CYCLIC = {
+    "two-cycle": (["x", "y"], [("a", "x", "y"), ("b", "y", "x")]),
+    "self-loop": (["x"], [("a", "x", "x")]),
+    "three-cycle-behind-prefix": (["p", "q", "x", "y", "z"],
+                                  [("a", "p", "q"), ("b", "q", "x"), ("c", "x", "y"),
+                                   ("d", "y", "z"), ("e", "z", "x")]),
+    "two-disjoint-two-cycles": (["x", "y", "u", "w"],
+                                [("a", "x", "y"), ("b", "y", "x"), ("c", "u", "w"),
+                                 ("d", "w", "u")]),
+    "parallel-arrows": (["s", "t"], [("a1", "s", "t"), ("a2", "s", "t"), ("b", "t", "s")]),
+}
+
+
+@pytest.mark.parametrize("name", CYCLIC)
+def test_cycle_witness_follows_the_arrows(name, tmp_path):
+    vertices, arrows = CYCLIC[name]
+    with pytest.raises(OrientedCycleError) as exc:
+        Quiver("C", vertices, arrows)
+    cycle = exc.value.cycle
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+    edges = {(t, h) for _, t, h in arrows}
+    assert all(pair in edges for pair in zip(cycle, cycle[1:])), cycle
+    path = tmp_path / "cyclic.quiver"
+    path.write_text(f"quiver C\nvertices {' '.join(vertices)}\n" +
+                    "".join(f"arrow {a} {t} {h}\n" for a, t, h in arrows))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: oriented cycle: {' -> '.join(cycle)}\n"
+
+
+def test_duplicate_arrow_id_is_reported_before_an_unknown_head():
+    with pytest.raises(DuplicateIdError, match="duplicate arrow id 'a'"):
+        Quiver("bad", ["x", "y"], [("a", "x", "zz"), ("a", "x", "y")])
+
+
+def test_validate_quiver_returns_the_order_the_quiver_keeps(d5hat):
+    q, _ = d5hat
+    assert validate_quiver(q) == q._order
 
 
 def test_d5hat_valid(d5hat):

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import quiver_cones.quiver as quiver_module
 from quiver_cones import (
     DimVector,
     ExtTable,
@@ -29,6 +30,7 @@ from quiver_cones.errors import DimensionTooLargeError, ValueOverflowError
 import reference_schofield as ref
 import reference_table
 from goldens import D5HAT_TABLE, SUN61_TABLE, SUN62_ROW
+from oracle import triple_flag
 
 
 def _listed(quiver_and_involution):
@@ -455,3 +457,68 @@ def test_keys_are_shared_across_roots(d5hat):
         assert [b.values for b in shared.generic_subdims(a)] == oracle.generic_subdims(a)
     assert [b.values for b in shared.generic_subdims((2, 2, 2, 2, 2, 2))] == \
         [b.values for b in ExtTable(q).generic_subdims(DimVector(q, (2,) * 6))]
+
+
+def _quivers_with_orders():
+    """Every zoo family, the triple-flag quivers and the seeded random quivers above."""
+    yield from (make_line(n)[0] for n in range(1, 6))
+    yield from (make_kronecker(n)[0] for n in range(1, 4))
+    yield from (make_sun(k, n)[0] for k in range(2, 5) for n in range(1, 4))
+    yield make_d5hat()[0]
+    yield from (triple_flag(n)[0] for n in (3, 4))
+    for seed in range(6):
+        yield _random_acyclic_quiver(random.Random(f"random-quiver:{seed}"), seed)
+        yield _wide_shallow_quiver(random.Random(f"wide-shallow:{seed}"), seed)
+
+
+@pytest.mark.parametrize("q", _quivers_with_orders(), ids=lambda q: q.name)
+def test_quiver_keeps_a_topological_order(q):
+    pos = {v: i for i, v in enumerate(q._order)}
+    assert sorted(pos) == sorted(q.vertices) and len(q._order) == len(q.vertices)
+    assert all(pos[t] < pos[h] for _, t, h in q.arrows)
+
+
+@pytest.mark.parametrize("q", _quivers_with_orders(), ids=lambda q: q.name)
+def test_reach_is_the_transitive_closure(q):
+    # against a naive transitive closure (Floyd-Warshall)
+    n, idx = len(q.vertices), q.vertex_index
+    reach = np.eye(n, dtype=bool)
+    for _, t, h in q.arrows:
+        reach[idx(t), idx(h)] = True
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k])
+    assert (ExtTable(q)._reach == reach).all()
+
+
+def _count_sorts(monkeypatch):
+    made = []
+
+    class Spy(quiver_module.TopologicalSorter):
+        def __init__(self, graph):
+            made.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(quiver_module, "TopologicalSorter", Spy)
+    return made
+
+
+def test_a_quiver_is_sorted_once_and_its_tables_not_again(monkeypatch):
+    made = _count_sorts(monkeypatch)
+    q, inv = make_d5hat()
+    counts(ExtTable(q), DimVector(q, (2, 3, 4, 4, 3, 2)), [inv])
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["counts", "--involution", "tau"],
+    ["member", "--method", "antiinv", "--coords", "1,0,-1"],
+])
+def test_cli_commands_sort_the_quiver_once(command, tmp_path, monkeypatch):
+    q, inv = make_d5hat()
+    path = tmp_path / "d5hat.quiver"
+    path.write_text(serialize_quiver(q, [inv]))
+    made = _count_sorts(monkeypatch)
+    argv = [command[0], str(path), "--alpha", "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2"] + command[1:]
+    code, _, err = _run_cli(argv)
+    assert code in (0, 1), err
+    assert len(made) == 1
