@@ -54,42 +54,30 @@ def _weight(q, involutions, args, reads_tau=False):
     return antisym_basis(q, inv, reps).from_coords(int(c) for c in args.coords.split(",")), inv
 
 
-def _worker_cap():
-    raw = os.environ.get("QUIVER_CONES_THREADS")
-    if raw is None:
-        return None
-    cap = int(raw)
-    if cap < 1:
-        raise QuiverConesError("QUIVER_CONES_THREADS must be >= 1")
-    return cap
-
-
-def cmd_validate(q, involutions, args):
+def cmd_validate(t, involutions, args):
     # the parser has validated the quiver and each involution
+    q = t.quiver
     print(f"ok {q.name} vertices={len(q.vertices)} arrows={len(q.arrows)} "
           f"involutions={len(involutions)}")
     return 0
 
 
-def cmd_pair(q, involutions, args):
+def cmd_pair(t, involutions, args):
     """euler, ext, hom, subdim: one operation on two dimension vectors."""
-    t = ExtTable(q)
-    x, y = (parse_dim_vector(q, getattr(args, name)) for name in args.vectors)
+    x, y = (parse_dim_vector(t.quiver, getattr(args, name)) for name in args.vectors)
     print(args.op(t, x, y))
     return 0
 
 
-def cmd_disc(q, involutions, args):
-    t = ExtTable(q)
-    s, _ = _weight(q, involutions, args)
-    print(t.disc(parse_dim_vector(q, args.alpha), s))
+def cmd_disc(t, involutions, args):
+    s, _ = _weight(t.quiver, involutions, args)
+    print(t.disc(parse_dim_vector(t.quiver, args.alpha), s))
     return 0
 
 
-def cmd_member(q, involutions, args):
-    t = ExtTable(q)
-    a = parse_dim_vector(q, args.alpha)
-    s, inv = _weight(q, involutions, args, args.method == "antiinv")
+def cmd_member(t, involutions, args):
+    a = parse_dim_vector(t.quiver, args.alpha)
+    s, inv = _weight(t.quiver, involutions, args, args.method == "antiinv")
     if args.method == "antiinv":
         res = member_antiinv(t, s, a, inv)
     else:
@@ -104,13 +92,12 @@ def cmd_member(q, involutions, args):
     return 1
 
 
-def cmd_system(q, involutions, args):
+def cmd_system(t, involutions, args):
     """inequalities and reduce: the system of one method, reduced for reduce."""
     if args.coords and args.method != "antiinv":
         raise QuiverConesError("--coords requires an antiinv system")
     inv, reps = _orbit_options(involutions, args, args.method == "antiinv")
-    t = ExtTable(q)
-    a = parse_dim_vector(q, args.alpha)
+    a = parse_dim_vector(t.quiver, args.alpha)
     if args.command == "reduce" and args.method != "antiinv":
         check_ambient_dim(a.values)  # before the table is built
     system = inequalities(t, a, args.method, inv=inv, representatives=reps)
@@ -125,10 +112,9 @@ def cmd_system(q, involutions, args):
     return 0
 
 
-def cmd_counts(q, involutions, args):
+def cmd_counts(t, involutions, args):
     """One TSV line per --alpha, in the order given, all read from one table."""
-    t = ExtTable(q)
-    alphas = [parse_dim_vector(q, alpha) for alpha in args.alpha]
+    alphas = [parse_dim_vector(t.quiver, alpha) for alpha in args.alpha]
     invs = [_pick_involution(involutions, name) for name in args.involution or []]
     for a in alphas:
         n1, n2, n3s = counts(t, a, invs)
@@ -143,7 +129,7 @@ def cmd_zoo(args):
     return 0
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quiver-cones",
         description="Semi-invariant weight cones of acyclic quivers, exactly.",
@@ -210,16 +196,25 @@ def build_parser():
     return parser
 
 
+PARSER = _build_parser()  # argparse parsers can be reused: one per process
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        _worker_cap()  # computations run single-threaded; the cap is validated only
-        if args.command == "zoo":
-            code = cmd_zoo(args)
+        try:
+            args = PARSER.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed --help or a usage error
+            code = exc.code
         else:
-            with open(args.file, encoding="utf-8") as fh:
-                q, involutions = parse_quiver_file(fh.read())
-            code = args.fn(q, involutions, args)
+            threads = os.environ.get("QUIVER_CONES_THREADS", "1")  # validated only: one thread runs
+            if not threads.strip().isdecimal() or int(threads) < 1:
+                raise QuiverConesError("QUIVER_CONES_THREADS must be >= 1")
+            if args.command == "zoo":
+                code = cmd_zoo(args)
+            else:
+                with open(args.file, encoding="utf-8") as fh:
+                    q, involutions = parse_quiver_file(fh.read())
+                code = args.fn(ExtTable(q), involutions, args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader closed stdout, as `| head` does: exit as SIGPIPE would

@@ -1,14 +1,6 @@
 """Line-oriented text format for quivers and involutions, plus vector literals.
 
-Format::
-
-    quiver <name>
-    vertices <id> <id> ...
-    arrow <id> <tail> <head>
-    involution <name>
-    vmap <x> <y>
-    amap <a> <b>
-
+A quiver file holds one directive a line, in the forms that _USAGE lists.
 '#' starts a comment, blank lines are ignored.  vmap/amap pairs may be listed
 in either direction; fixed points may be listed as 'vmap x x' or omitted.
 Vector literals are comma-separated 'vertex=value' assignments with omitted
@@ -18,49 +10,50 @@ vertices defaulting to 0; the zero vector may also be written '0'.
 from .errors import DuplicateIdError, QuiverFileSyntaxError
 from .quiver import DimVector, Involution, Quiver, Weight
 
+# each directive's usage: one field per <...>, and any number more after '...'
+_USAGE = {usage.split()[0]: usage for usage in (
+    "quiver <name>",
+    "vertices <id>...",
+    "arrow <id> <tail> <head>",
+    "involution <name>",
+    "vmap <x> <y>",
+    "amap <x> <y>",
+)}
+
 
 def parse_quiver_file(text):
     """Parse a quiver file into (Quiver, list of validated Involutions)."""
     name = None
     vertices = []
     arrows = []
-    inv_blocks = []  # (name, vmap pairs, amap pairs)
-    current = None
+    inv_blocks = []  # (name, vmap pairs, amap pairs); the open block is the last
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kw, args = fields[0], fields[1:]
+        kw, *args = line.split()
+        usage = _USAGE.get(kw)
+        if usage is None:
+            raise QuiverFileSyntaxError(line_no, f"unknown directive {kw!r}")
+        if kw in ("vmap", "amap") and not inv_blocks:
+            raise QuiverFileSyntaxError(line_no, f"{kw} outside an involution block")
+        arity = usage.count("<")
+        if len(args) < arity or (len(args) > arity and not usage.endswith("...")):
+            raise QuiverFileSyntaxError(line_no, f"expected: {usage}")
         if kw == "quiver":
-            if len(args) != 1:
-                raise QuiverFileSyntaxError(line_no, "expected: quiver <name>")
             if name is not None:
                 raise QuiverFileSyntaxError(line_no, "duplicate quiver line")
             name = args[0]
         elif kw == "vertices":
-            if not args:
-                raise QuiverFileSyntaxError(line_no, "expected: vertices <id>...")
             vertices.extend(args)
         elif kw == "arrow":
-            if len(args) != 3:
-                raise QuiverFileSyntaxError(line_no, "expected: arrow <id> <tail> <head>")
             arrows.append(tuple(args))
         elif kw == "involution":
-            if len(args) != 1:
-                raise QuiverFileSyntaxError(line_no, "expected: involution <name>")
             if any(block[0] == args[0] for block in inv_blocks):
                 raise DuplicateIdError(f"line {line_no}: duplicate involution name {args[0]!r}")
-            current = (args[0], [], [])
-            inv_blocks.append(current)
-        elif kw in ("vmap", "amap"):
-            if current is None:
-                raise QuiverFileSyntaxError(line_no, f"{kw} outside an involution block")
-            if len(args) != 2:
-                raise QuiverFileSyntaxError(line_no, f"expected: {kw} <x> <y>")
-            current[1 if kw == "vmap" else 2].append(tuple(args))
+            inv_blocks.append((args[0], [], []))
         else:
-            raise QuiverFileSyntaxError(line_no, f"unknown directive {kw!r}")
+            inv_blocks[-1][1 if kw == "vmap" else 2].append(tuple(args))
     if name is None:
         raise QuiverFileSyntaxError(0, "missing quiver line")
     q = Quiver(name, vertices, arrows)
@@ -69,7 +62,9 @@ def parse_quiver_file(text):
 
 def serialize_quiver(q, involutions=()):
     """Deterministic textual form, each involution bound to q; parse inverts it."""
-    lines = [f"quiver {q.name}", "vertices " + " ".join(q.vertices)]
+    lines = [f"quiver {q.name}"]
+    if q.vertices:  # the parser refuses a vertices line with no id
+        lines.append("vertices " + " ".join(q.vertices))
     for a, t, h in q.arrows:
         lines.append(f"arrow {a} {t} {h}")
     for inv in involutions:

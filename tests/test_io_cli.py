@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 import quiver_cones
 from quiver_cones import (
     Involution,
+    Quiver,
     make_d5hat,
     make_kronecker,
     make_line,
@@ -92,6 +94,10 @@ def test_roundtrip_all_zoo():
     text = serialize_quiver(q, invs)
     q2, invs2 = parse_quiver_file(text)
     assert serialize_quiver(q2, invs2) == text
+    # the empty quiver writes no vertices line, which the parser would refuse
+    empty = Quiver("E", [], [])
+    assert serialize_quiver(empty) == "quiver E\n"
+    assert parse_quiver_file(serialize_quiver(empty)) == (empty, [])
 
 
 def test_serialize_checks_each_involution(d5hat, sun31):
@@ -154,22 +160,27 @@ def test_public_names_resolve():
 
 def test_syntax_errors_carry_line_numbers():
     cases = [
-        ("vertices x\n", 0),        # missing quiver line -> reported as line 0
-        ("quiver q\nquiver r\n", 2),
-        ("quiver q\narrow a x\n", 2),
-        ("quiver q\nvmap x y\n", 2),
-        ("quiver q\nbogus\n", 2),
-        ("quiver\n", 1),
-        ("quiver q r\n", 1),
-        ("quiver q\nvertices\n", 2),
-        ("quiver q\ninvolution\n", 2),
-        ("quiver q\nvertices x\ninvolution t\nvmap x\n", 4),
-        ("quiver q\nvertices x\ninvolution t\namap a b c\n", 4),
+        ("vertices x\n", 0, "missing quiver line"),  # reported as line 0
+        ("quiver q\nquiver r\n", 2, "duplicate quiver line"),
+        ("quiver q\narrow a x\n", 2, "expected: arrow <id> <tail> <head>"),
+        ("quiver q\nvmap x y\n", 2, "vmap outside an involution block"),
+        ("quiver q\nbogus\n", 2, "unknown directive 'bogus'"),
+        ("quiver\n", 1, "expected: quiver <name>"),
+        ("quiver q r\n", 1, "expected: quiver <name>"),
+        ("quiver q\nvertices\n", 2, "expected: vertices <id>..."),
+        ("quiver q\ninvolution\n", 2, "expected: involution <name>"),
+        ("quiver q\nvertices x\ninvolution t\nvmap x\n", 4, "expected: vmap <x> <y>"),
+        ("quiver q\nvertices x\ninvolution t\namap a b c\n", 4, "expected: amap <x> <y>"),
+        # the checks run in this order: directive, block, arity, duplicate
+        ("quiver q\namap a\n", 2, "amap outside an involution block"),
+        ("quiver q\nquiver\n", 2, "expected: quiver <name>"),
+        ("quiver q\ninvolution t\ninvolution t u\n", 3, "expected: involution <name>"),
+        ("quiver q\nbogus\nquiver r\n", 2, "unknown directive 'bogus'"),
     ]
-    for text, line_no in cases:
+    for text, line_no, message in cases:
         with pytest.raises(QuiverFileSyntaxError) as exc:
             parse_quiver_file(text)
-        assert exc.value.line_no == line_no
+        assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
 
 
 def test_vector_literals():
@@ -528,9 +539,10 @@ def test_cli_thread_cap_env(monkeypatch, d5file):
     monkeypatch.setenv("QUIVER_CONES_THREADS", "2")
     code, out, _ = run_cli(["euler", d5file, "--a", "x1=1", "--b", "x1=1"])
     assert (code, out.strip()) == (0, "1")
-    monkeypatch.setenv("QUIVER_CONES_THREADS", "0")
-    code, _, err = run_cli(["euler", d5file, "--a", "x1=1", "--b", "x1=1"])
-    assert code == 2 and "error:" in err
+    for bad in ("0", "abc"):  # "abc" once printed int()'s message, which names no variable
+        monkeypatch.setenv("QUIVER_CONES_THREADS", bad)
+        code, out, err = run_cli(["euler", d5file, "--a", "x1=1", "--b", "x1=1"])
+        assert (code, out, err) == (2, "", "error: QUIVER_CONES_THREADS must be >= 1\n")
 
 
 SMALL_ALPHA = "x1=1,x2=2,x3=3,x4=3,x5=2,x6=1"
@@ -623,7 +635,8 @@ def test_cli_process_exit_codes(d5file):
     env = dict(os.environ, PYTHONPATH=src)
     member = ["member", d5file, "--alpha", EXAMPLE1_ALPHA, "--method", "antiinv", "--coords"]
     for argv, code in ((["validate", d5file], 0), (member + ["1,0,-1"], 1),
-                       (["validate", d5file + ".missing"], 2)):
+                       (["validate", d5file + ".missing"], 2), (["--help"], 0),
+                       (["member", d5file, "--method", "bogus"], 2)):
         done = subprocess.run([sys.executable, "-m", "quiver_cones.cli"] + argv, env=env,
                               capture_output=True, text=True)
         assert done.returncode == code, (argv, done.stderr)
@@ -638,8 +651,12 @@ def test_cli_exits_141_quietly_when_its_reader_closed_stdout(d5file, unbuffered)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     missing = d5file + ".missing"
+    # argparse drops a failed write of its help text, so unbuffered nothing is left to fail
+    help_code = 0 if unbuffered else 141  # buffered, it once exited 120 with a traceback
     calls = [(["inequalities", d5file, "--alpha", EXAMPLE1_ALPHA, "--method", "dw"], 141, ""),
              (["validate", d5file], 141, ""),
+             (["--help"], help_code, ""),
+             (["counts", "--help"], help_code, ""),
              (["validate", missing], 2, f"error: [Errno 2] No such file or directory: {missing!r}\n")]
     for argv, code, err in calls:
         read_end, write_end = os.pipe()
@@ -650,6 +667,35 @@ def test_cli_exits_141_quietly_when_its_reader_closed_stdout(d5file, unbuffered)
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (code, err), argv
+
+
+COMMANDS = ["validate", "euler", "ext", "hom", "subdim", "disc", "member", "inequalities", "reduce",
+            "counts", "zoo"]
+
+
+@pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMANDS] +
+                         [["zoo", f] for f in ("line", "kronecker", "sun", "d5hat")],
+                         ids=lambda argv: " ".join(argv) or "top")
+def test_cli_help_returns_0_with_its_usage_on_stdout(argv):
+    code, out, err = run_cli(argv + ["--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: {' '.join(['quiver-cones'] + argv)} ")
+
+
+def test_cli_usage_error_returns_2():
+    # argparse's exit once left main as SystemExit
+    code, out, err = run_cli([])
+    assert (code, out) == (2, "")
+    assert err.endswith("quiver-cones: error: the following arguments are required: command\n")
+
+
+def test_cli_makes_no_parser_per_call(monkeypatch, d5file):
+    # the parser is built once, on import; main once built 16 parsers a call
+    init, made = argparse.ArgumentParser.__init__, []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: made.append(self) or init(self, *a, **kw))
+    for argv in (["validate", d5file], ["validate", d5file], ["--help"], []):
+        run_cli(argv)
+    assert made == []
 
 
 def test_cli_commands_leave_numpy_ma_unimported(d5file):
