@@ -129,8 +129,16 @@ def cmd_zoo(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """print_help writes straight to the stream: ArgumentParser's own drops a
+    failed write, so --help into a closed stdout would exit 0, not 141."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quiver-cones",
         description="Semi-invariant weight cones of acyclic quivers, exactly.",
     )

@@ -15,16 +15,24 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   heads and W under arrow tails, so every representation of dimension b (c)
   has a sub (quotient) of dimension b|V (c|W); Ext^1 over kQ is right exact,
   so ext(b, c) >= -<b|V, c>, -<b, c|W>, and as b -> t iff ext(b, c) = 0, only
-  b that cannot be generic subdimensions of t are dropped;
+  b that cannot be generic subdimensions of t are dropped.  A batch holds b
+  and c vertex-major, one row per vertex of supp(root); with <b, c> = bEc,
+  <b|V, c> is the sum over V of the rows of b * Ec (entrywise), and
+  <b, c|W> that over W of bE * c.  A set whose trace on the support is
+  empty, the whole support (its sum is <b, c>, tested first) or one vertex v
+  (a closed V has no arrow from v to the rest of the support, a closed W
+  none from the rest to v, so the sum is b_v c_v) is skipped;
 * bottom-up, level by level, in batches; once S_b is final, push b to every
   key t it is a candidate of with one int64 product of the rows s of S_b with
-  a negative entry on supp(root) against the columns t - b, and accept b for
-  t when the column's minimum is >= 0 (a b with no such row is accepted for
-  every t, with no product).  As t - b >= 0 and is zero off that support, no
-  other row can make <s, t - b> negative, so the filter changes no S_t;
+  a negative entry on supp(root) (a box-sized mask, made once per build)
+  against the columns t - b, and accept b for t when the column's minimum is
+  >= 0 (a b with no such row is accepted for every t, with no product).  As
+  t - b >= 0 and is zero off that support, no other row can make <s, t - b>
+  negative, so the filter changes no S_t;
 * S_t = 0, the accepted candidates of t and t, in flat order: a slice of flat
   indices into one buffer per build.  Keys built for one root are reused by
-  every later root, which finds their negative rows again for its own support.
+  every later root, which reads their sets into its own box through one
+  gather per source box and finds their negative rows again for its support.
 
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
@@ -46,7 +54,7 @@ _MAX_BOX_POINTS = 2**20
 # most candidates one table build may mark; a box with no arrow inside its
 # support makes every point a candidate of every larger point
 _MAX_CANDIDATES = 2**24
-# entries of one push product, and about as many per array (points x supp(root)) of a batch
+# entries of one push product, and about as many per array (supp(root) x points) of a batch
 _CHUNK = 2**16
 
 
@@ -76,12 +84,32 @@ def _rowdot(x, y):
 
 
 def _nonneg_columns(rows, cols):
-    """For each row c of cols, whether r . c >= 0 for every row r of rows (the
-    rows <s, .> of the s that can make some <s, c> negative), in int64
-    products of about _CHUNK entries."""
-    step = max(1, _CHUNK // len(rows))
-    return np.concatenate([(rows @ cols[i:i + step].T).min(axis=0) >= 0
+    """For each row c of cols, whether r . c >= 0 for every column r of rows
+    (the <s, .> of the s that can make some <s, c> negative, vertex-major), in
+    int64 products of about _CHUNK entries."""
+    step = max(1, _CHUNK // rows.shape[1])
+    return np.concatenate([(cols[i:i + step] @ rows).min(axis=1) >= 0
                            for i in range(0, len(cols), step)])
+
+
+def _reused(box, hits, luts):
+    """The S_t of keys an earlier build decided, hits (box, buffer, start, stop),
+    as flat indices into box, end to end, and their lengths: one gather per
+    source buffer, through luts[id(buffer)], the flat index into box of each
+    point of the source box (past box where that box is, but no S_t is there)."""
+    hits = list(hits)
+    lens = np.array([hi - lo for _, _, lo, hi in hits], dtype=np.int64)
+    starts, dest = np.array([lo for _, _, lo, _ in hits], dtype=np.int64), np.cumsum(lens) - lens
+    out, sources = np.empty(int(lens.sum()), dtype=np.int64), {}
+    for i, (src, buf, _, _) in enumerate(hits):
+        sources.setdefault(id(buf), (src, buf, []))[2].append(i)
+    for key, (src, buf, picked) in sources.items():
+        if key not in luts:
+            luts[key] = _grids(src.radix[None] - 1, np.zeros((1, len(src.shape)), dtype=np.int64), box.strides)[0]
+        n = lens[picked]
+        step = np.arange(n.sum()) - (np.cumsum(n) - n).repeat(n)
+        out[dest[picked].repeat(n) + step] = luts[key][buf[starts[picked].repeat(n) + step]]
+    return out, lens
 
 
 def _batches(weight, bound):
@@ -125,8 +153,9 @@ class ExtTable:
         self._euler = E
         # int64 bound: |<s, c>| <= (1 + m) * |s|_1 * |c|_1 for s, c >= 0, where m
         # is the largest number of parallel arrows, so every value a build for
-        # root alpha forms (0 <= s, c <= alpha, also in the closed-set tests) is
-        # at most (1 + m) * |alpha|_1**2; _check_int64 keeps it below 2**63 first
+        # root alpha forms (0 <= s, c <= alpha) is at most (1 + m) * |alpha|_1**2;
+        # so is each closed-set row sum, as sum over v of s_v * |(Ec)_v| and of
+        # |(sE)_v| * c_v are; _check_int64 keeps it below 2**63 first
         self._multiplicity = -int(E.min(initial=0))
         # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
         # head-closed vertex set holding v, column v the least tail-closed one
@@ -163,20 +192,26 @@ class ExtTable:
         self._check_int64(sum(root), sum(root))
         box, on = _Box(root), np.flatnonzero(root)
         # every b <= t <= root and c = t - b lives on supp(root): vectors are held
-        # there, and each closed set V or W is tested once by its trace on it
+        # there, vertex-major (one row per vertex of the support, one column per
+        # point), and each closed set V or W is tested once by its trace on it
         E, reach = self._euler[np.ix_(on, on)], self._reach
-        heads, tails = (np.array(sorted({*map(tuple, m.tolist())})) for m in (reach[:, on], reach[on].T))
-        points = box.coords(np.arange(box.size), on)
-        pe = points @ E  # <b, .>
-        slack_base = _rowdot(pe, points)  # <b, b>
-        del points
+        heads, tails = ([np.flatnonzero(row) for row in sorted({*map(tuple, m.tolist())})
+                         if 1 < sum(row) < len(on)] for m in (reach[:, on], reach[on].T))
+        arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
+        points = np.stack([np.tile(np.arange(r, dtype=np.min_scalar_type(max(root))).repeat(s), box.size // (r * s))
+                           for r, s in zip(box.radix[on].tolist(), box.strides[on].tolist())])
+        pe = points.astype(np.int64)  # <b, .>
+        for u, w in arrows:
+            pe[w] -= points[u]
+        slack_base = _rowdot(pe.T, points.T)  # <b, b>
+        neg = (pe < 0).any(axis=0)  # the s whose rows can make some <s, c> negative
         needed = np.zeros(box.size, dtype=bool)
         needed[[0, -1]] = True  # 0 is in every S_t and no key of the build
         # marked keys wait in runs, sorted arrays of (|root| - |b|) << shift | b;
         # every candidate of t is lighter than t, so once a mass is the heaviest
         # left, all its keys are marked
         shift, runs = box.size.bit_length(), [np.array([box.size - 1])]
-        levels, tops, counts, edges, marked = [], [], [], [], 0
+        levels, tops, counts, edges, marked, luts = [], [], [], [], 0, {}
         while runs:
             depth = min(int(run[0]) for run in runs) >> shift
             cuts = [np.searchsorted(run, (depth + 1) << shift) for run in runs]
@@ -185,19 +220,25 @@ class ExtTable:
             coords = box.coords(keys)
             hits = [self._subs.get(key) for key in map(tuple, coords.tolist())]
             new = np.array([hit is None for hit in hits])
-            old = [box.flat(src.coords(held[lo:hi])) for src, held, lo, hi in filter(None, hits)]
-            levels.append((keys[new], keys[~new], coords[~new][:, on], old))
+            levels.append((keys[new], keys[~new], coords[~new][:, on], *_reused(box, filter(None, hits), luts)))
             tops.append(coords[new][:, on])
             for lo, hi in _batches(np.prod(tops[-1] + 1, axis=1), _CHUNK // len(on)):
                 t = tops[-1][lo:hi]
                 idx, dot, size = _grids(t, t @ E.T, box.strides[on])
                 at = np.flatnonzero(dot >= slack_base[idx])  # <b, t - b> >= 0
                 cands, own = idx[at], np.searchsorted(np.cumsum(size), at, side="right")
-                b = box.coords(cands, on)
-                c = (t[own] if len(t) > 1 else t) - b
-                at = np.flatnonzero((((b * (c @ E.T)) @ heads.T).min(axis=1) >= 0)  # <b|V, c>
-                                    & (((pe[cands] * c) @ tails.T).min(axis=1) >= 0))  # <b, c|W>
+                b = points[:, cands]
+                c = (t.T[:, own] if len(t) > 1 else t.T) - b
+                ec = c.copy()  # E c
+                for u, w in arrows:
+                    ec[u] -= c[w]
+                x, y = b * ec, pe[:, cands] * c  # summed over V, <b|V, c>; over W, <b, c|W>
+                ok = np.ones(len(cands), dtype=bool)
+                for sets, z in ((heads, x), (tails, y)):
+                    for vs in sets:
+                        ok &= z[vs].sum(axis=0) >= 0
                 # the edges of each t: 0, its candidates, t (b = 0 and b = t pass every test)
+                at = np.flatnonzero(ok)
                 cands, own = cands[at], own[at]
                 marked += len(cands) - 2 * len(t)
                 if marked > _MAX_CANDIDATES:
@@ -209,9 +250,11 @@ class ExtTable:
                 unseen = np.flatnonzero(~needed[cands])
                 needed[cands] = True
                 if len(unseen):
-                    run = np.sort((sum(root) - b[at[unseen]].sum(axis=1)) << shift | cands[unseen])
+                    mass = b[:, at[unseen]].sum(axis=0, dtype=np.int64)
+                    run = np.sort((sum(root) - mass) << shift | cands[unseen])
                     runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
-                del b, c
+                del b, c, ec, x, y  # before the next batch makes its own
+        del points
         # edge e joins tail[e] to the new key j (marking order) with e in starts[j]:starts[j + 1];
         # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with
         # keys ranked 1, 2, ... as the push below walks them, puts key p's at ends[p]:ends[p + 1]
@@ -235,19 +278,18 @@ class ExtTable:
         j, p = len(tops), 0
         # by ascending mass, so the S_t of a level are final when it is reached;
         # then each key of the level is pushed to every key it is a candidate of
-        for fresh, kept, kept_top, kept_subs in reversed(levels):
+        for fresh, kept, kept_top, kept_subs, kept_lens in reversed(levels):
             j -= len(fresh)
             a, z = starts[j], starts[j + len(fresh)]
             off = np.concatenate(([0], np.cumsum(accepted[a:z])))[starts[j:j + len(fresh) + 1] - a]
-            off = np.concatenate((off, off[-1] + np.cumsum([len(s) for s in kept_subs], dtype=int)))
-            subs = np.concatenate((tail[a:z][accepted[a:z]], *kept_subs))
+            off = np.concatenate((off, off[-1] + np.cumsum(kept_lens)))
+            subs = np.concatenate((tail[a:z][accepted[a:z]], kept_subs))
             top = np.concatenate((tops[j:j + len(fresh)], kept_top))
             lens, got = off[1:] - off[:-1], ends[p + 1:p + len(top) + 1] - ends[p:p + len(top)]
             for lo, hi in _batches(lens + got, _CHUNK // (2 * len(on))):
-                rows = pe[subs[off[lo]:off[hi]]]
-                neg = (rows < 0).any(axis=1)  # no other row makes a <s, c> negative
-                row_at = np.cumsum(np.concatenate(([0], neg)))[off[lo:hi + 1] - off[lo]]
-                rows, pos = rows[neg], order[ends[p + lo]:ends[p + hi]]
+                sel = subs[off[lo]:off[hi]]
+                row_at = np.cumsum(np.concatenate(([0], neg[sel])))[off[lo:hi + 1] - off[lo]]
+                rows, pos = pe[:, sel[neg[sel]]], order[ends[p + lo]:ends[p + hi]]
                 n = got[lo:hi] * (row_at[1:] > row_at[:-1])  # edges of the keys with such rows
                 tested = (n > 0).repeat(got[lo:hi])
                 accepted[pos[~tested]] = True
@@ -256,7 +298,7 @@ class ExtTable:
                 c = tops[np.searchsorted(starts, pos, side="right") - 1] - top[lo:hi].repeat(n, axis=0)
                 for i in n.nonzero()[0].tolist():
                     cols = slice(col_at[i], col_at[i + 1])
-                    accepted[pos[cols][_nonneg_columns(rows[row_at[i]:row_at[i + 1]], c[cols])]] = True
+                    accepted[pos[cols][_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[cols])]] = True
             p += len(top)
         owned = tail[accepted]
         del tail, order, accepted

@@ -101,7 +101,7 @@ def build_per_key(self, root):
         if len(rows):
             # c = u - t for the key u of each edge
             c = tops[np.searchsorted(starts, pos, side="right") - 1] - box.coords(np.int64(t))
-            pos = pos[_nonneg_columns(rows, c)]
+            pos = pos[_nonneg_columns(rows.T, c)]
         accepted[pos] = True
     del tail, order, accepted
     owned = buf[:end].copy()

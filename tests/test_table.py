@@ -137,17 +137,24 @@ def test_cold_counts_builds_the_table_once(monkeypatch, case):
     assert roots == [alpha]
 
 
-@pytest.mark.parametrize("case", ["d5hat", "sun62", "d5hat4"])
+@pytest.mark.parametrize("case", ["d5hat", "sun62", "d5hat4", "d5hat-partial", "kronecker3"])
 def test_cold_counts_decides_few_keys(case):
     # which keys the build marks and which candidates it accepts: every answer
     # test still passes with the sub or the quotient tests of the closed-set
-    # filter left out, these counts not
+    # filter left out, these counts not; d5hat-partial has arrows through
+    # vertices off supp(alpha), kronecker3 parallel arrows
     if case == "d5hat":
         (q, inv), alpha, keys, accepted = make_d5hat(), (2, 3, 4, 4, 3, 2), 382, 14_170
         invs = [inv]
     elif case == "d5hat4":
         (q, inv), alpha, keys, accepted = make_d5hat(), (4,) * 6, 2_319, 201_300
         invs = [inv]
+    elif case == "d5hat-partial":
+        (q, inv), alpha, keys, accepted = make_d5hat(), (2, 1, 0, 0, 1, 2), 36, 253
+        invs = [inv]
+    elif case == "kronecker3":
+        (q, _), alpha, keys, accepted = make_kronecker(3), (8, 12), 49, 863
+        invs = []
     else:
         (q, invs), alpha, keys, accepted = make_sun(3, 2), (1, 2) * 6, 673, 66_221
     t = ExtTable(q)
