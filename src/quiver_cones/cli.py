@@ -113,13 +113,16 @@ def cmd_system(t, involutions, args):
 
 
 def cmd_counts(t, involutions, args):
-    """One TSV line per --alpha, in the order given, all read from one table."""
+    """One TSV line per --alpha, in the order given, all read from one table;
+    none is printed before every line is computed, so an error prints none."""
     alphas = [parse_dim_vector(t.quiver, alpha) for alpha in args.alpha]
     invs = [_pick_involution(involutions, name) for name in args.involution or []]
+    lines = []
     for a in alphas:
         n1, n2, n3s = counts(t, a, invs)
         cells = [",".join(str(v) for v in a.values), str(n1), str(n2)] + [str(n3) for n3 in n3s]
-        print("\t".join(cells))
+        lines.append("\t".join(cells))
+    print("\n".join(lines))
     return 0
 
 

@@ -30,9 +30,9 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   t - b >= 0 and is zero off that support, no other row can make <s, t - b>
   negative, so the filter changes no S_t;
 * S_t = 0, the accepted candidates of t and t, in flat order: a slice of flat
-  indices into one buffer per build.  Keys built for one root are reused by
-  every later root, which reads their sets into its own box through one
-  gather per source box and finds their negative rows again for its support.
+  indices into one buffer per build.  A build decides every key it needs in
+  its own box, those an earlier build decided too (their entries stay); a
+  root that is already a key is read, not built.
 
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
@@ -75,8 +75,8 @@ class _Box:
     def flat(self, coords):
         return coords @ self.strides
 
-    def coords(self, flat, axes=slice(None)):
-        return flat[..., None] // self.strides[axes] % self.radix[axes]
+    def coords(self, flat):
+        return flat[..., None] // self.strides % self.radix
 
 
 def _rowdot(x, y):
@@ -90,26 +90,6 @@ def _nonneg_columns(rows, cols):
     step = max(1, _CHUNK // rows.shape[1])
     return np.concatenate([(cols[i:i + step] @ rows).min(axis=1) >= 0
                            for i in range(0, len(cols), step)])
-
-
-def _reused(box, hits, luts):
-    """The S_t of keys an earlier build decided, hits (box, buffer, start, stop),
-    as flat indices into box, end to end, and their lengths: one gather per
-    source buffer, through luts[id(buffer)], the flat index into box of each
-    point of the source box (past box where that box is, but no S_t is there)."""
-    hits = list(hits)
-    lens = np.array([hi - lo for _, _, lo, hi in hits], dtype=np.int64)
-    starts, dest = np.array([lo for _, _, lo, _ in hits], dtype=np.int64), np.cumsum(lens) - lens
-    out, sources = np.empty(int(lens.sum()), dtype=np.int64), {}
-    for i, (src, buf, _, _) in enumerate(hits):
-        sources.setdefault(id(buf), (src, buf, []))[2].append(i)
-    for key, (src, buf, picked) in sources.items():
-        if key not in luts:
-            luts[key] = _grids(src.radix[None] - 1, np.zeros((1, len(src.shape)), dtype=np.int64), box.strides)[0]
-        n = lens[picked]
-        step = np.arange(n.sum()) - (np.cumsum(n) - n).repeat(n)
-        out[dest[picked].repeat(n) + step] = luts[key][buf[starts[picked].repeat(n) + step]]
-    return out, lens
 
 
 def _batches(weight, bound):
@@ -138,9 +118,10 @@ def _grids(tops, w, strides):
 class ExtTable:
     """Generic ext values and generic subdimensions for one fixed quiver.
 
-    Everything cached is write-once: values depend only on the quiver, so
-    recomputing a key always yields the same answer.  All operations are
-    pure; a single-threaded caller is the supported mode.
+    Everything cached is write-once.  A build decides every key it needs in
+    its own box and stores only the keys not stored yet: values depend only
+    on the quiver, so a key decided again is the same set.  All operations
+    are pure; a single-threaded caller is the supported mode.
     """
 
     def __init__(self, quiver):
@@ -188,7 +169,7 @@ class ExtTable:
             raise ValueOverflowError("Euler form values may exceed the exact int64 path")
 
     def _build(self, root):
-        """Decide S_t, into _subs, for root and the keys it needs that no earlier build decided."""
+        """Decide S_t, into _subs, for root and every key it needs, in box(root)."""
         self._check_int64(sum(root), sum(root))
         box, on = _Box(root), np.flatnonzero(root)
         # every b <= t <= root and c = t - b lives on supp(root): vectors are held
@@ -211,19 +192,16 @@ class ExtTable:
         # every candidate of t is lighter than t, so once a mass is the heaviest
         # left, all its keys are marked
         shift, runs = box.size.bit_length(), [np.array([box.size - 1])]
-        levels, tops, counts, edges, marked, luts = [], [], [], [], 0, {}
+        levels, counts, edges, marked = [], [], [], 0
         while runs:
             depth = min(int(run[0]) for run in runs) >> shift
             cuts = [np.searchsorted(run, (depth + 1) << shift) for run in runs]
             keys = np.sort(np.concatenate([r[:k] for r, k in zip(runs, cuts)])) & ((1 << shift) - 1)
             runs = [run[cut:] for run, cut in zip(runs, cuts) if cut < len(run)]
-            coords = box.coords(keys)
-            hits = [self._subs.get(key) for key in map(tuple, coords.tolist())]
-            new = np.array([hit is None for hit in hits])
-            levels.append((keys[new], keys[~new], coords[~new][:, on], *_reused(box, filter(None, hits), luts)))
-            tops.append(coords[new][:, on])
-            for lo, hi in _batches(np.prod(tops[-1] + 1, axis=1), _CHUNK // len(on)):
-                t = tops[-1][lo:hi]
+            top = box.coords(keys)[:, on]
+            levels.append((keys, top))
+            for lo, hi in _batches(np.prod(top + 1, axis=1), _CHUNK // len(on)):
+                t = top[lo:hi]
                 idx, dot, size = _grids(t, t @ E.T, box.strides[on])
                 at = np.flatnonzero(dot >= slack_base[idx])  # <b, t - b> >= 0
                 cands, own = idx[at], np.searchsorted(np.cumsum(size), at, side="right")
@@ -255,13 +233,13 @@ class ExtTable:
                     runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
                 del b, c, ec, x, y  # before the next batch makes its own
         del points
-        # edge e joins tail[e] to the new key j (marking order) with e in starts[j]:starts[j + 1];
+        # edge e joins tail[e] to the key j (marking order) with e in starts[j]:starts[j + 1];
         # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with
         # keys ranked 1, 2, ... as the push below walks them, puts key p's at ends[p]:ends[p + 1]
-        tail, tops = np.concatenate(edges), np.concatenate(tops)
+        tail, tops = np.concatenate(edges), np.concatenate([top for _, top in levels])
         del edges
         starts = np.cumsum(np.concatenate([[0], *counts]))
-        push = np.concatenate([np.concatenate(level[:2]) for level in reversed(levels)])
+        push = np.concatenate([keys for keys, _ in reversed(levels)])
         rank = np.zeros(box.size, dtype=np.int64)
         rank[push] = np.arange(1, len(push) + 1)
         order = rank[tail]
@@ -278,13 +256,11 @@ class ExtTable:
         j, p = len(tops), 0
         # by ascending mass, so the S_t of a level are final when it is reached;
         # then each key of the level is pushed to every key it is a candidate of
-        for fresh, kept, kept_top, kept_subs, kept_lens in reversed(levels):
-            j -= len(fresh)
-            a, z = starts[j], starts[j + len(fresh)]
-            off = np.concatenate(([0], np.cumsum(accepted[a:z])))[starts[j:j + len(fresh) + 1] - a]
-            off = np.concatenate((off, off[-1] + np.cumsum(kept_lens)))
-            subs = np.concatenate((tail[a:z][accepted[a:z]], kept_subs))
-            top = np.concatenate((tops[j:j + len(fresh)], kept_top))
+        for keys, top in reversed(levels):
+            j -= len(keys)
+            a, z = starts[j], starts[j + len(keys)]
+            off = np.concatenate(([0], np.cumsum(accepted[a:z])))[starts[j:j + len(keys) + 1] - a]
+            subs = tail[a:z][accepted[a:z]]
             lens, got = off[1:] - off[:-1], ends[p + 1:p + len(top) + 1] - ends[p:p + len(top)]
             for lo, hi in _batches(lens + got, _CHUNK // (2 * len(on))):
                 sel = subs[off[lo]:off[hi]]
@@ -303,9 +279,9 @@ class ExtTable:
         owned = tail[accepted]
         del tail, order, accepted
         spans = [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
-        built = box.coords(np.concatenate([level[0] for level in levels])).tolist()
+        built = box.coords(np.concatenate([keys for keys, _ in levels])).tolist()
         for key, lo, hi in zip(map(tuple, built), spans, spans[1:]):
-            self._subs[key] = (box, owned, lo, hi)
+            self._subs.setdefault(key, (box, owned, lo, hi))
 
     def _subdim_rows(self, key):
         """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""

@@ -384,7 +384,7 @@ def test_cli_counts_two_involutions(sunfile):
 @pytest.mark.parametrize("order", ["golden", "reversed"])
 def test_cli_counts_many_alphas_match_single_calls(d5file, order):
     # one table serves every line; roots that are keys of an earlier root are
-    # read through the key-reuse path, with no build of their own
+    # read from the table, with no build of their own
     alphas = [",".join(f"x{i}={v}" for i, v in enumerate(row[0], 1)) for row in D5HAT_TABLE]
     alphas += ["x1=1,x6=1", "x1=3,x6=3", alphas[0]]  # thin roots and a repeated one
     if order == "reversed":
@@ -409,9 +409,16 @@ def test_cli_counts_many_alphas_two_involutions(sunfile):
     assert (code, out) == (0, "3,3,3,3,3,3\t571\t20\t10\t12\n2,2,2,2,2,2\t129\t19\t10\t12\n")
 
 
-def test_cli_counts_checks_every_alpha_before_printing(d5file):
+def test_cli_counts_checks_every_alpha_before_printing(monkeypatch, d5file):
     code, out, err = run_cli(["counts", d5file, "--alpha", "x1=1", "--alpha", "x9=1"])
     assert (code, out) == (2, "") and "x9" in err
+    # an alpha that fails once counting has begun prints no earlier line either
+    argv = ["counts", d5file, "--alpha", "x1=1,x6=1", "--involution", "tau"]
+    code, out, err = run_cli(argv + ["--alpha", "x1=1,x2=2"])
+    assert (code, out, err) == (2, "", "error: (1, 2, 0, 0, 0, 0) is not tau-symmetric\n")
+    monkeypatch.setattr(quiver_cones.schofield, "_MAX_CANDIDATES", 100)
+    code, out, err = run_cli(argv + ["--alpha", "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2"])
+    assert (code, out) == (2, "") and "above the budget" in err
 
 
 def test_cli_inequalities_and_reduce_coords(d5file):

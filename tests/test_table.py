@@ -137,6 +137,28 @@ def test_cold_counts_builds_the_table_once(monkeypatch, case):
     assert roots == [alpha]
 
 
+def test_a_key_root_is_read_not_built(monkeypatch, d5hat):
+    # a root that an earlier build decided as a key is read from _subs; any other
+    # root is built in full, in its own box, and leaves every earlier entry as it was
+    q, _ = d5hat
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    t, first = ExtTable(q), (4,) * 6
+    subs = [b.values for b in t.generic_subdims(first)]
+    before = dict(t._subs)
+    keys = [subs[1], subs[len(subs) // 2], subs[-2]]
+    assert all(key in before for key in keys)
+    for key in keys:
+        t.generic_subdims(key)
+    assert roots == [first]
+    nested = (5, 4, 4, 4, 4, 4)
+    t.generic_subdims(nested)
+    assert roots == [first, nested]
+    assert _entries(t) == _entries(_per_key_table(q, [first, nested]))
+    for key, (box, buf, lo, hi) in before.items():
+        assert t._subs[key][0] is box and t._subs[key][1] is buf and t._subs[key][2:] == (lo, hi), key
+
+
 @pytest.mark.parametrize("case", ["d5hat", "sun62", "d5hat4", "d5hat-partial", "kronecker3"])
 def test_cold_counts_decides_few_keys(case):
     # which keys the build marks and which candidates it accepts: every answer
