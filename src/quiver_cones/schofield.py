@@ -15,15 +15,15 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   heads and W under arrow tails, so every representation of dimension b (c)
   has a sub (quotient) of dimension b|V (c|W); Ext^1 over kQ is right exact,
   so ext(b, c) >= -<b|V, c>, -<b, c|W>, and as b -> t iff ext(b, c) = 0, only
-  b that cannot be generic subdimensions of t are dropped.  A batch holds b
-  and c vertex-major, one row per vertex of supp(root); with <b, c> = bEc,
-  <b|V, c> is the sum over V of the rows of b * Ec (entrywise), and
-  <b, c|W> that over W of bE * c.  A set whose trace on the support is
-  empty, the whole support (its sum is <b, c>, tested first) or one vertex v
-  (a closed V has no arrow from v to the rest of the support, a closed W
-  none from the rest to v, so the sum is b_v c_v) is skipped;
+  b that cannot be generic subdimensions of t are dropped.  A batch holds B
+  and C = t - B vertex-major, one row per vertex of supp(root); with
+  <b, c> = bEc, the sums over V are the rows of H(B * EC) (entrywise), those
+  over W of W(bE * C), H (W) a 0/1 row per V (W) traced on the support.  A
+  trace that is empty, the whole support (its sum is <b, c>, tested first) or
+  one vertex v (a closed V has no arrow from v to the rest of the support, a
+  closed W none from the rest to v, so the sum is b_v c_v) is not a row;
 * bottom-up, level by level, in batches; once S_b is final, push b to every
-  key t it is a candidate of with one int64 product of the rows s of S_b with
+  key t it is a candidate of with one product of the rows s of S_b with
   a negative entry on supp(root) (a box-sized mask, made once per build)
   against the columns t - b, and accept b for t when the column's minimum is
   >= 0 (a b with no such row is accepted for every t, with no product).  As
@@ -33,6 +33,10 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   indices into one buffer per build.  A build decides every key it needs in
   its own box, those an earlier build decided too (their entries stay); a
   root that is already a key is read, not built.
+
+A build's products run in float64 through BLAS, exact as _build first checks
+that every value they form is an integer below 2**53; what it stores and every
+read are integer.
 
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
@@ -86,7 +90,7 @@ def _rowdot(x, y):
 def _nonneg_columns(rows, cols):
     """For each row c of cols, whether r . c >= 0 for every column r of rows
     (the <s, .> of the s that can make some <s, c> negative, vertex-major), in
-    int64 products of about _CHUNK entries."""
+    products of about _CHUNK entries, float64 ones in a build (exact below 2**53)."""
     step = max(1, _CHUNK // rows.shape[1])
     return np.concatenate([(cols[i:i + step] @ rows).min(axis=1) >= 0
                            for i in range(0, len(cols), step)])
@@ -135,8 +139,10 @@ class ExtTable:
         # int64 bound: |<s, c>| <= (1 + m) * |s|_1 * |c|_1 for s, c >= 0, where m
         # is the largest number of parallel arrows, so every value a build for
         # root alpha forms (0 <= s, c <= alpha) is at most (1 + m) * |alpha|_1**2;
-        # so is each closed-set row sum, as sum over v of s_v * |(Ec)_v| and of
-        # |(sE)_v| * c_v are; _check_int64 keeps it below 2**63 first
+        # so is each closed-set sum and each partial sum of one, in any order, as
+        # sum over v of s_v * |(Ec)_v| and of |(sE)_v| * c_v are. _check_int64 keeps
+        # a read below 2**63; _build keeps a build below 2**53, where its float64
+        # BLAS products are exact whatever their summation order or thread split
         self._multiplicity = -int(E.min(initial=0))
         # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
         # head-closed vertex set holding v, column v the least tail-closed one
@@ -170,18 +176,22 @@ class ExtTable:
 
     def _build(self, root):
         """Decide S_t, into _subs, for root and every key it needs, in box(root)."""
-        self._check_int64(sum(root), sum(root))
-        box, on = _Box(root), np.flatnonzero(root)
+        on = np.flatnonzero(root)
+        E = self._euler[np.ix_(on, on)]
+        m = self._multiplicity if (E < 0).any() else 0  # E = I on a support with no arrow inside
+        if (1 + m) * sum(root) ** 2 >= 2**53:  # the float64 bound of __init__, before allocating
+            raise ValueOverflowError("Euler form values may exceed the exact float64 products of a table build")
+        box, reach = _Box(root), self._reach
         # every b <= t <= root and c = t - b lives on supp(root): vectors are held
         # there, vertex-major (one row per vertex of the support, one column per
-        # point), and each closed set V or W is tested once by its trace on it
-        E, reach = self._euler[np.ix_(on, on)], self._reach
-        heads, tails = ([np.flatnonzero(row) for row in sorted({*map(tuple, m.tolist())})
-                         if 1 < sum(row) < len(on)] for m in (reach[:, on], reach[on].T))
+        # point), and each closed set V or W is tested once, by its trace on it: a 0/1 row of H or W
+        H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
+                         dtype=np.float64).reshape(-1, len(on)) for r in (reach[:, on], reach[on].T))
         arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
+        E = E.astype(np.float64)
         points = np.stack([np.tile(np.arange(r, dtype=np.min_scalar_type(max(root))).repeat(s), box.size // (r * s))
                            for r, s in zip(box.radix[on].tolist(), box.strides[on].tolist())])
-        pe = points.astype(np.int64)  # <b, .>
+        pe = points.astype(np.float64)  # <b, .>
         for u, w in arrows:
             pe[w] -= points[u]
         slack_base = _rowdot(pe.T, points.T)  # <b, b>
@@ -205,16 +215,14 @@ class ExtTable:
                 idx, dot, size = _grids(t, t @ E.T, box.strides[on])
                 at = np.flatnonzero(dot >= slack_base[idx])  # <b, t - b> >= 0
                 cands, own = idx[at], np.searchsorted(np.cumsum(size), at, side="right")
-                b = points[:, cands]
-                c = (t.T[:, own] if len(t) > 1 else t.T) - b
-                ec = c.copy()  # E c
-                for u, w in arrows:
-                    ec[u] -= c[w]
-                x, y = b * ec, pe[:, cands] * c  # summed over V, <b|V, c>; over W, <b, c|W>
-                ok = np.ones(len(cands), dtype=bool)
-                for sets, z in ((heads, x), (tails, y)):
-                    for vs in sets:
-                        ok &= z[vs].sum(axis=0) >= 0
+                b, tc = points[:, cands], t.T.astype(np.float64)
+                c = (tc[:, own] if len(t) > 1 else tc) - b
+                x = E @ c
+                x *= b  # summed over V, <b|V, c>
+                ok = (H @ x).min(axis=0, initial=0) >= 0
+                x = pe[:, cands]
+                x *= c  # summed over W, <b, c|W>
+                ok &= (W @ x).min(axis=0, initial=0) >= 0
                 # the edges of each t: 0, its candidates, t (b = 0 and b = t pass every test)
                 at = np.flatnonzero(ok)
                 cands, own = cands[at], own[at]
@@ -231,12 +239,12 @@ class ExtTable:
                     mass = b[:, at[unseen]].sum(axis=0, dtype=np.int64)
                     run = np.sort((sum(root) - mass) << shift | cands[unseen])
                     runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
-                del b, c, ec, x, y  # before the next batch makes its own
+                del b, c, x  # before the next batch makes its own
         del points
         # edge e joins tail[e] to the key j (marking order) with e in starts[j]:starts[j + 1];
         # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with
         # keys ranked 1, 2, ... as the push below walks them, puts key p's at ends[p]:ends[p + 1]
-        tail, tops = np.concatenate(edges), np.concatenate([top for _, top in levels])
+        tail, tops = np.concatenate(edges), np.concatenate([top for _, top in levels]).astype(np.float64)
         del edges
         starts = np.cumsum(np.concatenate([[0], *counts]))
         push = np.concatenate([keys for keys, _ in reversed(levels)])
@@ -268,13 +276,14 @@ class ExtTable:
                 rows, pos = pe[:, sel[neg[sel]]], order[ends[p + lo]:ends[p + hi]]
                 n = got[lo:hi] * (row_at[1:] > row_at[:-1])  # edges of the keys with such rows
                 tested = (n > 0).repeat(got[lo:hi])
-                accepted[pos[~tested]] = True
-                pos, col_at = pos[tested], np.concatenate(([0], np.cumsum(n)))
+                col_at = np.concatenate(([0], np.cumsum(n)))
                 # c = u - t for the key u of each edge, one product per key
-                c = tops[np.searchsorted(starts, pos, side="right") - 1] - top[lo:hi].repeat(n, axis=0)
-                for i in n.nonzero()[0].tolist():
-                    cols = slice(col_at[i], col_at[i + 1])
-                    accepted[pos[cols][_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[cols])]] = True
+                c = tops[np.searchsorted(starts, pos[tested], side="right") - 1] - top[lo:hi].repeat(n, axis=0)
+                keep = [_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[col_at[i]:col_at[i + 1]])
+                        for i in n.nonzero()[0].tolist()]
+                ok = ~tested  # a key with no such row accepts every edge
+                ok[tested] = np.concatenate(keep) if keep else False
+                accepted[pos[ok]] = True
             p += len(top)
         owned = tail[accepted]
         del tail, order, accepted

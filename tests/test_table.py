@@ -263,7 +263,8 @@ GOLDEN_ROOTS = [
 def test_batched_build_matches_per_key_build_on_goldens(family, q, roots):
     # every _subs entry, key set and S_t in flat order, against the build that
     # decides one key at a time: each golden alpha on a cold table, then all of
-    # them on one table, where later levels mix reused keys with new ones
+    # them on one table, where each later root is built in its own box or, if
+    # an earlier build decided it as a key, read
     for a in roots:
         t = ExtTable(q)
         t.generic_subdims(a)
@@ -433,11 +434,11 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     assert edges == 300 * 299 // 2
 
 
-def test_reused_keys_are_sorted_again_for_the_new_support(d5hat):
-    # the keys of (0, 0, 1, 2, 0, 1) are built with signs on x3, x4, x6; under the
-    # full support of the next root the rows with s_4 > 0 are negative on x5 too
-    # and must enter the push product, or a b that is no generic subdimension of
-    # its key is kept
+def test_nested_root_on_one_table_matches_recursion(d5hat):
+    # (0, 0, 1, 2, 0, 1) is built first, on x3, x4, x6; the next root's build
+    # decides those keys again in its own box, on the full support, where the rows
+    # with s_4 > 0 are negative on x5 too and must enter the push product, or a b
+    # that is no generic subdimension of its key is kept
     q, _ = d5hat
     t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
     t.generic_subdims((0, 0, 1, 2, 0, 1))
@@ -452,6 +453,43 @@ def test_int64_bound_is_checked(d5hat):
     with pytest.raises(ValueOverflowError):
         t.generic_subdims((1,) * 6)  # (1 + m) * 6**2 >= 2**63
     assert t.ext((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)) == 1  # (1 + m) * 1 * 1 fits
+
+
+def test_float64_bound_is_checked_before_the_box(monkeypatch, tmp_path, d5hat):
+    # a build's products are exact in float64 only below 2**53, a tighter bound
+    # than the int64 one of the reads
+    q, _ = d5hat
+    t = ExtTable(q)
+    t._multiplicity = 2**50  # as if the quiver had that many parallel arrows
+    assert 2**53 <= (1 + t._multiplicity) * 6**2 < 2**63
+    boxes, box = [], schofield._Box
+    monkeypatch.setattr(schofield, "_Box", lambda root: boxes.append(root) or box(root))
+    with pytest.raises(ValueOverflowError, match="float64"):
+        t.generic_subdims((1,) * 6)
+    assert boxes == []  # refused before the build allocates
+    assert t.ext((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)) == 1  # (1 + m) * 1 * 1 fits, and the reads are int64
+    # a real quiver past the bound: 2048 parallel arrows at the largest entries, from the CLI
+    path = tmp_path / "kronecker.quiver"
+    path.write_text(serialize_quiver(make_kronecker(2048)[0], []))
+    boxes.clear()
+    code, out, err = _run_cli(["counts", str(path), "--alpha", f"s={2**20 - 1},t={2**20 - 1}"])
+    assert (code, out) == (2, "") and "float64" in err
+    assert boxes == [(0, 0)]  # the new table's zero key alone
+
+
+def test_no_float_reaches_an_answer(d5hat):
+    # the build computes in float64; what it stores and every read stay integer
+    q, inv = d5hat
+    t = ExtTable(q)
+    alpha = (2, 3, 4, 4, 3, 2)
+    S, M = t._subdim_rows(alpha)
+    assert S.dtype == M.dtype == np.int64
+    sigma = Weight(q, (1, 0, 0, 0, 0, -1))
+    for value in (t.ext(alpha, (1,) * 6), t.hom(alpha, (1,) * 6), t.disc(alpha, sigma)):
+        assert type(value) is int
+    assert all(np.issubdtype(buf.dtype, np.integer) for _, buf, _, _ in t._subs.values())
+    normals = [*t.inductive_normals(alpha), *t.iso_pairs(alpha, inv)]
+    assert normals and all(type(x) is int for b in normals for x in b.values)
 
 
 def _run_cli(argv):
