@@ -116,10 +116,27 @@ def is_redundant(system, index):
 
 
 def irredundant_core(system):
-    """Greedy removal in canonical order: each row is tested against the kept rows and the rest."""
-    rows, keep = _system_rows(system), []
-    for i in range(len(rows)):
-        if not redundant_row([rows[j] for j in keep] + rows[i:], len(keep)):
+    """The rows G that greedy removal in canonical order keeps (row i tested against the
+    kept rows G(<i) and all later rows), found in two passes whose LPs have <= |K| columns:
+    1. a reverse filter: from the last row to the first, row i joins K unless it lies in
+       cone(K), all of whose rows come after i;
+    2. the greedy on K alone, in canonical order.
+    (a) G is inside K: a row i of G lies outside cone(G(<i) + rows(>i)), which contains
+    cone(K) when i is filtered.  (b) The greedy on any T with G inside T inside rows returns
+    G: by induction on i, with G(<i) kept before i, a row of G is tested against
+    cone(G(<i) + T(>i)), inside the cone it was tested against on all rows, so it is kept;
+    a row of T - G lies in cone(rows) = cone(G) (each dropped row lies in the cone of the
+    rows kept or still to come) = cone(G(<i) + G(>i)), inside cone(G(<i) + T(>i)), so it
+    is dropped.  So the greedy on K returns G.  Neither fact assumes anything of the rows:
+    parallel rows and rows of the lineality space need no special case.
+    """
+    rows, filtered = _system_rows(system), []
+    for i in reversed(range(len(rows))):
+        if not redundant_row([rows[j] for j in filtered] + [rows[i]], len(filtered)):
+            filtered.append(i)
+    later, keep = filtered[::-1], []
+    for n, i in enumerate(later):
+        if not redundant_row([rows[j] for j in keep + later[n:]], len(keep)):
             keep.append(i)
     return InequalitySystem(
         system.alpha,

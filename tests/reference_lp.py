@@ -1,15 +1,28 @@
-"""Reference LP solver: the dense Fraction tableau simplex that
-`quiver_cones.redundancy.solve_max` replaced with integer-preserving pivots.
+"""Reference LPs: the dense Fraction tableau simplex that
+`quiver_cones.redundancy.solve_max` replaced with integer-preserving pivots, and
+the one-LP-per-row greedy that `quiver_cones.redundancy.irredundant_core`
+replaced with a reverse filter and a greedy on the rows that survive it.
 
-Same contract (max objective.x over rows.x <= rhs, x >= 0, rhs >= 0; Bland's
-rule from the slack basis) and the same three integer arguments, every entry
-read as a `fractions.Fraction`.  Kept only as the oracle of the differential
-tests in tests/test_redundancy.py.
+`solve_max` has the same contract (max objective.x over rows.x <= rhs, x >= 0,
+rhs >= 0; Bland's rule from the slack basis) and the same three integer
+arguments, every entry read as a `fractions.Fraction`.  Both are kept only as
+the oracles of the differential tests in tests/test_redundancy.py.
 """
 
 from fractions import Fraction
 
 from quiver_cones.errors import LPInvariantError
+from quiver_cones.redundancy import _system_rows, redundant_row
+
+
+def greedy_core(system):
+    """The normals that greedy removal in canonical order keeps: each row is tested
+    against the kept rows and all later rows, one LP per row."""
+    rows, keep = _system_rows(system), []
+    for i in range(len(rows)):
+        if not redundant_row([rows[j] for j in keep] + rows[i:], len(keep)):
+            keep.append(i)
+    return tuple(system.normals[j] for j in keep)
 
 
 def solve_max(objective, rows, rhs):

@@ -20,7 +20,7 @@ from quiver_cones import (
     redundant_row,
     solve_max,
 )
-from quiver_cones.cones import primitive_row
+from quiver_cones.cones import InequalitySystem, primitive_row
 from quiver_cones.errors import DimensionTooLargeError, LPInvariantError
 
 import reference_lp
@@ -322,8 +322,6 @@ def test_core_cuts_same_cone(d5hat, d5hat_table):
 
 
 def test_core_order_robust(d5hat, d5hat_table):
-    from quiver_cones.cones import InequalitySystem
-
     system = _example1_system(d5hat, d5hat_table)
     reversed_system = InequalitySystem(
         system.alpha, tuple(reversed(system.normals)), system.coordinate_space
@@ -361,14 +359,25 @@ def test_ambient_dimension_guard():
 def test_a_normal_off_the_support_of_alpha_is_refused():
     # rows are read on supp(alpha) only; (0,1,1) would lose its entry at vertex 3 and
     # make (0,1,0) look redundant, though at sigma = (-1,1,-2) it is the only violated row
-    from quiver_cones.cones import InequalitySystem
-
     q, _ = make_line(3)
     beta, other = DimVector(q, (0, 1, 0)), DimVector(q, (0, 1, 1))
     system = InequalitySystem(DimVector(q, (1, 1, 0)), (beta, other))
     for reduce in (irredundant_core, lambda s: is_redundant(s, 0)):
         with pytest.raises(ValueError, match="must be <= alpha"):
             reduce(system)
+
+
+def _assert_core_is_the_greedy(system, seed):
+    """irredundant_core keeps what the one-LP-per-row greedy keeps, with the system in
+    canonical order, reversed and in one seeded shuffle.  The greedy's choice among
+    parallel rows and rows of the lineality space depends on the order (reversing changes
+    the kept normals at 33 of the 40 golden dw and inductive systems), so the reordered
+    systems test that the greedy on the filtered rows makes the same choices."""
+    shuffled = list(system.normals)
+    random.Random(seed).shuffle(shuffled)
+    for normals in (system.normals, system.normals[::-1], tuple(shuffled)):
+        reordered = InequalitySystem(system.alpha, normals, system.coordinate_space)
+        assert irredundant_core(reordered).normals == reference_lp.greedy_core(reordered), seed
 
 
 def _core_with_plane(system):
@@ -407,6 +416,7 @@ def test_core_in_alpha_perp_matches_core_with_plane(family, alpha, method):
     q = _QUIVERS[family]
     system = inequalities(ExtTable(q), DimVector(q, alpha), method)
     assert irredundant_core(system).normals == _core_with_plane(system)
+    _assert_core_is_the_greedy(system, f"{family}-{alpha}-{method}")
 
 
 def _implied(rows, by):
@@ -448,16 +458,70 @@ def test_golden_cones_are_equal_exactly(d5hat, d5hat_table, sun31, sun31_table):
     assert pairs == 22
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_cones_are_equal_on_random_quivers_with_an_involution(seed):
-    # 4 to 9 vertices on a line, tau their reversal; two nonzero tau-symmetric alpha
-    # with entries <= 4, so |supp alpha| <= 9 stays within the exact-LP guard
+def _random_cases(seed):
+    """(table, [alpha, alpha'], tau): 4 to 9 vertices on a line, tau their reversal; two
+    nonzero tau-symmetric alpha with entries <= 4, so |supp alpha| <= 9 stays within the
+    exact-LP guard."""
     rng = random.Random(seed)
     n = rng.randint(4, 9)
     q, tau = random_involution_quiver(rng, n)
-    t = ExtTable(q)
+    alphas = []
     for _ in range(2):
         half = [0]
         while not any(half):
             half = [rng.randint(0, 4) for _ in range((n + 1) // 2)]
-        _assert_cones_equal(t, DimVector(q, half + half[:n // 2][::-1]), [tau])
+        alphas.append(DimVector(q, half + half[:n // 2][::-1]))
+    return ExtTable(q), alphas, tau
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cones_are_equal_on_random_quivers_with_an_involution(seed):
+    t, alphas, tau = _random_cases(seed)
+    for alpha in alphas:
+        _assert_cones_equal(t, alpha, [tau])
+
+
+_GOLDEN_ALPHAS = ([("d5hat", alpha) for alpha, *_ in D5HAT_TABLE]
+                  + [("sun61", alpha) for alpha, *_ in SUN61_TABLE])
+
+
+@pytest.mark.parametrize("family, alpha", _GOLDEN_ALPHAS,
+                         ids=[f"{f}-{''.join(map(str, a))}" for f, a in _GOLDEN_ALPHAS])
+def test_core_is_the_greedy_at_golden_alpha(family, alpha, d5hat, d5hat_table, sun31,
+                                            sun31_table):
+    table = d5hat_table if family == "d5hat" else sun31_table
+    t, a, invs = next(case for case in _golden_pairs(d5hat, d5hat_table, sun31, sun31_table)
+                      if case[0] is table and case[1].values == alpha)
+    for method in ("dw", "inductive"):
+        _assert_core_is_the_greedy(inequalities(t, a, method), f"{family}-{alpha}-{method}")
+    for inv in invs:
+        _assert_core_is_the_greedy(inequalities(t, a, "antiinv", inv=inv),
+                                   f"{family}-{alpha}-antiinv-{inv.name}")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_core_is_the_greedy_on_random_quivers_with_an_involution(seed):
+    t, alphas, tau = _random_cases(seed)
+    for alpha in alphas:
+        for method in ("dw", "inductive"):
+            _assert_core_is_the_greedy(inequalities(t, alpha, method), f"{seed}-{alpha}-{method}")
+        _assert_core_is_the_greedy(inequalities(t, alpha, "antiinv", inv=tau),
+                                   f"{seed}-{alpha}-antiinv")
+
+
+def test_reduce_lps_are_output_sized(sun31, sun31_table, monkeypatch):
+    # Sun(6,1) at (3,2,4,3,2,4): 924 dw rows, 10 survive the reverse filter, 6 the greedy.
+    # One filter LP per row and one greedy LP per survivor, none with more columns than
+    # survivors; the one-LP-per-row greedy had LPs of up to 923 columns
+    q, _ = sun31
+    system = inequalities(sun31_table, DimVector(q, (3, 2, 4, 3, 2, 4)), "dw")
+    columns = []
+
+    def recording(objective, rows, rhs):
+        columns.append(len(objective))
+        return solve_max(objective, rows, rhs)
+
+    monkeypatch.setattr(redundancy, "solve_max", recording)
+    core = irredundant_core(system)
+    assert (len(system.normals), len(core.normals)) == (924, 6)
+    assert len(columns) <= 924 + 10 and max(columns) <= 10
