@@ -8,20 +8,25 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
 |b| at a time, as every b <= t with b != t is lighter than t:
 
 * top-down, mark the root and, for the marked keys t of one level together,
-  in batches of about _CHUNK entries, their candidates b <= t with
-  <b, t - b> >= 0 (the criterion at s = b, which prunes most of the box) and,
-  for c = t - b and each vertex v, <b|V, c> >= 0 and <b, c|W> >= 0, V (W) the
-  vertices on paths out of (into) v, v included.  V is closed under arrow
-  heads and W under arrow tails, so every representation of dimension b (c)
-  has a sub (quotient) of dimension b|V (c|W); Ext^1 over kQ is right exact,
-  so ext(b, c) >= -<b|V, c>, -<b, c|W>, and as b -> t iff ext(b, c) = 0, only
-  b that cannot be generic subdimensions of t are dropped.  A batch holds B
-  and C = t - B vertex-major, one row per vertex of supp(root); with
-  <b, c> = bEc, the sums over V are the rows of H(B * EC) (entrywise), those
-  over W of W(bE * C), H (W) a 0/1 row per V (W) traced on the support.  A
-  trace that is empty, the whole support (its sum is <b, c>, tested first) or
-  one vertex v (a closed V has no arrow from v to the rest of the support, a
-  closed W none from the rest to v, so the sum is b_v c_v) is not a row;
+  in batches of keys with about _CHUNK points b <= t in all, their candidates:
+  the b <= t with, for c = t - b, <b|A, c> >= 0 for every prefix A of the
+  support's vertices taken sinks first (at A = the support, the criterion at
+  s = b, which prunes most of the box), and <b|V, c> >= 0 and <b, c|W> >= 0
+  for each vertex v, V (W) the vertices on paths out of (into) v, v included.
+  The grid of b is enumerated one vertex at a time in that order, and a b is
+  dropped at the first prefix it fails, then the survivors of each t are
+  sorted into flat order.  A and V are closed under arrow heads and W under
+  arrow tails, so every representation of dimension b (c) has a sub
+  (quotient) of dimension b|A, b|V (c|W); Ext^1 over kQ is right exact, so
+  ext(b, c) >= -<b|A, c>, -<b|V, c>, -<b, c|W>, and as b -> t iff
+  ext(b, c) = 0, only b that cannot be generic subdimensions of t are
+  dropped.  A batch holds B and C = t - B vertex-major, one row per vertex of
+  supp(root); with <b, c> = bEc, the sums over V are the rows of H(B * EC)
+  (entrywise), those over W of W(bE * C), H (W) a 0/1 row per V (W) traced on
+  the support.  A trace that is empty, the whole support (its sum is <b, c>,
+  tested first) or one vertex v (a closed V has no arrow from v to the rest of
+  the support, a closed W none from the rest to v, so the sum is b_v c_v) is
+  not a row;
 * bottom-up, level by level, in batches; once S_b is final, push b to every
   key t it is a candidate of with one product of the rows s of S_b with
   a negative entry on supp(root) (a box-sized mask, made once per build)
@@ -58,7 +63,10 @@ _MAX_BOX_POINTS = 2**20
 # most candidates one table build may mark; a box with no arrow inside its
 # support makes every point a candidate of every larger point
 _MAX_CANDIDATES = 2**24
-# entries of one push product, and about as many per array (supp(root) x points) of a batch
+# entries of one push product, and about as many per array (supp(root) x points) of a
+# push batch or of one step of the closed-set screen; points b <= t of the keys of one
+# marking batch (or of its one key), so each array of its enumeration has at most
+# 1 + max(root) times as many entries
 _CHUNK = 2**16
 
 
@@ -92,6 +100,8 @@ def _nonneg_columns(rows, cols):
     (the <s, .> of the s that can make some <s, c> negative, vertex-major), in
     products of about _CHUNK entries, float64 ones in a build (exact below 2**53)."""
     step = max(1, _CHUNK // rows.shape[1])
+    if len(cols) <= step:
+        return (cols @ rows).min(axis=1) >= 0
     return np.concatenate([(cols[i:i + step] @ rows).min(axis=1) >= 0
                            for i in range(0, len(cols), step)])
 
@@ -102,21 +112,38 @@ def _batches(weight, bound):
     return zip([0, *cuts], [*cuts, len(weight)]) if len(weight) else ()
 
 
-def _grids(tops, w, strides):
-    """Flat index and <b, t> (w = tops @ E.T) of each b <= t, t row by row of tops, and
-    each grid's size: per axis, an outer sum over the widest t less the steps past t's."""
+def _candidates(tops, w, strides, slack, axes):
+    """Flat index and owner (row of tops) of each b <= t with <b|A, t - b> >= 0 for every prefix A
+    of axes, w = tops @ E.T and slack[i] = <b, b> at flat index i: grouped by owner, each group in
+    flat order.  axes are (axis, whether an arrow leaves it), sinks first, so each prefix A is
+    closed under arrow heads, the running dot is <b_A, t> = <b_A, t_A> and slack[idx] =
+    <b_A, b_A>; an axis that no arrow leaves only adds b_v (t_v - b_v) >= 0 and is not tested."""
+    radix = tops + 1
+    most, least = radix.max(axis=0).tolist(), radix.min(axis=0).tolist()
+    w, radix, used = w.T.copy(), radix.T.copy(), []
+    own = np.arange(len(tops))
     idx = dot = np.zeros(len(tops), dtype=np.int64)
-    size, radix = np.ones(len(tops), dtype=np.int64), tops + 1
-    least, most = radix.min(axis=0).tolist(), radix.max(axis=0).tolist()
-    for axis in [a for a, m in enumerate(most) if m > 1]:
+    for axis, test in axes:
+        if most[axis] == 1:
+            continue
+        used.append(axis)
         steps = np.arange(most[axis])
         idx = (idx[:, None] + steps * strides[axis]).ravel()
-        dot = (dot[:, None] + (w[:, axis, None] * steps).repeat(size if len(size) > 1 else 1, 0)).ravel()
-        if least[axis] < most[axis]:
-            keep = (steps < radix[:, axis].repeat(size)[:, None]).ravel()
-            idx, dot = idx[keep], dot[keep]
-        size *= radix[:, axis]
-    return idx, dot, size
+        dot = (dot[:, None] + w[axis].take(own)[:, None] * steps).ravel()
+        keep = (steps < radix[axis].take(own)[:, None]).ravel() if least[axis] < most[axis] else None
+        own = own.repeat(most[axis])
+        if test:
+            fit = dot >= slack.take(idx)
+            keep = fit if keep is None else keep & fit
+        if keep is not None:
+            at = keep.nonzero()[0]
+            idx, dot, own = idx.take(at), dot.take(at), own.take(at)
+    if used != sorted(used):  # the grid is lexicographic in axes, the first slowest
+        shift = int(idx.max()).bit_length()
+        key = own << shift | idx
+        key.sort()
+        own, idx = key >> shift, key & ((1 << shift) - 1)
+    return idx, own
 
 
 class ExtTable:
@@ -147,6 +174,7 @@ class ExtTable:
         # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
         # head-closed vertex set holding v, column v the least tail-closed one
         pos = {v: i for i, v in enumerate(quiver._order)}
+        self._sinks_first = [idx(v) for v in reversed(quiver._order)]  # each prefix closed under arrow heads
         self._reach = np.eye(n, dtype=np.int64)
         for t, h in sorted({(t, h) for _, t, h in quiver.arrows}, key=lambda e: -pos[e[0]]):
             self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final
@@ -188,6 +216,11 @@ class ExtTable:
         H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
                          dtype=np.float64).reshape(-1, len(on)) for r in (reach[:, on], reach[on].T))
         arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
+        # the support's axes sinks first, each with whether an arrow leaves it in the support
+        axis = {v: i for i, v in enumerate(on.tolist())}
+        axes = [(axis[v], bool((E[axis[v]] < 0).any())) for v in self._sinks_first if root[v]]
+        if not any(test for _, test in axes):  # no arrow in the support: flat order needs no sort
+            axes.sort()
         E = E.astype(np.float64)
         points = np.stack([np.tile(np.arange(r, dtype=np.min_scalar_type(max(root))).repeat(s), box.size // (r * s))
                            for r, s in zip(box.radix[on].tolist(), box.strides[on].tolist())])
@@ -202,7 +235,7 @@ class ExtTable:
         # every candidate of t is lighter than t, so once a mass is the heaviest
         # left, all its keys are marked
         shift, runs = box.size.bit_length(), [np.array([box.size - 1])]
-        levels, counts, edges, marked = [], [], [], 0
+        levels, counts, edges, marked, step = [], [], [], 0, max(1, _CHUNK // len(on))
         while runs:
             depth = min(int(run[0]) for run in runs) >> shift
             cuts = [np.searchsorted(run, (depth + 1) << shift) for run in runs]
@@ -210,19 +243,20 @@ class ExtTable:
             runs = [run[cut:] for run, cut in zip(runs, cuts) if cut < len(run)]
             top = box.coords(keys)[:, on]
             levels.append((keys, top))
-            for lo, hi in _batches(np.prod(top + 1, axis=1), _CHUNK // len(on)):
+            for lo, hi in _batches(np.prod(top + 1, axis=1), _CHUNK):
                 t = top[lo:hi]
-                idx, dot, size = _grids(t, t @ E.T, box.strides[on])
-                at = np.flatnonzero(dot >= slack_base[idx])  # <b, t - b> >= 0
-                cands, own = idx[at], np.searchsorted(np.cumsum(size), at, side="right")
-                b, tc = points[:, cands], t.T.astype(np.float64)
-                c = (tc[:, own] if len(t) > 1 else tc) - b
-                x = E @ c
-                x *= b  # summed over V, <b|V, c>
-                ok = (H @ x).min(axis=0, initial=0) >= 0
-                x = pe[:, cands]
-                x *= c  # summed over W, <b, c|W>
-                ok &= (W @ x).min(axis=0, initial=0) >= 0
+                cands, own = _candidates(t, t @ E.T, box.strides[on], slack_base, axes)
+                tc, ok = t.T.astype(np.float64), np.empty(len(cands), dtype=bool)
+                for i in range(0, len(cands), step):  # the closed-set screen, step candidates at a time
+                    part = slice(i, i + step)
+                    b = points[:, cands[part]]
+                    c = (tc[:, own[part]] if len(t) > 1 else tc) - b
+                    x = E @ c
+                    x *= b  # summed over V, <b|V, c>
+                    ok[part] = (H @ x).min(axis=0, initial=0) >= 0
+                    x = pe[:, cands[part]]
+                    x *= c  # summed over W, <b, c|W>
+                    ok[part] &= (W @ x).min(axis=0, initial=0) >= 0
                 # the edges of each t: 0, its candidates, t (b = 0 and b = t pass every test)
                 at = np.flatnonzero(ok)
                 cands, own = cands[at], own[at]
@@ -236,10 +270,9 @@ class ExtTable:
                 unseen = np.flatnonzero(~needed[cands])
                 needed[cands] = True
                 if len(unseen):
-                    mass = b[:, at[unseen]].sum(axis=0, dtype=np.int64)
+                    mass = points[:, cands[unseen]].sum(axis=0, dtype=np.int64)
                     run = np.sort((sum(root) - mass) << shift | cands[unseen])
                     runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
-                del b, c, x  # before the next batch makes its own
         del points
         # edge e joins tail[e] to the key j (marking order) with e in starts[j]:starts[j + 1];
         # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with

@@ -14,6 +14,12 @@ characteristic (Crawley-Boevey, Bull. LMS 28, 1996).
 The cone itself has an oracle that shares no code with the table: on the
 triple-flag quiver T_n, membership is a Littlewood-Richardson coefficient
 being nonzero (Derksen-Weyman, JAMS 13, 2000; Knutson-Tao, JAMS 12, 1999).
+
+On every quiver, Derksen-Weyman's spanning theorem (same paper) and their
+saturation theorem make every lattice point sigma of the cone of alpha a weight
+<beta, .> with beta >= 0.  The Euler matrix is unitriangular in a topological
+order, so beta = sigma E^-1 is unique and euler_inverse finds it by back
+substitution: a beta with a negative entry proves sigma is no member.
 """
 
 import itertools
@@ -123,6 +129,19 @@ def generic_hom_ext(q, a, b, samples=20, seed=12345):
 def generic_hom_ext_mod_p(q, a, b, p, samples=2, seed=12345):
     """(hom, ext) from representations with entries uniform in F_p, ranks over F_p."""
     return _best_rank_hom_ext(q, a, b, samples, seed, 0, p - 1, lambda m: rank_mod_p(m, p))
+
+
+def euler_inverse(q, sigma):
+    """The integer beta with <beta, .> = sigma (beta E = sigma, E the Euler matrix of q),
+    by back substitution: sigma_v = beta_v - sum over arrows u -> v of beta_u, so each
+    beta_v follows once the tails of the arrows into v are known."""
+    into = {v: [u for _, u, h in q.arrows if h == v] for v in q.vertices}
+    beta = {}
+    while len(beta) < len(q.vertices):
+        for v, s in zip(q.vertices, sigma):
+            if v not in beta and all(u in beta for u in into[v]):
+                beta[v] = s + sum(beta[u] for u in into[v])
+    return tuple(beta[v] for v in q.vertices)
 
 
 def vectors_of_mass(nvertices, mass):

@@ -9,12 +9,42 @@ differential tests compare every entry against the batched build.
 
     class PerKeyTable(ExtTable):
         _build = build_per_key
+
+grid_candidates is the batched build's candidate enumeration before the
+sinks-first prefix test: every b <= t of a batch from per-axis outer sums,
+then <b, t - b> >= 0 alone.  It takes schofield._candidates' arguments and
+returns its arrays, so a test can build with either one.
 """
 
 import numpy as np
 
 from quiver_cones.errors import DimensionTooLargeError
 from quiver_cones.schofield import _MAX_CANDIDATES, _Box, _nonneg_columns, _rowdot
+
+
+def _grids(tops, w, strides):
+    """Flat index and <b, t> (w = tops @ E.T) of each b <= t, t row by row of tops, and
+    each grid's size: per axis, an outer sum over the widest t less the steps past t's."""
+    idx = dot = np.zeros(len(tops), dtype=np.int64)
+    size, radix = np.ones(len(tops), dtype=np.int64), tops + 1
+    least, most = radix.min(axis=0).tolist(), radix.max(axis=0).tolist()
+    for axis in [a for a, m in enumerate(most) if m > 1]:
+        steps = np.arange(most[axis])
+        idx = (idx[:, None] + steps * strides[axis]).ravel()
+        dot = (dot[:, None] + (w[:, axis, None] * steps).repeat(size if len(size) > 1 else 1, 0)).ravel()
+        if least[axis] < most[axis]:
+            keep = (steps < radix[:, axis].repeat(size)[:, None]).ravel()
+            idx, dot = idx[keep], dot[keep]
+        size *= radix[:, axis]
+    return idx, dot, size
+
+
+def grid_candidates(tops, w, strides, slack, axes):
+    """(flat index, owner) of each b <= t, t a row of tops, with <b, t - b> >= 0, grouped by
+    owner, each group in flat order; axes are not read."""
+    idx, dot, size = _grids(tops, w, strides)
+    at = np.flatnonzero(dot >= slack[idx])  # <b, t - b> >= 0
+    return idx[at], np.searchsorted(np.cumsum(size), at, side="right")
 
 
 def build_per_key(self, root):

@@ -2,6 +2,7 @@
 input checks and its box budget."""
 
 import io
+import itertools
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -289,6 +290,102 @@ def test_batched_build_matches_per_key_build_on_random_quivers(seed):
     for a in roots:
         t.generic_subdims(a)
     assert _entries(t) == _entries(_per_key_table(q, roots)), (q.arrows, roots)
+
+
+def _cold_entries(monkeypatch, q, roots, candidates):
+    """Each root built on a cold table with candidates as the enumeration: its entries, and
+    the arguments and result of every enumeration call."""
+    calls = []
+
+    def recorded(*args):
+        found = candidates(*args)
+        calls.append((args, found))
+        return found
+
+    monkeypatch.setattr(schofield, "_candidates", recorded)
+    entries = {}
+    for a in roots:
+        t = ExtTable(q)
+        t.generic_subdims(a)
+        entries[a] = _entries(t)
+    return entries, calls
+
+
+def _check_against_the_grid(monkeypatch, q, roots, candidates):
+    # each batch's (owner, b) pairs are among those of the full grid with <b, t - b> >= 0
+    # on the same keys, and each root decides the same keys with the same S_t
+    entries, calls = _cold_entries(monkeypatch, q, roots, candidates)
+    expected, _ = _cold_entries(monkeypatch, q, roots, reference_table.grid_candidates)
+    for args, (idx, own) in calls:
+        ref_idx, ref_own = reference_table.grid_candidates(*args)
+        assert np.isin(own << 32 | idx, ref_own << 32 | ref_idx).all(), (q.name, args[0].tolist())
+    for a in roots:
+        assert entries[a].keys() == expected[a].keys(), (q.name, a)
+        assert entries[a] == expected[a], (q.name, a)
+
+
+def _prefix_cases():
+    yield "d5hat", make_d5hat()[0], [row[0] for row in D5HAT_TABLE]
+    yield "sun61", make_sun(3, 1)[0], [row[0] for row in SUN61_TABLE]
+    yield "sun62", make_sun(3, 2)[0], [SUN62_ROW[0]]
+    yield "kronecker", make_kronecker(3)[0], [(8, 12), (12, 8), (5, 5)]
+    for seed in range(6):
+        rng = random.Random(f"prefix-test:{seed}")
+        q = _random_acyclic_quiver(rng, seed)
+        yield q.name, q, [tuple(rng.randint(0, 3) for _ in q.vertices) for _ in range(3)]
+        q = _wide_shallow_quiver(rng, seed)
+        yield q.name, q, [tuple(rng.randint(0, 1) for _ in q.vertices) for _ in range(3)]
+
+
+PREFIX_CASES = list(_prefix_cases())
+
+
+@pytest.mark.parametrize("name, q, roots", PREFIX_CASES, ids=[c[0] for c in PREFIX_CASES])
+def test_prefix_enumeration_matches_the_grid(monkeypatch, name, q, roots):
+    _check_against_the_grid(monkeypatch, q, roots, schofield._candidates)
+
+
+@pytest.mark.parametrize("name", ["d5hat", "sun61", "kronecker"])
+def test_sources_first_fails_the_grid_check(monkeypatch, name):
+    # planted fault: the axes taken sources first, every prefix tested; such a prefix
+    # is closed under arrow tails, not heads, and its test drops generic subdimensions
+    _, q, roots = next(case for case in PREFIX_CASES if case[0] == name)
+    enumerate_ = schofield._candidates
+
+    def sources_first(tops, w, strides, slack, axes):
+        return enumerate_(tops, w, strides, slack, [(axis, True) for axis, _ in reversed(axes)])
+
+    with pytest.raises(AssertionError):
+        _check_against_the_grid(monkeypatch, q, roots, sources_first)
+
+
+@pytest.mark.parametrize("q", [make_line(5)[0], make_kronecker(3)[0], make_d5hat()[0],
+                               *(make_sun(k, n)[0] for k in (2, 3) for n in (1, 2)),
+                               *(_random_acyclic_quiver(random.Random(f"random-quiver:{s}"), s) for s in range(6)),
+                               *(_wide_shallow_quiver(random.Random(f"wide-shallow:{s}"), s) for s in range(6))],
+                         ids=lambda q: q.name)
+def test_every_prefix_of_the_sinks_first_order_is_closed_under_heads(monkeypatch, q):
+    # on every support: the order a build reads, restricted to it, and the axes it enumerates
+    order, n = ExtTable(q)._sinks_first, len(q.vertices)
+    rng = random.Random(f"sinks-first:{q.name}")
+    supports = [set(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)] if n <= 8 else \
+        [{v for v in range(n) if rng.random() < 0.6} for _ in range(300)]
+    arrows = [(q.vertex_index(t), q.vertex_index(h)) for _, t, h in q.arrows]
+    for support in supports:
+        axes = [v for v in order if v in support]
+        for k in range(len(axes) + 1):
+            prefix = set(axes[:k])
+            assert all(h in prefix for t, h in arrows if t in prefix and h in support), (support, axes[:k])
+    for support in supports[-8:]:
+        on = sorted(support)
+        _, calls = _cold_entries(monkeypatch, q, [tuple(int(v in support) for v in range(n))],
+                                 schofield._candidates)
+        for axes in (args[-1] for args, _ in calls):
+            assert sorted(on[a] for a, _ in axes) == on
+            for k, (a, tested) in enumerate(axes):
+                prefix = {on[b] for b, _ in axes[:k + 1]}
+                assert all(h in prefix for t, h in arrows if t in prefix and h in support), (on, axes)
+                assert tested == any(t == on[a] and h in support for t, h in arrows), (on, axes)
 
 
 @pytest.mark.parametrize("case", ["d5hat", "sun62"])
