@@ -99,11 +99,10 @@ def _nonneg_columns(rows, cols):
     """For each row c of cols, whether r . c >= 0 for every column r of rows
     (the <s, .> of the s that can make some <s, c> negative, vertex-major), in
     products of about _CHUNK entries, float64 ones in a build (exact below 2**53)."""
-    step = max(1, _CHUNK // rows.shape[1])
-    if len(cols) <= step:
-        return (cols @ rows).min(axis=1) >= 0
-    return np.concatenate([(cols[i:i + step] @ rows).min(axis=1) >= 0
-                           for i in range(0, len(cols), step)])
+    step, out = max(1, _CHUNK // rows.shape[1]), np.empty(len(cols), dtype=bool)
+    for i in range(0, len(cols), step):
+        out[i:i + step] = (cols[i:i + step] @ rows).min(axis=1) >= 0
+    return out
 
 
 def _batches(weight, bound):
@@ -115,27 +114,25 @@ def _batches(weight, bound):
 def _candidates(tops, w, strides, slack, axes):
     """Flat index and owner (row of tops) of each b <= t with <b|A, t - b> >= 0 for every prefix A
     of axes, w = tops @ E.T and slack[i] = <b, b> at flat index i: grouped by owner, each group in
-    flat order.  axes are (axis, whether an arrow leaves it), sinks first, so each prefix A is
-    closed under arrow heads, the running dot is <b_A, t> = <b_A, t_A> and slack[idx] =
-    <b_A, b_A>; an axis that no arrow leaves only adds b_v (t_v - b_v) >= 0 and is not tested."""
+    flat order.  axes are sinks first, so each prefix A is closed under arrow heads, the running
+    dot is <b_A, t> = <b_A, t_A> and slack[idx] = <b_A, b_A>."""
     radix = tops + 1
     most, least = radix.max(axis=0).tolist(), radix.min(axis=0).tolist()
     w, radix, used = w.T.copy(), radix.T.copy(), []
     own = np.arange(len(tops))
     idx = dot = np.zeros(len(tops), dtype=np.int64)
-    for axis, test in axes:
+    for axis in axes:
         if most[axis] == 1:
             continue
         used.append(axis)
         steps = np.arange(most[axis])
         idx = (idx[:, None] + steps * strides[axis]).ravel()
         dot = (dot[:, None] + w[axis].take(own)[:, None] * steps).ravel()
-        keep = (steps < radix[axis].take(own)[:, None]).ravel() if least[axis] < most[axis] else None
+        keep = dot >= slack.take(idx)
+        if least[axis] < most[axis]:
+            keep &= (steps < radix[axis].take(own)[:, None]).ravel()
         own = own.repeat(most[axis])
-        if test:
-            fit = dot >= slack.take(idx)
-            keep = fit if keep is None else keep & fit
-        if keep is not None:
+        if not keep.all():
             at = keep.nonzero()[0]
             idx, dot, own = idx.take(at), dot.take(at), own.take(at)
     if used != sorted(used):  # the grid is lexicographic in axes, the first slowest
@@ -216,11 +213,9 @@ class ExtTable:
         H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
                          dtype=np.float64).reshape(-1, len(on)) for r in (reach[:, on], reach[on].T))
         arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
-        # the support's axes sinks first, each with whether an arrow leaves it in the support
+        # the support's axes sinks first; with no arrow inside it every order is, and the flat one needs no sort
         axis = {v: i for i, v in enumerate(on.tolist())}
-        axes = [(axis[v], bool((E[axis[v]] < 0).any())) for v in self._sinks_first if root[v]]
-        if not any(test for _, test in axes):  # no arrow in the support: flat order needs no sort
-            axes.sort()
+        axes = sorted(axis.values()) if not m else [axis[v] for v in self._sinks_first if root[v]]
         E = E.astype(np.float64)
         points = np.stack([np.tile(np.arange(r, dtype=np.min_scalar_type(max(root))).repeat(s), box.size // (r * s))
                            for r, s in zip(box.radix[on].tolist(), box.strides[on].tolist())])

@@ -347,13 +347,13 @@ def test_prefix_enumeration_matches_the_grid(monkeypatch, name, q, roots):
 
 @pytest.mark.parametrize("name", ["d5hat", "sun61", "kronecker"])
 def test_sources_first_fails_the_grid_check(monkeypatch, name):
-    # planted fault: the axes taken sources first, every prefix tested; such a prefix
+    # planted fault: the axes taken sources first; such a prefix
     # is closed under arrow tails, not heads, and its test drops generic subdimensions
     _, q, roots = next(case for case in PREFIX_CASES if case[0] == name)
     enumerate_ = schofield._candidates
 
     def sources_first(tops, w, strides, slack, axes):
-        return enumerate_(tops, w, strides, slack, [(axis, True) for axis, _ in reversed(axes)])
+        return enumerate_(tops, w, strides, slack, axes[::-1])
 
     with pytest.raises(AssertionError):
         _check_against_the_grid(monkeypatch, q, roots, sources_first)
@@ -381,11 +381,10 @@ def test_every_prefix_of_the_sinks_first_order_is_closed_under_heads(monkeypatch
         _, calls = _cold_entries(monkeypatch, q, [tuple(int(v in support) for v in range(n))],
                                  schofield._candidates)
         for axes in (args[-1] for args, _ in calls):
-            assert sorted(on[a] for a, _ in axes) == on
-            for k, (a, tested) in enumerate(axes):
-                prefix = {on[b] for b, _ in axes[:k + 1]}
+            assert sorted(on[a] for a in axes) == on
+            for k in range(len(axes)):
+                prefix = {on[b] for b in axes[:k + 1]}
                 assert all(h in prefix for t, h in arrows if t in prefix and h in support), (on, axes)
-                assert tested == any(t == on[a] and h in support for t, h in arrows), (on, axes)
 
 
 @pytest.mark.parametrize("case", ["d5hat", "sun62"])
