@@ -142,7 +142,7 @@ def counts(t, a, involutions=()):
     n1 = #{beta <= alpha : beta generic subdim}; n2 restricts to nonvanishing
     pairing with alpha - beta; n3 = #I0 betas for each given involution.
     """
-    n1 = len(t.generic_subdims(a))
-    n2 = len(t.inductive_normals(a))
+    key = t._vector(a).values
+    n1, n2 = len(t._subdim_rows(key)[0]), len(t._normal_rows(key))
     n3s = [len(enumerate_I0(t, a, inv)) for inv in involutions]
     return n1, n2, n3s

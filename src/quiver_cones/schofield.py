@@ -13,20 +13,22 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   support's vertices taken sinks first (at A = the support, the criterion at
   s = b, which prunes most of the box), and <b|V, c> >= 0 and <b, c|W> >= 0
   for each vertex v, V (W) the vertices on paths out of (into) v, v included.
-  The grid of b is enumerated one vertex at a time in that order, and a b is
-  dropped at the first prefix it fails, then the survivors of each t are
-  sorted into flat order.  A and V are closed under arrow heads and W under
-  arrow tails, so every representation of dimension b (c) has a sub
-  (quotient) of dimension b|A, b|V (c|W); Ext^1 over kQ is right exact, so
-  ext(b, c) >= -<b|A, c>, -<b|V, c>, -<b, c|W>, and as b -> t iff
-  ext(b, c) = 0, only b that cannot be generic subdimensions of t are
-  dropped.  A batch holds B and C = t - B vertex-major, one row per vertex of
-  supp(root); with <b, c> = bEc, the sums over V are the rows of H(B * EC)
-  (entrywise), those over W of W(bE * C), H (W) a 0/1 row per V (W) traced on
-  the support.  A trace that is empty, the whole support (its sum is <b, c>,
-  tested first) or one vertex v (a closed V has no arrow from v to the rest of
-  the support, a closed W none from the rest to v, so the sum is b_v c_v) is
-  not a row;
+  The grid of b is grown one vertex at a time in that order, the new vertex's
+  steps outermost, so each step is one operation over the whole grid so far,
+  and a b is dropped at the first prefix it fails; one sort of the packed
+  (owner, flat index) of the survivors then groups them by t in flat order,
+  skipped when those already increase (one key on one vertex).  A and V are
+  closed under arrow heads and W under arrow tails, so every representation
+  of dimension b (c) has a sub (quotient) of dimension b|A, b|V (c|W);
+  Ext^1 over kQ is right exact, so ext(b, c) >= -<b|A, c>, -<b|V, c>,
+  -<b, c|W>, and as b -> t iff ext(b, c) = 0, only b that cannot be generic
+  subdimensions of t are dropped.  A batch holds B and C = t - B
+  vertex-major, one row per vertex of supp(root); with <b, c> = bEc, the sums
+  over V are the rows of H(B * EC) (entrywise), those over W of W(bE * C),
+  H (W) a 0/1 row per V (W) traced on the support.  A trace that is empty,
+  the whole support (its sum is <b, c>, tested first) or one vertex v (a
+  closed V has no arrow from v to the rest of the support, a closed W none
+  from the rest to v, so the sum is b_v c_v) is not a row;
 * bottom-up, level by level, in batches; once S_b is final, push b to every
   key t it is a candidate of with one product of the rows s of S_b with
   a negative entry on supp(root) (a box-sized mask, made once per build)
@@ -46,7 +48,8 @@ read are integer.
 Every other question is a read of those sets: ext(a, b) is
 max(0, -min over s in S_a of <s, b>), disc(a, s) is max over S_a of s, the
 inductive normals are the b in S_a with <b, a - b> = 0, and the I0 betas are
-the normals beta with a - beta - tau.beta >= 0 passing two ext tests on S_beta.
+the normals beta with a - beta - tau.beta >= 0 passing two ext tests on S_beta,
+all betas at once: one segmented minimum over their S_beta laid end to end.
 """
 
 import math
@@ -115,31 +118,35 @@ def _candidates(tops, w, strides, slack, axes):
     """Flat index and owner (row of tops) of each b <= t with <b|A, t - b> >= 0 for every prefix A
     of axes, w = tops @ E.T and slack[i] = <b, b> at flat index i: grouped by owner, each group in
     flat order.  axes are sinks first, so each prefix A is closed under arrow heads, the running
-    dot is <b_A, t> = <b_A, t_A> and slack[idx] = <b_A, b_A>."""
+    dot is <b_A, t> = <b_A, t_A> and slack[idx] = <b_A, b_A>.  Each axis's steps are outermost,
+    so every operation on a step runs over the whole grid so far."""
     radix = tops + 1
     most, least = radix.max(axis=0).tolist(), radix.min(axis=0).tolist()
-    w, radix, used = w.T.copy(), radix.T.copy(), []
+    w, radix = w.T.copy(), radix.T.copy()
     own = np.arange(len(tops))
     idx = dot = np.zeros(len(tops), dtype=np.int64)
     for axis in axes:
         if most[axis] == 1:
             continue
-        used.append(axis)
-        steps = np.arange(most[axis])
-        idx = (idx[:, None] + steps * strides[axis]).ravel()
-        dot = (dot[:, None] + w[axis].take(own)[:, None] * steps).ravel()
+        steps = np.arange(most[axis])[:, None]
+        idx = (steps * strides[axis] + idx).ravel()
+        dot = (steps * w[axis].take(own) + dot).ravel()
         keep = dot >= slack.take(idx)
         if least[axis] < most[axis]:
-            keep &= (steps < radix[axis].take(own)[:, None]).ravel()
-        own = own.repeat(most[axis])
+            keep &= (steps < radix[axis].take(own)).ravel()
+        own = np.tile(own, most[axis])
         if not keep.all():
             at = keep.nonzero()[0]
             idx, dot, own = idx.take(at), dot.take(at), own.take(at)
-    if used != sorted(used):  # the grid is lexicographic in axes, the first slowest
-        shift = int(idx.max()).bit_length()
-        key = own << shift | idx
-        key.sort()
-        own, idx = key >> shift, key & ((1 << shift) - 1)
+    # the grid runs the last axis slowest and the owner fastest: sort the packed
+    # (owner, flat) keys, unless they already increase (one owner on one axis)
+    shift = int(idx.max(initial=0)).bit_length()
+    own <<= shift  # packed in place, with no second grid-sized array
+    own |= idx
+    if (own[1:] <= own[:-1]).any():
+        own.sort()
+        idx = own & ((1 << shift) - 1)
+    own >>= shift
     return idx, own
 
 
@@ -213,9 +220,8 @@ class ExtTable:
         H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
                          dtype=np.float64).reshape(-1, len(on)) for r in (reach[:, on], reach[on].T))
         arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
-        # the support's axes sinks first; with no arrow inside it every order is, and the flat one needs no sort
         axis = {v: i for i, v in enumerate(on.tolist())}
-        axes = sorted(axis.values()) if not m else [axis[v] for v in self._sinks_first if root[v]]
+        axes = [axis[v] for v in self._sinks_first if root[v]]  # the support's axes, sinks first
         E = E.astype(np.float64)
         points = np.stack([np.tile(np.arange(r, dtype=np.min_scalar_type(max(root))).repeat(s), box.size // (r * s))
                            for r, s in zip(box.radix[on].tolist(), box.strides[on].tolist())])
@@ -244,12 +250,12 @@ class ExtTable:
                 tc, ok = t.T.astype(np.float64), np.empty(len(cands), dtype=bool)
                 for i in range(0, len(cands), step):  # the closed-set screen, step candidates at a time
                     part = slice(i, i + step)
-                    b = points[:, cands[part]]
-                    c = (tc[:, own[part]] if len(t) > 1 else tc) - b
+                    b = points.take(cands[part], axis=1)
+                    c = (tc.take(own[part], axis=1) if len(t) > 1 else tc) - b
                     x = E @ c
                     x *= b  # summed over V, <b|V, c>
                     ok[part] = (H @ x).min(axis=0, initial=0) >= 0
-                    x = pe[:, cands[part]]
+                    x = pe.take(cands[part], axis=1)
                     x *= c  # summed over W, <b, c|W>
                     ok[part] &= (W @ x).min(axis=0, initial=0) >= 0
                 # the edges of each t: 0, its candidates, t (b = 0 and b = t pass every test)
@@ -265,7 +271,7 @@ class ExtTable:
                 unseen = np.flatnonzero(~needed[cands])
                 needed[cands] = True
                 if len(unseen):
-                    mass = points[:, cands[unseen]].sum(axis=0, dtype=np.int64)
+                    mass = points.take(cands[unseen], axis=1).sum(axis=0, dtype=np.int64)
                     run = np.sort((sum(root) - mass) << shift | cands[unseen])
                     runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
         del points
@@ -301,7 +307,7 @@ class ExtTable:
             for lo, hi in _batches(lens + got, _CHUNK // (2 * len(on))):
                 sel = subs[off[lo]:off[hi]]
                 row_at = np.cumsum(np.concatenate(([0], neg[sel])))[off[lo:hi + 1] - off[lo]]
-                rows, pos = pe[:, sel[neg[sel]]], order[ends[p + lo]:ends[p + hi]]
+                rows, pos = pe.take(sel[neg[sel]], axis=1), order[ends[p + lo]:ends[p + hi]]
                 n = got[lo:hi] * (row_at[1:] > row_at[:-1])  # edges of the keys with such rows
                 tested = (n > 0).repeat(got[lo:hi])
                 col_at = np.concatenate(([0], np.cumsum(n)))
@@ -329,6 +335,15 @@ class ExtTable:
             box, buf, lo, hi = self._subs[key]
             S = box.coords(buf[lo:hi])
             rows = self._reads[key] = (S, S @ self._euler)
+        return rows
+
+    def _normal_rows(self, key):
+        """The inductive normals of key as the rows of one array, lexicographic."""
+        rows = self._reads.get(("normals", key))
+        if rows is None:
+            S, M = self._subdim_rows(key)
+            isotropic = M @ np.asarray(key, dtype=np.int64) == _rowdot(M, S)  # <b, a> = <b, b>
+            rows = self._reads[("normals", key)] = S[isotropic]
         return rows
 
     # -- operations ---------------------------------------------------------
@@ -365,9 +380,7 @@ class ExtTable:
         key = self._vector(a).values
         normals = self._reads.get(("inductive", key))
         if normals is None:
-            S, M = self._subdim_rows(key)
-            isotropic = M @ np.asarray(key, dtype=np.int64) == _rowdot(M, S)  # <b, a> = <b, b>
-            normals = tuple(DimVector(self.quiver, row) for row in S[isotropic].tolist())
+            normals = tuple(DimVector(self.quiver, row) for row in self._normal_rows(key).tolist())
             self._reads[("inductive", key)] = normals
         return normals
 
@@ -380,9 +393,12 @@ class ExtTable:
         so <beta, a - beta> = 0, and ext(beta, a - beta) = 0, since a general V
         of dimension beta has Ext(V, W + W') = 0 for general W, W' of dimensions
         gamma, tau.beta and generic ext is the least over all representations.
-        On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta (decided
-        by the build of a) holds beta, so the ext tests on S_beta imply both
-        isotropy tests; <beta, gamma> = 0 is tested first only to skip S_beta.
+        On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta holds
+        beta, so the ext tests on S_beta imply both isotropy tests; <beta, gamma>
+        = 0 is tested first, on every normal at once, only to skip S_beta.  Each
+        beta is a key (the build that decided S_a marked it), so S_beta is a
+        slice of the buffer of a's build or of an earlier one; both ext tests of
+        every beta are one segmented minimum over those slices laid end to end.
         """
         key = self._vector(a).values
         betas = self._reads.get(("I0", key, inv))
@@ -392,16 +408,28 @@ class ExtTable:
         perm = list(inv.perm)  # a tuple would index b[perm] by axis
         if tuple(key[p] for p in perm) != key:
             raise NotSymmetricDimensionError(f"{key} is not tau-symmetric")
-        root, betas = np.asarray(key, dtype=np.int64), []
-        for beta in self.inductive_normals(key):
-            b = np.asarray(beta.values, dtype=np.int64)
-            gamma = root - b - b[perm]
-            if gamma.min() < 0 or b @ self._euler @ gamma != 0:
-                continue
-            _, M = self._subdim_rows(beta.values)  # ext(beta, c) = 0 iff min(M @ c) >= 0
-            if (M @ np.stack((gamma, b[perm]), axis=1)).min() >= 0:
-                betas.append(beta)
-        betas = self._reads[("I0", key, inv)] = tuple(betas)
+        B = self._normal_rows(key)
+        T = B[:, perm]  # tau.beta
+        G = np.asarray(key, dtype=np.int64) - B - T  # gamma
+        on = (G >= 0).all(axis=1) & (_rowdot(B @ self._euler, G) == 0)
+        B, T, G = B[on], T[on], G[on]  # never empty: beta = 0 passes
+        # gather the slices of each buffer at once, into rows laid out beta by beta
+        spans = [self._subs[beta] for beta in map(tuple, B.tolist())]
+        los, lens = np.array([(lo, hi - lo) for _, _, lo, hi in spans]).T
+        firsts = np.cumsum(lens) - lens
+        S, groups = np.empty((lens.sum(), len(key)), dtype=np.int64), {}
+        for i, (box, buf, _, _) in enumerate(spans):
+            groups.setdefault(id(buf), (box, buf, []))[2].append(i)
+        for box, buf, members in groups.values():
+            n = lens[members]
+            at = np.arange(n.sum()) - (np.cumsum(n) - n).repeat(n)  # row within its slice
+            S[at + firsts[members].repeat(n)] = box.coords(buf[at + los[members].repeat(n)])
+        # ext(beta, c) = 0 iff <s, c> >= 0 for every s in S_beta: one segmented minimum
+        # over both tests, c = gamma and c = tau.beta
+        SE = S @ self._euler
+        low = np.minimum(_rowdot(SE, G.repeat(lens, axis=0)), _rowdot(SE, T.repeat(lens, axis=0)))
+        ok = np.minimum.reduceat(low, firsts) >= 0
+        betas = self._reads[("I0", key, inv)] = tuple(DimVector(self.quiver, row) for row in B[ok].tolist())
         return betas
 
     def disc(self, a, s):

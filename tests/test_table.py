@@ -17,6 +17,7 @@ from quiver_cones import (
     Quiver,
     Weight,
     counts,
+    enumerate_I0,
     make_d5hat,
     make_kronecker,
     make_line,
@@ -359,6 +360,46 @@ def test_sources_first_fails_the_grid_check(monkeypatch, name):
         _check_against_the_grid(monkeypatch, q, roots, sources_first)
 
 
+def _check_candidate_order(monkeypatch, q, roots, candidates):
+    """Each enumeration's (owner, flat) pairs strictly increase; returns its owner counts."""
+    _, calls = _cold_entries(monkeypatch, q, roots, candidates)
+    for args, (idx, own) in calls:
+        key = own.astype(np.int64) << 32 | idx
+        assert (key[1:] > key[:-1]).all(), (q.name, args[0].tolist())
+    return [len(np.unique(own)) for _, (_, own) in calls]
+
+
+ORDER_CASES = [("d5hat", make_d5hat()[0], [row[0] for row in D5HAT_TABLE]),
+               ("sun61", make_sun(3, 1)[0], [row[0] for row in SUN61_TABLE]),
+               ("sun62", make_sun(3, 2)[0], [SUN62_ROW[0]]),
+               ("thin", make_d5hat()[0], [(300, 0, 0, 0, 0, 0)])]
+
+
+@pytest.mark.parametrize("name, q, roots", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_candidates_come_in_owner_then_flat_order(monkeypatch, name, q, roots):
+    # the push reads each owner's candidates as one run, in flat order; a thin box
+    # has one owner on one axis per batch, whose grid needs no sort
+    owners = _check_candidate_order(monkeypatch, q, roots, schofield._candidates)
+    assert max(owners) == 1 if name == "thin" else max(owners) > 1
+
+
+@pytest.mark.parametrize("name", ["d5hat", "sun61", "sun62"])
+def test_never_sorting_fails_the_order_check(monkeypatch, name):
+    # planted fault: the candidates left in the order the step-major grid walks them,
+    # the last axis slowest and the owner fastest
+    _, q, roots = next(case for case in ORDER_CASES if case[0] == name)
+    enumerate_ = schofield._candidates
+
+    def never_sorted(tops, w, strides, slack, axes):
+        idx, own = enumerate_(tops, w, strides, slack, axes)
+        steps = [idx // strides[a] % (tops[:, a].max() + 1) for a in axes]
+        order = np.lexsort([own, *steps])  # the last key is the primary one
+        return idx[order], own[order]
+
+    with pytest.raises(AssertionError):
+        _check_candidate_order(monkeypatch, q, roots, never_sorted)
+
+
 @pytest.mark.parametrize("q", [make_line(5)[0], make_kronecker(3)[0], make_d5hat()[0],
                                *(make_sun(k, n)[0] for k in (2, 3) for n in (1, 2)),
                                *(_random_acyclic_quiver(random.Random(f"random-quiver:{s}"), s) for s in range(6)),
@@ -540,6 +581,30 @@ def test_nested_root_on_one_table_matches_recursion(d5hat):
     t.generic_subdims((0, 0, 1, 2, 0, 1))
     root = (1, 1, 1, 4, 1, 1)
     assert [b.values for b in t.generic_subdims(root)] == oracle.generic_subdims(root)
+
+
+@pytest.mark.parametrize("case", ["d5hat-tau", "sun61-tau", "sun61-rho"])
+def test_i0_reads_betas_that_an_earlier_build_decided(case):
+    # the last I0 beta of alpha is built first, in its own box; alpha's build keeps
+    # those keys' entries, so the segmented minimum of iso_pairs reads S_beta from
+    # two buffers, each with its own box
+    if case == "d5hat-tau":
+        (q, inv), alpha = make_d5hat(), (2, 3, 4, 4, 3, 2)
+    else:
+        (q, invs), alpha = make_sun(3, 1), (2,) * 6
+        inv = next(inv for inv in invs if inv.name == case.split("-")[1])
+    first = ExtTable(q).iso_pairs(alpha, inv)[-1].values
+    t = ExtTable(q)
+    t.generic_subdims(first)
+    betas = t.iso_pairs(alpha, inv)
+    buffer = t._subs[alpha][1]
+    assert any(any(b.values) and t._subs[b.values][1] is not buffer for b in betas)
+    oracle = ref.RecursiveExtTable(q)
+    assert [b.values for b in betas] == [b for b, _ in ref.iso_pairs(oracle, alpha, inv)]
+    # every read returns the one shared tuple
+    assert t.iso_pairs(alpha, inv) is betas and enumerate_I0(t, alpha, inv) is betas
+    assert t.inductive_normals(alpha) is t.inductive_normals(DimVector(q, alpha))
+    assert [b.values for b in t.inductive_normals(alpha)] == ref.inductive_normals(oracle, alpha)
 
 
 def test_int64_bound_is_checked(d5hat):
