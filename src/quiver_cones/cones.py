@@ -143,6 +143,6 @@ def counts(t, a, involutions=()):
     pairing with alpha - beta; n3 = #I0 betas for each given involution.
     """
     key = t._vector(a).values
-    n1, n2 = len(t._subdim_rows(key)[0]), len(t._normal_rows(key))
+    n1, n2 = len(t._subdim_rows(key)), len(t._normal_rows(key))
     n3s = [len(enumerate_I0(t, a, inv)) for inv in involutions]
     return n1, n2, n3s

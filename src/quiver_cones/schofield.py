@@ -87,9 +87,6 @@ class _Box:
         self.radix = np.array(self.shape, dtype=np.int64)
         self.strides = np.cumprod(self.radix[::-1])[::-1] // self.radix
 
-    def flat(self, coords):
-        return coords @ self.strides
-
     def coords(self, flat):
         return flat[..., None] // self.strides % self.radix
 
@@ -186,7 +183,7 @@ class ExtTable:
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
         # buffer[start:stop], in flat order
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
-        self._reads = {}  # tuple(a) -> (S, S @ E), never returned; inductive normals, I0 betas
+        self._reads = {}  # tuple(a) -> S, never returned; inductive normals, I0 betas
 
     # -- internal ----------------------------------------------------------
 
@@ -277,40 +274,38 @@ class ExtTable:
         del points
         # edge e joins tail[e] to the key j (marking order) with e in starts[j]:starts[j + 1];
         # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with
-        # keys ranked 1, 2, ... as the push below walks them, puts key p's at ends[p]:ends[p + 1]
+        # each key ranked 1 + its marking index, puts key j's at ends[j]:ends[j + 1]
         tail, tops = np.concatenate(edges), np.concatenate([top for _, top in levels]).astype(np.float64)
         del edges
         starts = np.cumsum(np.concatenate([[0], *counts]))
-        push = np.concatenate([keys for keys, _ in reversed(levels)])
         rank = np.zeros(box.size, dtype=np.int64)
-        rank[push] = np.arange(1, len(push) + 1)
+        rank[np.concatenate([keys for keys, _ in levels])] = np.arange(1, len(tops) + 1)
         order = rank[tail]
         order[starts[1:] - 1] = 0  # the edge from t to itself, like those from 0, is never pushed
         shift = len(tail).bit_length()
         order <<= shift
         order |= np.arange(len(tail), dtype=np.int32)
         order.sort()
-        ends = np.searchsorted(order, np.arange(1, len(push) + 2) << shift)
+        ends = np.searchsorted(order, np.arange(1, len(tops) + 2) << shift)
         order &= (1 << shift) - 1
         order = order.astype(np.int32)
         accepted = np.zeros(len(tail), dtype=bool)
         accepted[starts[:-1]] = accepted[starts[1:] - 1] = True  # 0 and t
-        j, p = len(tops), 0
+        j = len(tops)
         # by ascending mass, so the S_t of a level are final when it is reached;
         # then each key of the level is pushed to every key it is a candidate of
         for keys, top in reversed(levels):
             j -= len(keys)
             a, z = starts[j], starts[j + len(keys)]
-            off = np.concatenate(([0], np.cumsum(accepted[a:z])))[starts[j:j + len(keys) + 1] - a]
-            subs = tail[a:z][accepted[a:z]]
-            lens, got = off[1:] - off[:-1], ends[p + 1:p + len(top) + 1] - ends[p:p + len(top)]
+            held = accepted[a:z] & neg.take(tail[a:z])  # the s of each S_b that can make <s, c> < 0
+            off = np.concatenate(([0], np.cumsum(held)))[starts[j:j + len(keys) + 1] - a]
+            subs = tail[a:z][held]
+            lens, got = off[1:] - off[:-1], ends[j + 1:j + len(keys) + 1] - ends[j:j + len(keys)]
             for lo, hi in _batches(lens + got, _CHUNK // (2 * len(on))):
-                sel = subs[off[lo]:off[hi]]
-                row_at = np.cumsum(np.concatenate(([0], neg[sel])))[off[lo:hi + 1] - off[lo]]
-                rows, pos = pe.take(sel[neg[sel]], axis=1), order[ends[p + lo]:ends[p + hi]]
-                n = got[lo:hi] * (row_at[1:] > row_at[:-1])  # edges of the keys with such rows
+                rows, pos = pe.take(subs[off[lo]:off[hi]], axis=1), order[ends[j + lo]:ends[j + hi]]
+                n = got[lo:hi] * (lens[lo:hi] > 0)  # edges of the keys with such rows
                 tested = (n > 0).repeat(got[lo:hi])
-                col_at = np.concatenate(([0], np.cumsum(n)))
+                row_at, col_at = off[lo:hi + 1] - off[lo], np.concatenate(([0], np.cumsum(n)))
                 # c = u - t for the key u of each edge, one product per key
                 c = tops[np.searchsorted(starts, pos[tested], side="right") - 1] - top[lo:hi].repeat(n, axis=0)
                 keep = [_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[col_at[i]:col_at[i + 1]])
@@ -318,7 +313,6 @@ class ExtTable:
                 ok = ~tested  # a key with no such row accepts every edge
                 ok[tested] = np.concatenate(keep) if keep else False
                 accepted[pos[ok]] = True
-            p += len(top)
         owned = tail[accepted]
         del tail, order, accepted
         spans = [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
@@ -327,21 +321,21 @@ class ExtTable:
             self._subs.setdefault(key, (box, owned, lo, hi))
 
     def _subdim_rows(self, key):
-        """(S, M): rows of S the generic subdimensions of key, lexicographic; M = S @ E."""
-        rows = self._reads.get(key)
-        if rows is None:
+        """The generic subdimensions of key as the rows of one array S, lexicographic."""
+        S = self._reads.get(key)
+        if S is None:
             if key not in self._subs:
                 self._build(key)
             box, buf, lo, hi = self._subs[key]
-            S = box.coords(buf[lo:hi])
-            rows = self._reads[key] = (S, S @ self._euler)
-        return rows
+            S = self._reads[key] = box.coords(buf[lo:hi])
+        return S
 
     def _normal_rows(self, key):
         """The inductive normals of key as the rows of one array, lexicographic."""
         rows = self._reads.get(("normals", key))
         if rows is None:
-            S, M = self._subdim_rows(key)
+            S = self._subdim_rows(key)
+            M = S @ self._euler
             isotropic = M @ np.asarray(key, dtype=np.int64) == _rowdot(M, S)  # <b, a> = <b, b>
             rows = self._reads[("normals", key)] = S[isotropic]
         return rows
@@ -354,8 +348,8 @@ class ExtTable:
         if sum(ka) == 0 or sum(kb) == 0:
             return 0
         self._check_int64(sum(ka), sum(kb))
-        _, M = self._subdim_rows(ka)
-        return max(0, -int((M @ np.asarray(kb, dtype=np.int64)).min()))
+        S = self._subdim_rows(ka)
+        return max(0, -int((S @ (self._euler @ np.asarray(kb, dtype=np.int64))).min()))
 
     def hom(self, a, b):
         """Generic hom value: <a, b> + ext(a, b); always >= 0."""
@@ -371,7 +365,7 @@ class ExtTable:
 
     def generic_subdims(self, a):
         """All generic subdimensions of a, in mixed-radix lexicographic order."""
-        S, _ = self._subdim_rows(self._vector(a).values)
+        S = self._subdim_rows(self._vector(a).values)
         return [DimVector(self.quiver, row) for row in S.tolist()]
 
     def inductive_normals(self, a):
@@ -396,9 +390,9 @@ class ExtTable:
         On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta holds
         beta, so the ext tests on S_beta imply both isotropy tests; <beta, gamma>
         = 0 is tested first, on every normal at once, only to skip S_beta.  Each
-        beta is a key (the build that decided S_a marked it), so S_beta is a
-        slice of the buffer of a's build or of an earlier one; both ext tests of
-        every beta are one segmented minimum over those slices laid end to end.
+        beta is a key (the build that decided S_a marked it): S_beta is decoded
+        from its own slice, of the buffer of a's build or an earlier one, and both
+        ext tests of every beta are one segmented minimum over them end to end.
         """
         key = self._vector(a).values
         betas = self._reads.get(("I0", key, inv))
@@ -413,17 +407,10 @@ class ExtTable:
         G = np.asarray(key, dtype=np.int64) - B - T  # gamma
         on = (G >= 0).all(axis=1) & (_rowdot(B @ self._euler, G) == 0)
         B, T, G = B[on], T[on], G[on]  # never empty: beta = 0 passes
-        # gather the slices of each buffer at once, into rows laid out beta by beta
-        spans = [self._subs[beta] for beta in map(tuple, B.tolist())]
-        los, lens = np.array([(lo, hi - lo) for _, _, lo, hi in spans]).T
-        firsts = np.cumsum(lens) - lens
-        S, groups = np.empty((lens.sum(), len(key)), dtype=np.int64), {}
-        for i, (box, buf, _, _) in enumerate(spans):
-            groups.setdefault(id(buf), (box, buf, []))[2].append(i)
-        for box, buf, members in groups.values():
-            n = lens[members]
-            at = np.arange(n.sum()) - (np.cumsum(n) - n).repeat(n)  # row within its slice
-            S[at + firsts[members].repeat(n)] = box.coords(buf[at + los[members].repeat(n)])
+        # each S_beta decoded from its own slice, laid out beta by beta
+        S = [box.coords(buf[lo:hi]) for box, buf, lo, hi in map(self._subs.get, map(tuple, B.tolist()))]
+        lens = np.array([len(rows) for rows in S])
+        S, firsts = np.concatenate(S), np.cumsum(lens) - lens
         # ext(beta, c) = 0 iff <s, c> >= 0 for every s in S_beta: one segmented minimum
         # over both tests, c = gamma and c = tau.beta
         SE = S @ self._euler
@@ -435,7 +422,7 @@ class ExtTable:
     def disc(self, a, s):
         """disc(a, s) = max of s(b) over generic subdims b of a; >= 0 since 0 is one."""
         w = np.asarray(self._vector(s, Weight).values, dtype=np.int64)
-        S, _ = self._subdim_rows(self._vector(a).values)
+        S = self._subdim_rows(self._vector(a).values)
         return int((S @ w).max())
 
     def disc_witness(self, a, s):

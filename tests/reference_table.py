@@ -70,7 +70,7 @@ def build_per_key(self, root):
         hit = self._subs.get(key)
         if hit is not None:
             src, src_buf, lo, hi = hit
-            known[t] = box.flat(src.coords(src_buf[lo:hi]))
+            known[t] = src.coords(src_buf[lo:hi]) @ box.strides
             continue
         # flat index and <b, t> of every b <= t, as per-axis outer sums
         idx = dot = np.zeros(1, dtype=np.int64)

@@ -1,9 +1,11 @@
 """The box-indexed subdimension table against the recursive reference, its
 input checks and its box budget."""
 
+import inspect
 import io
 import itertools
 import random
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -439,7 +441,7 @@ def test_subdimensions_are_transitive_on_every_key(case):
     t = ExtTable(q)
     t.generic_subdims(alpha)
     root = schofield._Box(alpha)
-    subs = {int(root.flat(np.asarray(key))): root.flat(box.coords(buf[lo:hi]))
+    subs = {int(np.asarray(key) @ root.strides): box.coords(buf[lo:hi]) @ root.strides
             for key, (box, buf, lo, hi) in t._subs.items()}
     assert len(subs) == len(t._subs) > 600
     for key, rows in subs.items():
@@ -571,6 +573,43 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     assert edges == 300 * 299 // 2
 
 
+def _check_row_mask(monkeypatch, table):
+    # only the s of S_b with a negative entry on the support can make <s, t - b>
+    # negative, and only they enter a push product, in cold builds of two roots
+    products, check = [], schofield._nonneg_columns
+
+    def recorded(rows, cols):
+        products.append(rows)
+        return check(rows, cols)
+
+    monkeypatch.setattr(schofield, "_nonneg_columns", recorded)
+    for q, alpha in [(make_d5hat()[0], (4,) * 6), (make_sun(3, 2)[0], (1, 2) * 6)]:
+        table(q).generic_subdims(alpha)
+    assert products
+    for rows in products:
+        assert (rows < 0).any(axis=0).all(), rows.shape
+
+
+def test_push_products_hold_only_rows_with_a_negative_entry(monkeypatch):
+    _check_row_mask(monkeypatch, ExtTable)
+
+
+def test_every_accepted_row_fails_the_row_mask_check(monkeypatch):
+    # planted fault: every accepted row of each S_b in the product; the sets stay
+    # the same (a row with no negative entry cannot reject), only the work grows
+    source = textwrap.dedent(inspect.getsource(schofield.ExtTable._build))
+    planted = source.replace("accepted[a:z] & neg.take(tail[a:z])", "accepted[a:z].copy()")
+    assert planted != source
+    scope = {}
+    exec(planted, vars(schofield), scope)  # the module's globals, so the recorder is read
+
+    class Wasteful(ExtTable):
+        _build = scope["_build"]
+
+    with pytest.raises(AssertionError):
+        _check_row_mask(monkeypatch, Wasteful)
+
+
 def test_nested_root_on_one_table_matches_recursion(d5hat):
     # (0, 0, 1, 2, 0, 1) is built first, on x3, x4, x6; the next root's build
     # decides those keys again in its own box, on the full support, where the rows
@@ -643,8 +682,8 @@ def test_no_float_reaches_an_answer(d5hat):
     q, inv = d5hat
     t = ExtTable(q)
     alpha = (2, 3, 4, 4, 3, 2)
-    S, M = t._subdim_rows(alpha)
-    assert S.dtype == M.dtype == np.int64
+    S = t._subdim_rows(alpha)
+    assert S.dtype == np.int64
     sigma = Weight(q, (1, 0, 0, 0, 0, -1))
     for value in (t.ext(alpha, (1,) * 6), t.hom(alpha, (1,) * 6), t.disc(alpha, sigma)):
         assert type(value) is int
