@@ -41,6 +41,24 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   its own box, those an earlier build decided too (their entries stay); a
   root that is already a key is read, not built.
 
+A root a of gcd g > 1 is first tried as a sum.  With delta = a / g: if
+<delta, delta> < 0, ext(delta, delta) >= -<delta, delta> > 0 and a is built
+at once; otherwise, once box(a) is within its budget, S_delta is decided (delta
+has gcd 1, so by a build, or read) and, if ext(delta, delta) = 0, S_a is the
+g-fold sum S_delta + ... + S_delta, one copy at a time, deduplicated, as flat
+indices of box(a) in flat order (its own buffer, no key marked).  Why: when
+ext(b, c) = ext(c, b) = 0 a general representation of dimension b + c is V + W
+with V, W general of dimensions b, c (Kac, Infinite root systems,
+representations of graphs and invariant theory II, J. Algebra 78, 1982), and
+S_(b+c) = S_b + S_c.  A subrepresentation U of V + W has dimension
+dim(U n V) + dim pi_W(U), a sub of V plus a sub of W; for general V, W those
+lie in S_b, S_c, as "has a sub of dimension e" is a closed condition, so S_(b+c)
+is inside S_b + S_c.  Back, a sub of V plus a sub of W is a sub of V + W, and
+by closedness a sub of every representation of dimension b + c.  When
+ext(delta, delta) = 0 the general representation of dimension k delta is a sum
+of k general ones of dimension delta, so ext(k delta, delta) = ext(delta,
+k delta) = 0 and S_((k+1) delta) = S_(k delta) + S_delta for every k.
+
 A build's products run in float64 through BLAS, exact as _build first checks
 that every value they form is an integer below 2**53; what it stores and every
 read are integer.
@@ -181,7 +199,8 @@ class ExtTable:
             self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final
         zero = (0,) * n
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
-        # buffer[start:stop], in flat order
+        # buffer[start:stop], in flat order; the keys of one build share its buffer,
+        # a root t = g delta with ext(delta, delta) = 0 has its own, the g-fold sum of S_delta
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
         self._reads = {}  # tuple(a) -> S, never returned; inductive normals, I0 betas
 
@@ -320,14 +339,45 @@ class ExtTable:
         for key, lo, hi in zip(map(tuple, built), spans, spans[1:]):
             self._subs.setdefault(key, (box, owned, lo, hi))
 
+    def _decide(self, key):
+        """Store S_key in _subs unless it is there: with g = gcd(key) > 1 and
+        delta = key / g, as the g-fold sum of S_delta when ext(delta, delta) = 0,
+        else by a build of key."""
+        if key in self._subs:
+            return
+        g = math.gcd(*key)
+        d = np.asarray(key, dtype=np.int64) // g
+        Ed = self._euler @ d
+        if g == 1 or d @ Ed < 0:  # gcd 1, or ext(delta, delta) >= -<delta, delta> > 0
+            return self._build(key)
+        box, delta = _Box(key), tuple(d.tolist())
+        self._decide(delta)
+        S = self._rows(delta)
+        if (S @ Ed).min() < 0:  # ext(delta, delta) > 0
+            return self._build(key)
+        step = S @ box.strides  # flat in box(key): b + s <= key has no carry
+        flat, pairs = step, 0
+        for _ in range(g - 1):
+            pairs += len(flat) * len(step)
+            if pairs > _MAX_CANDIDATES:
+                raise DimensionTooLargeError(
+                    f"sum of {g} copies of S_{delta} forms over {_MAX_CANDIDATES} pairs, above the budget"
+                )
+            flat = np.sort((flat[:, None] + step).ravel())  # in flat order
+            flat = flat[np.diff(flat, prepend=-1) > 0]  # each point once
+        self._subs[key] = (box, flat, 0, len(flat))
+
+    def _rows(self, key):
+        """S_key of a decided key, decoded from its slice."""
+        box, buf, lo, hi = self._subs[key]
+        return box.coords(buf[lo:hi])
+
     def _subdim_rows(self, key):
         """The generic subdimensions of key as the rows of one array S, lexicographic."""
         S = self._reads.get(key)
         if S is None:
-            if key not in self._subs:
-                self._build(key)
-            box, buf, lo, hi = self._subs[key]
-            S = self._reads[key] = box.coords(buf[lo:hi])
+            self._decide(key)
+            S = self._reads[key] = self._rows(key)
         return S
 
     def _normal_rows(self, key):
@@ -389,10 +439,11 @@ class ExtTable:
         gamma, tau.beta and generic ext is the least over all representations.
         On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta holds
         beta, so the ext tests on S_beta imply both isotropy tests; <beta, gamma>
-        = 0 is tested first, on every normal at once, only to skip S_beta.  Each
-        beta is a key (the build that decided S_a marked it): S_beta is decoded
-        from its own slice, of the buffer of a's build or an earlier one, and both
-        ext tests of every beta are one segmented minimum over them end to end.
+        = 0 is tested first, on every normal at once, only to skip S_beta.  A
+        build of a marks every beta as a key, a sum of copies of S_delta marks
+        none, so each beta that is not yet a key is decided first, the same way
+        as a root.  S_beta is then decoded from its own slice, and both ext tests
+        of every beta are one segmented minimum over them end to end.
         """
         key = self._vector(a).values
         betas = self._reads.get(("I0", key, inv))
@@ -408,7 +459,10 @@ class ExtTable:
         on = (G >= 0).all(axis=1) & (_rowdot(B @ self._euler, G) == 0)
         B, T, G = B[on], T[on], G[on]  # never empty: beta = 0 passes
         # each S_beta decoded from its own slice, laid out beta by beta
-        S = [box.coords(buf[lo:hi]) for box, buf, lo, hi in map(self._subs.get, map(tuple, B.tolist()))]
+        keys = list(map(tuple, B.tolist()))
+        for beta in keys:
+            self._decide(beta)
+        S = [self._rows(beta) for beta in keys]
         lens = np.array([len(rows) for rows in S])
         S, firsts = np.concatenate(S), np.cumsum(lens) - lens
         # ext(beta, c) = 0 iff <s, c> >= 0 for every s in S_beta: one segmented minimum

@@ -129,12 +129,13 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
 
 @pytest.mark.parametrize("case", ["d5hat", "sun6"])
 def test_cold_counts_builds_the_table_once(monkeypatch, case):
-    # n2 and every I0 test read the sets that the build of alpha decided
+    # n2 and every I0 test read the sets that the build of alpha decided; both
+    # alphas have gcd 1, so alpha is built, not split
     if case == "d5hat":
         (q, inv), alpha = make_d5hat(), (2, 3, 4, 4, 3, 2)
         invs = [inv]
     else:
-        (q, invs), alpha = make_sun(3, 1), (2,) * 6
+        (q, invs), alpha = make_sun(3, 1), (2, 2, 3, 2, 2, 3)
     roots, build = [], ExtTable._build
     monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
     counts(ExtTable(q), alpha, invs)
@@ -143,11 +144,11 @@ def test_cold_counts_builds_the_table_once(monkeypatch, case):
 
 def test_a_key_root_is_read_not_built(monkeypatch, d5hat):
     # a root that an earlier build decided as a key is read from _subs; any other
-    # root is built in full, in its own box, and leaves every earlier entry as it was
+    # root of gcd 1 is built in full, in its own box, and leaves every earlier entry as it was
     q, _ = d5hat
     roots, build = [], ExtTable._build
     monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
-    t, first = ExtTable(q), (4,) * 6
+    t, first = ExtTable(q), (3, 4, 4, 4, 4, 4)
     subs = [b.values for b in t.generic_subdims(first)]
     before = dict(t._subs)
     keys = [subs[1], subs[len(subs) // 2], subs[-2]]
@@ -168,12 +169,13 @@ def test_cold_counts_decides_few_keys(case):
     # which keys the build marks and which candidates it accepts: every answer
     # test still passes with the sub or the quotient tests of the closed-set
     # filter left out, these counts not; d5hat-partial has arrows through
-    # vertices off supp(alpha), kronecker3 parallel arrows
+    # vertices off supp(alpha), kronecker3 parallel arrows; every alpha is built:
+    # kronecker3 is 4 (2, 3) with <(2, 3), (2, 3)> < 0, the others have gcd 1
     if case == "d5hat":
         (q, inv), alpha, keys, accepted = make_d5hat(), (2, 3, 4, 4, 3, 2), 382, 14_170
         invs = [inv]
     elif case == "d5hat4":
-        (q, inv), alpha, keys, accepted = make_d5hat(), (4,) * 6, 2_319, 201_300
+        (q, inv), alpha, keys, accepted = make_d5hat(), (3, 4, 4, 4, 4, 3), 1_290, 81_372
         invs = [inv]
     elif case == "d5hat-partial":
         (q, inv), alpha, keys, accepted = make_d5hat(), (2, 1, 0, 0, 1, 2), 36, 253
@@ -435,7 +437,7 @@ def test_subdimensions_are_transitive_on_every_key(case):
     # b -> b' -> t implies b -> t, so S_b is inside S_t for every b in S_t; the
     # table decides each key on its own, so this checks the keys against each other
     if case == "d5hat":
-        q, alpha = make_d5hat()[0], (4,) * 6
+        q, alpha = make_d5hat()[0], (3, 4, 4, 4, 4, 3)
     else:
         q, alpha = make_sun(3, 2)[0], (1, 2) * 6
     t = ExtTable(q)
@@ -496,32 +498,38 @@ def test_box_budget_is_checked_before_building(monkeypatch):
 
 
 def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat):
-    # no arrow joins two vertices of the support: every point is a candidate of every larger one
+    # no arrow joins two vertices of the support: every point is a candidate of every larger
+    # one; gcd 1, so the root is built (a multiple of e_1 would be a sum of copies of S_e1)
     q, inv = d5hat
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 10_000)
     t = ExtTable(q)
     keys = len(t._subs)
-    with pytest.raises(DimensionTooLargeError, match="budget"):
-        t.generic_subdims((2000, 0, 0, 0, 0, 0))
+    with pytest.raises(DimensionTooLargeError, match="marks over"):
+        t.generic_subdims((2000, 0, 0, 0, 0, 1))
     assert len(t._subs) == keys  # a failed build stores nothing
     assert len(t.generic_subdims((2, 2, 2, 2, 2, 2))) == 43
     path = tmp_path / "d5hat.quiver"
     path.write_text(serialize_quiver(q, [inv]))
-    code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=2000"])
-    assert (code, out) == (2, "") and "budget" in err
+    code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=2000,x6=1"])
+    assert (code, out) == (2, "") and "marks over" in err
 
 
-@pytest.mark.parametrize("budget, fits", [(300 * 299 // 2, True), (300 * 299 // 2 - 1, False)])
+# (300, 0, ..., 0, 1) marks every nonzero point t = (a, 0, ..., 0, e) of its box as a key, with
+# (a + 1)(e + 1) - 2 candidates each: a - 1 at e = 0, 2a at e = 1
+THIN_CANDIDATES = 300 * 299 // 2 + 300 * 301
+
+
+@pytest.mark.parametrize("budget, fits", [(THIN_CANDIDATES, True), (THIN_CANDIDATES - 1, False)])
 def test_candidate_budget_counts_each_candidate_once(monkeypatch, d5hat, budget, fits):
-    # (300, 0, ..., 0) marks exactly 300 * 299 / 2 candidates: b < t on x1, neither 0
-    # nor t itself; the budget counts them, not the grid points or the stored edges
+    # the candidates b < t of each key, neither 0 nor t itself; the budget counts them,
+    # not the grid points or the stored edges
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", budget)
     t = ExtTable(d5hat[0])
     if fits:
-        assert len(t.generic_subdims((300, 0, 0, 0, 0, 0))) == 301
+        assert len(t.generic_subdims((300, 0, 0, 0, 0, 1))) == 602
     else:
-        with pytest.raises(DimensionTooLargeError, match="budget"):
-            t.generic_subdims((300, 0, 0, 0, 0, 0))
+        with pytest.raises(DimensionTooLargeError, match="marks over"):
+            t.generic_subdims((300, 0, 0, 0, 0, 1))
 
 
 def test_gate_rejects_foreign_and_oversized_vectors(d5hat_table, sun31):
@@ -553,9 +561,9 @@ def test_wrong_kind_vectors_raise_type_error(d5hat_table):
 
 
 def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
-    # at (300, 0, ..., 0) every c = t - b lives on x1, where each <s, .> is s_1 >= 0,
-    # so no row of S_b has a negative entry that counts: no product is formed,
-    # and each of the 300 * 299 / 2 candidates is accepted against 0 alone
+    # at (300, 0, ..., 0, 1) every c = t - b lives on x1 and x6, joined by no arrow, where
+    # each <s, .> is s_1 c_1 + s_6 c_6 >= 0, so no row of S_b has a negative entry that
+    # counts: no product is formed, and each candidate is accepted against 0 alone
     products, check = [], schofield._nonneg_columns
 
     def recorded(rows, cols):
@@ -565,12 +573,106 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     monkeypatch.setattr(schofield, "_nonneg_columns", recorded)
     q, _ = d5hat
     t = ExtTable(q)
-    assert len(t.generic_subdims((300, 0, 0, 0, 0, 0))) == 301
+    assert len(t.generic_subdims((300, 0, 0, 0, 0, 1))) == 602
     assert products == []
     keys = [key for key in t._subs if any(key)]
-    assert len(keys) == 300
+    assert len(keys) == 601
     edges = sum(hi - lo - 2 for _, _, lo, hi in (t._subs[key] for key in keys))
-    assert edges == 300 * 299 // 2
+    assert edges == THIN_CANDIDATES
+
+
+def test_sum_budget_is_checked_before_each_step(monkeypatch, d5hat):
+    # 300 e_1 is the sum of 300 copies of S_e1 = {0, e_1}: step j forms (j + 1) * 2 pairs,
+    # 300 * 301 - 2 over the 299 steps; a failed split stores no entry for its root
+    q, _ = d5hat
+    alpha, pairs = (300, 0, 0, 0, 0, 0), 300 * 301 - 2
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs)
+    assert len(ExtTable(q).generic_subdims(alpha)) == 301
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs - 1)
+    t = ExtTable(q)
+    with pytest.raises(DimensionTooLargeError, match="pairs, above the budget"):
+        t.generic_subdims(alpha)
+    assert alpha not in t._subs and (1, 0, 0, 0, 0, 0) in t._subs
+
+
+def _built(q, alpha):
+    """S_alpha from ExtTable._build on a fresh table."""
+    t = ExtTable(q)
+    t._build(alpha)
+    return t._rows(alpha).tolist()
+
+
+def _check_split(monkeypatch, table, q, alpha):
+    # alpha = g delta with ext(delta, delta) = 0 is decided from S_delta alone, with no build
+    # of alpha, and its S is the one the build of alpha decides
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    S = table(q)._subdim_rows(alpha).tolist()
+    assert roots and alpha not in roots
+    assert S == _built(q, alpha), (q.name, alpha)
+
+
+SPLIT_CASES = [
+    *((make_d5hat()[0], (k,) * 6) for k in range(2, 6)),
+    (make_d5hat()[0], (2, 2, 4, 4, 2, 2)),
+    *((make_sun(3, 1)[0], (k,) * 6) for k in range(2, 5)),
+    (make_kronecker(2)[0], (7, 7)),
+    (make_kronecker(2)[0], (6, 12)),
+    (make_d5hat()[0], (300, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("q, alpha", SPLIT_CASES, ids=lambda x: x.name if isinstance(x, Quiver) else
+                         ",".join(map(str, x)))
+def test_split_matches_the_build(monkeypatch, q, alpha):
+    _check_split(monkeypatch, ExtTable, q, alpha)
+
+
+def test_a_split_without_the_ext_test_fails(monkeypatch):
+    # Theta3 with an isolated vertex v at (2, 2, 2) = 2 delta: <delta, delta> = 3 - 3 = 0, so the
+    # sign test lets delta through, but ext(delta, delta) = 1 and alpha is built; planted fault:
+    # a split that skips the ext test sums two copies of S_delta, 18 rows against 15
+    q, alpha = Quiver("Theta3v", ["s", "t", "v"], [(f"a{i}", "s", "t") for i in range(1, 4)]), (2, 2, 2)
+    t = ExtTable(q)
+    assert t.ext((1, 1, 1), (1, 1, 1)) == 1
+    assert [b.values for b in t.generic_subdims(alpha)] == ref.RecursiveExtTable(q).generic_subdims(alpha)
+    assert len(_built(q, alpha)) == 15
+    source = textwrap.dedent(inspect.getsource(schofield.ExtTable._decide))
+    planted = source.replace("if (S @ Ed).min() < 0:", "if False:")
+    assert planted != source
+    scope = {}
+    exec(planted, vars(schofield), scope)
+
+    class Unchecked(ExtTable):
+        _decide = scope["_decide"]
+
+    assert len(Unchecked(q)._subdim_rows(alpha)) == 18
+    with pytest.raises(AssertionError):
+        _check_split(monkeypatch, Unchecked, q, alpha)
+
+
+def test_a_multiple_of_delta_builds_delta_alone(monkeypatch, d5hat):
+    # (4)^6 = 4 (1)^6 with ext((1)^6, (1)^6) = 0: S_alpha is a sum of copies of S_delta, and
+    # every I0 beta is a key of the build of delta, so nothing above (1)^6 is built
+    q, inv = d5hat
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    t = ExtTable(q)
+    assert counts(t, (4,) * 6, [inv]) == (406, 9, [5])
+    assert roots == [(1,) * 6]
+    assert len(t._subs) == 14
+
+
+@pytest.mark.parametrize("case", ["d5hat-tau", "sun61-tau", "sun61-rho"])
+def test_i0_of_a_split_alpha_matches_recursion(case):
+    # iso_pairs decides each beta that is not yet a key, as a split alpha marks none
+    if case == "d5hat-tau":
+        (q, inv), alpha = make_d5hat(), (4,) * 6
+    else:
+        (q, invs), alpha = make_sun(3, 1), (3,) * 6
+        inv = next(inv for inv in invs if inv.name == case.split("-")[1])
+    betas = [b.values for b in ExtTable(q).iso_pairs(alpha, inv)]
+    assert betas == [b for b, _ in ref.iso_pairs(ref.RecursiveExtTable(q), alpha, inv)]
 
 
 def _check_row_mask(monkeypatch, table):
