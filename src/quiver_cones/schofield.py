@@ -46,7 +46,11 @@ A root a of gcd g > 1 is first tried as a sum.  With delta = a / g: if
 at once; otherwise, once box(a) is within its budget, S_delta is decided (delta
 has gcd 1, so by a build, or read) and, if ext(delta, delta) = 0, S_a is the
 g-fold sum S_delta + ... + S_delta, one copy at a time, deduplicated, as flat
-indices of box(a) in flat order (its own buffer, no key marked).  Why: when
+indices of box(a) in flat order (its own buffer, no key marked).  The pairs
+the copies form are counted against _MAX_CANDIDATES, first a lower bound on
+them all, then before each copy the pairs so far; past it a is built instead,
+so the sum refuses no root the build would answer.
+Why: when
 ext(b, c) = ext(c, b) = 0 a general representation of dimension b + c is V + W
 with V, W general of dimensions b, c (Kac, Infinite root systems,
 representations of graphs and invariant theory II, J. Algebra 78, 1982), and
@@ -355,14 +359,15 @@ class ExtTable:
         S = self._rows(delta)
         if (S @ Ed).min() < 0:  # ext(delta, delta) > 0
             return self._build(key)
+        m = len(S)  # |S_(j delta)| >= j (m - 1) + 1, as |A + B| >= |A| + |B| - 1
+        if m * ((m - 1) * g * (g - 1) // 2 + g - 1) > _MAX_CANDIDATES:  # the least pairs the sum forms
+            return self._build(key)
         step = S @ box.strides  # flat in box(key): b + s <= key has no carry
         flat, pairs = step, 0
         for _ in range(g - 1):
             pairs += len(flat) * len(step)
-            if pairs > _MAX_CANDIDATES:
-                raise DimensionTooLargeError(
-                    f"sum of {g} copies of S_{delta} forms over {_MAX_CANDIDATES} pairs, above the budget"
-                )
+            if pairs > _MAX_CANDIDATES:  # past the budget, the build decides (or refuses) key
+                return self._build(key)
             flat = np.sort((flat[:, None] + step).ravel())  # in flat order
             flat = flat[np.diff(flat, prepend=-1) > 0]  # each point once
         self._subs[key] = (box, flat, 0, len(flat))

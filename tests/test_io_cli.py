@@ -421,11 +421,11 @@ def test_cli_counts_checks_every_alpha_before_printing(monkeypatch, d5file):
     assert (code, out) == (2, "") and "above the budget" in err
 
 
-def test_cli_thin_multiple_exits_2_on_the_sum_budget(d5file):
-    # 10000 e_1 is the sum of 10000 copies of S_e1 = {0, e_1}: its box of 10001 points fits,
-    # but the steps form about 10**8 pairs, past the 2**24 budget
+def test_cli_thin_multiple_exits_2_on_the_candidate_budget(d5file):
+    # 10000 e_1: its box of 10001 points fits, but the sum of 10000 copies of S_e1 = {0, e_1}
+    # forms about 10**8 pairs and the build marks about 5 * 10**7 candidates, both past 2**24
     code, out, err = run_cli(["counts", d5file, "--alpha", "x1=10000"])
-    assert (code, out) == (2, "") and "pairs, above the budget" in err
+    assert (code, out) == (2, "") and "marks over" in err
 
 
 def test_cli_inequalities_and_reduce_coords(d5file):

@@ -514,22 +514,18 @@ def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat)
     assert (code, out) == (2, "") and "marks over" in err
 
 
-# (300, 0, ..., 0, 1) marks every nonzero point t = (a, 0, ..., 0, e) of its box as a key, with
-# (a + 1)(e + 1) - 2 candidates each: a - 1 at e = 0, 2a at e = 1
-THIN_CANDIDATES = 300 * 299 // 2 + 300 * 301
-
-
-@pytest.mark.parametrize("budget, fits", [(THIN_CANDIDATES, True), (THIN_CANDIDATES - 1, False)])
+@pytest.mark.parametrize("budget, fits", [(300 * 299 // 2, True), (300 * 299 // 2 - 1, False)])
 def test_candidate_budget_counts_each_candidate_once(monkeypatch, d5hat, budget, fits):
-    # the candidates b < t of each key, neither 0 nor t itself; the budget counts them,
-    # not the grid points or the stored edges
+    # (300, 0, ..., 0) marks exactly 300 * 299 / 2 candidates: b < t on x1, neither 0
+    # nor t itself; the budget counts them, not the grid points or the stored edges.  Its
+    # sum of copies of S_e1 forms 300 * 301 - 2 pairs, past either budget, so the build decides
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", budget)
     t = ExtTable(d5hat[0])
     if fits:
-        assert len(t.generic_subdims((300, 0, 0, 0, 0, 1))) == 602
+        assert len(t.generic_subdims((300, 0, 0, 0, 0, 0))) == 301
     else:
         with pytest.raises(DimensionTooLargeError, match="marks over"):
-            t.generic_subdims((300, 0, 0, 0, 0, 1))
+            t.generic_subdims((300, 0, 0, 0, 0, 0))
 
 
 def test_gate_rejects_foreign_and_oversized_vectors(d5hat_table, sun31):
@@ -560,6 +556,11 @@ def test_wrong_kind_vectors_raise_type_error(d5hat_table):
             call()
 
 
+# (300, 0, ..., 0, 1) marks every nonzero point t = (a, 0, ..., 0, e) of its box as a key, with
+# (a + 1)(e + 1) - 2 candidates each: a - 1 at e = 0, 2a at e = 1
+THIN_CANDIDATES = 300 * 299 // 2 + 300 * 301
+
+
 def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     # at (300, 0, ..., 0, 1) every c = t - b lives on x1 and x6, joined by no arrow, where
     # each <s, .> is s_1 c_1 + s_6 c_6 >= 0, so no row of S_b has a negative entry that
@@ -581,18 +582,30 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     assert edges == THIN_CANDIDATES
 
 
-def test_sum_budget_is_checked_before_each_step(monkeypatch, d5hat):
+def test_sum_past_its_budget_falls_back_to_the_build(monkeypatch, d5hat):
     # 300 e_1 is the sum of 300 copies of S_e1 = {0, e_1}: step j forms (j + 1) * 2 pairs,
-    # 300 * 301 - 2 over the 299 steps; a failed split stores no entry for its root
+    # 300 * 301 - 2 over the 299 steps, which the bound checked first counts exactly; one pair
+    # fewer and the build decides the root, with its own 300 * 299 / 2 candidates, to the same S
     q, _ = d5hat
     alpha, pairs = (300, 0, 0, 0, 0, 0), 300 * 301 - 2
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs)
-    assert len(ExtTable(q).generic_subdims(alpha)) == 301
+    S = ExtTable(q).generic_subdims(alpha)
+    assert len(S) == 301 and alpha not in roots
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs - 1)
+    assert ExtTable(q).generic_subdims(alpha) == S and roots[-1] == alpha
+    # (3)^6 from S_(1)^6 of 9 rows: the bound is 9 * (8 * 3 + 2) = 234 pairs, the steps form
+    # 9 * 9 + 43 * 9 = 468, counted before each step; one fewer and the build takes (3)^6,
+    # which marks far more candidates than that
+    alpha = (3,) * 6
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 468)
+    assert len(ExtTable(q).generic_subdims(alpha)) == 147 and alpha not in roots
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 467)
     t = ExtTable(q)
-    with pytest.raises(DimensionTooLargeError, match="pairs, above the budget"):
+    with pytest.raises(DimensionTooLargeError, match="marks over"):
         t.generic_subdims(alpha)
-    assert alpha not in t._subs and (1, 0, 0, 0, 0, 0) in t._subs
+    assert roots[-1] == alpha and alpha not in t._subs and (1,) * 6 in t._subs
 
 
 def _built(q, alpha):
