@@ -43,13 +43,14 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
 
 A root a of gcd g > 1 is first tried as a sum.  With delta = a / g: if
 <delta, delta> < 0, ext(delta, delta) >= -<delta, delta> > 0 and a is built
-at once; otherwise, once box(a) is within its budget, S_delta is decided (delta
-has gcd 1, so by a build, or read) and, if ext(delta, delta) = 0, S_a is the
-g-fold sum S_delta + ... + S_delta, one copy at a time, deduplicated, as flat
-indices of box(a) in flat order (its own buffer, no key marked).  The pairs
-the copies form are counted against _MAX_CANDIDATES, first a lower bound on
-them all, then before each copy the pairs so far; past it a is built instead,
-so the sum refuses no root the build would answer.
+at once, as it is when box(a) has 2**63 points or more (past the int64 flat
+index); otherwise S_delta is decided (delta has gcd 1, so by a build, or read)
+and, if ext(delta, delta) = 0, S_a is the g-fold sum S_delta + ... + S_delta,
+one copy at a time, deduplicated, as flat indices of box(a) in flat order (its
+own buffer, no key marked).  The sum allocates nothing box-sized, so it checks
+no box budget; the pairs the copies form are counted against _MAX_CANDIDATES,
+first a lower bound on them all, then before each copy the pairs so far, and
+past it a is built instead, so every refusal comes from a build.
 Why: when
 ext(b, c) = ext(c, b) = 0 a general representation of dimension b + c is V + W
 with V, W general of dimensions b, c (Kac, Infinite root systems,
@@ -97,16 +98,11 @@ _CHUNK = 2**16
 
 class _Box:
     """box(root) = {b : 0 <= b <= root}, flat-indexed in mixed-radix order
-    with the last vertex fastest."""
+    with the last vertex fastest; its int64 strides are exact below 2**63 points."""
 
     def __init__(self, root):
-        self.shape = tuple(x + 1 for x in root)
-        self.size = math.prod(self.shape)
-        if self.size > _MAX_BOX_POINTS:
-            raise DimensionTooLargeError(
-                f"box of {root} has {self.size} points, above the budget of {_MAX_BOX_POINTS}"
-            )
-        self.radix = np.array(self.shape, dtype=np.int64)
+        self.radix = np.array(root, dtype=np.int64) + 1
+        self.size = math.prod(self.radix.tolist())
         self.strides = np.cumprod(self.radix[::-1])[::-1] // self.radix
 
     def coords(self, flat):
@@ -234,6 +230,8 @@ class ExtTable:
         if (1 + m) * sum(root) ** 2 >= 2**53:  # the float64 bound of __init__, before allocating
             raise ValueOverflowError("Euler form values may exceed the exact float64 products of a table build")
         box, reach = _Box(root), self._reach
+        if box.size > _MAX_BOX_POINTS:  # before the first box-sized array
+            raise DimensionTooLargeError(f"box of {root} has {box.size} points, above the budget of {_MAX_BOX_POINTS}")
         # every b <= t <= root and c = t - b lives on supp(root): vectors are held
         # there, vertex-major (one row per vertex of the support, one column per
         # point), and each closed set V or W is tested once, by its trace on it: a 0/1 row of H or W
@@ -243,8 +241,7 @@ class ExtTable:
         axis = {v: i for i, v in enumerate(on.tolist())}
         axes = [axis[v] for v in self._sinks_first if root[v]]  # the support's axes, sinks first
         E = E.astype(np.float64)
-        points = np.stack([np.tile(np.arange(r, dtype=np.min_scalar_type(max(root))).repeat(s), box.size // (r * s))
-                           for r, s in zip(box.radix[on].tolist(), box.strides[on].tolist())])
+        points = np.indices(box.radix[on].tolist(), dtype=np.min_scalar_type(max(root))).reshape(len(on), -1)
         pe = points.astype(np.float64)  # <b, .>
         for u, w in arrows:
             pe[w] -= points[u]
@@ -352,7 +349,8 @@ class ExtTable:
         g = math.gcd(*key)
         d = np.asarray(key, dtype=np.int64) // g
         Ed = self._euler @ d
-        if g == 1 or d @ Ed < 0:  # gcd 1, or ext(delta, delta) >= -<delta, delta> > 0
+        # gcd 1, or ext(delta, delta) >= -<delta, delta> > 0, or a box whose int64 strides would wrap
+        if g == 1 or d @ Ed < 0 or math.prod(x + 1 for x in key) >= 2**63:
             return self._build(key)
         box, delta = _Box(key), tuple(d.tolist())
         self._decide(delta)

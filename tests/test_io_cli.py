@@ -428,6 +428,17 @@ def test_cli_thin_multiple_exits_2_on_the_candidate_budget(d5file):
     assert (code, out) == (2, "") and "marks over" in err
 
 
+def test_cli_sum_of_copies_answers_past_the_box_budget(d5file):
+    # (10)^6 = 10 (1)^6 is a sum of copies of S_(1)^6, which allocates nothing box-sized, so it
+    # answers with 11**6 > 2**20 box points; the sum for (20)^6 passes its pair budget, and
+    # the build that decides it instead refuses its box
+    argv = ["counts", d5file, "--involution", "tau", "--alpha"]
+    ten, twenty = (",".join(f"x{i}={k}" for i in range(1, 7)) for k in (10, 20))
+    assert run_cli(argv + [ten]) == (0, "10,10,10,10,10,10\t21021\t9\t5\n", "")
+    code, out, err = run_cli(argv + [twenty])
+    assert (code, out) == (2, "") and "above the budget" in err and "box of" in err
+
+
 def test_cli_inequalities_and_reduce_coords(d5file):
     alpha = "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2"
     base = ["--alpha", alpha, "--method", "antiinv",

@@ -486,15 +486,46 @@ def test_raw_tuples_are_validated(d5hat_table):
 
 
 def test_box_budget_is_checked_before_building(monkeypatch):
+    # (5, 4, 4, 4, 4, 5) has gcd 1 and is tau-symmetric, so each call builds it, and its box
+    # of 6**2 * 5**4 points is past the budget
     q, inv = make_d5hat()
     monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 5**6 - 1)
     t = ExtTable(q)
-    for call in (lambda: t.generic_subdims((4,) * 6),
-                 lambda: t.ext((4,) * 6, (1,) * 6),
-                 lambda: t.iso_pairs((4,) * 6, inv)):
-        with pytest.raises(DimensionTooLargeError, match="budget"):
+    alpha, keys = (5, 4, 4, 4, 4, 5), len(t._subs)
+    for call in (lambda: t.generic_subdims(alpha),
+                 lambda: t.ext(alpha, (1,) * 6),
+                 lambda: t.iso_pairs(alpha, inv)):
+        with pytest.raises(DimensionTooLargeError, match="points, above the budget"):
             call()
+    assert len(t._subs) == keys
     assert len(t.generic_subdims((3, 4, 4, 4, 4, 4))) > 0  # 4 * 5**5 points fit
+
+
+def test_a_sum_of_copies_needs_no_box_budget(monkeypatch):
+    # (4)^6 = 4 (1)^6 is a sum of copies of S_(1)^6, which allocates nothing box-sized: it answers
+    # under a budget that its box of 5**6 points does not fit (where a build would refuse), with
+    # the S and the I0 betas that a build of (4)^6 decides at the default budget
+    q, inv = make_d5hat()
+    alpha, built = (4,) * 6, ExtTable(q)
+    built._build(alpha)
+    betas = built.iso_pairs(alpha, inv)  # read off the build, alpha being a key
+    monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 5**6 - 1)
+    t = ExtTable(q)
+    S = t._subdim_rows(alpha).tolist()
+    assert len(S) == 406 and S == built._rows(alpha).tolist()
+    assert t.iso_pairs(alpha, inv) == betas
+
+
+def test_a_box_past_the_int64_strides_is_refused_by_the_build(monkeypatch):
+    # (500)^10 on the line A10 is 500 (1)^10 with <delta, delta> = 1 and a least pair count within
+    # the budget; but box(alpha) has 501**10 >= 2**63 points, where the int64 strides wrap, so no
+    # sum is tried (nor delta decided for one): the build decides alpha and refuses its box
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    t, alpha = ExtTable(make_line(10)[0]), (500,) * 10
+    with pytest.raises(DimensionTooLargeError, match=f"has {501**10} points, above the budget"):
+        t.generic_subdims(alpha)
+    assert roots == [alpha] and (1,) * 10 not in t._subs
 
 
 def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat):
@@ -767,6 +798,8 @@ def test_int64_bound_is_checked(d5hat):
     t._multiplicity = 2**58  # as if the quiver had that many parallel arrows
     with pytest.raises(ValueOverflowError):
         t.generic_subdims((1,) * 6)  # (1 + m) * 6**2 >= 2**63
+    with pytest.raises(ValueOverflowError, match="int64"):
+        t.ext((1,) * 6, (1,) * 6)  # refused by the read's bound, before the build's float64 one
     assert t.ext((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)) == 1  # (1 + m) * 1 * 1 fits
 
 
