@@ -41,16 +41,36 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   its own box, those an earlier build decided too (their entries stay); a
   root that is already a key is read, not built.
 
-A root a of gcd g > 1 is first tried as a sum.  With delta = a / g: if
-<delta, delta> < 0, ext(delta, delta) >= -<delta, delta> > 0 and a is built
-at once, as it is when box(a) has 2**63 points or more (past the int64 flat
-index); otherwise S_delta is decided (delta has gcd 1, so by a build, or read)
-and, if ext(delta, delta) = 0, S_a is the g-fold sum S_delta + ... + S_delta,
-one copy at a time, deduplicated, as flat indices of box(a) in flat order (its
-own buffer, no key marked).  The sum allocates nothing box-sized, so it checks
-no box budget; the pairs the copies form are counted against _MAX_CANDIDATES,
-first a lower bound on them all, then before each copy the pairs so far, and
-past it a is built instead, so every refusal comes from a build.
+Every root a is first tried as a sum of pieces, a = beta_1 + ... + beta_r
+(_split).  The generator tries g = gcd(a) copies of a / g, then the layers
+1[a >= v], v = 1 ... max(a): each run of equal layers is appended to the pieces
+so far, or, where that fails, merged into one copy of an earlier piece, or
+else carried into the next layer; if that leaves no split, and the support of
+a falls apart into components that no arrow joins, a is the sum of its parts
+on them once each part is a key (so such a split builds nothing).  Each step is
+certified (_certified): with acc the sum of the pieces before beta,
+ext(beta, acc) = 0 and ext(acc, beta) = 0, both read off S_beta alone by the
+two forms of Schofield's theorem,
+ext(beta, acc) = max(0, -min over s in S_beta of <s, acc>) and
+ext(acc, beta) = max(0, -min over s in S_beta of <acc, beta - s>), the second
+over the generic quotients beta - s of beta.  Their rows s = beta and s = 0,
+<beta, acc> >= 0 and <acc, beta> >= 0, are tested for every step first, so a
+split that fails them decides no S.  The steps pass iff ext vanishes both ways
+between any two pieces, whatever their order, so they are taken heaviest
+piece first, and that piece is decided only once every step has passed (a
+piece that its build refuses leaves a to its own build).  k copies of beta
+meet acc + j beta, j < k; both tests are minima of functions linear in j, so
+the two ends decide them.  The certificate alone makes a sum exact, so any
+generator is safe.  S_a is then
+the sum of the pieces' S, one piece at a time, deduplicated, as flat indices of
+box(a) in flat order (its own buffer, no key marked).  It allocates nothing
+box-sized, so it checks no box budget; before each piece, the pairs formed so
+far and the fewest the pieces still to come can form (each forms
+|S_acc| |S_beta|, and |S_acc| grows by at least |S_beta| - 1, as
+|A + B| >= |A| + |B| - 1) are held against _MAX_CANDIDATES, and past it a is
+built instead, so every refusal comes from a build.  A root with no certified
+split is built, as is one whose box has 2**63 points or more (past the int64
+flat index) or whose Euler values may pass int64.
 Why: when
 ext(b, c) = ext(c, b) = 0 a general representation of dimension b + c is V + W
 with V, W general of dimensions b, c (Kac, Infinite root systems,
@@ -59,10 +79,9 @@ S_(b+c) = S_b + S_c.  A subrepresentation U of V + W has dimension
 dim(U n V) + dim pi_W(U), a sub of V plus a sub of W; for general V, W those
 lie in S_b, S_c, as "has a sub of dimension e" is a closed condition, so S_(b+c)
 is inside S_b + S_c.  Back, a sub of V plus a sub of W is a sub of V + W, and
-by closedness a sub of every representation of dimension b + c.  When
-ext(delta, delta) = 0 the general representation of dimension k delta is a sum
-of k general ones of dimension delta, so ext(k delta, delta) = ext(delta,
-k delta) = 0 and S_((k+1) delta) = S_(k delta) + S_delta for every k.
+by closedness a sub of every representation of dimension b + c.  By induction
+over the steps, a general representation of dimension a is then a direct sum of
+general ones of the pieces, and S_a is the sum of their S.
 
 A build's products run in float64 through BLAS, exact as _build first checks
 that every value they form is an integer below 2**53; what it stores and every
@@ -107,6 +126,30 @@ class _Box:
 
     def coords(self, flat):
         return flat[..., None] // self.strides % self.radix
+
+
+def _least_pairs(m, runs):
+    """The fewest pairs a sum forms from a set of m points on over runs (n, k), k pieces of
+    n points each: each piece forms m n, and m grows by at least n - 1 (|A + B| >= |A| + |B| - 1)."""
+    pairs = 0
+    for n, k in runs:
+        pairs += n * (k * m + (n - 1) * k * (k - 1) // 2)
+        m += k * (n - 1)
+    return pairs
+
+
+def _components(key, E):
+    """key restricted to each connected component of its support, E the Euler matrix (an
+    entry off the diagonal is nonzero where an arrow joins two vertices)."""
+    left, parts = {i for i, x in enumerate(key) if x}, []
+    while left:
+        part, grow = set(), {left.pop()}
+        while grow:
+            part |= grow
+            grow = {j for j in left if any(E[i, j] or E[j, i] for i in grow)}
+            left -= grow
+        parts.append(tuple(x if i in part else 0 for i, x in enumerate(key)))
+    return parts
 
 
 def _rowdot(x, y):
@@ -200,7 +243,7 @@ class ExtTable:
         zero = (0,) * n
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
         # buffer[start:stop], in flat order; the keys of one build share its buffer,
-        # a root t = g delta with ext(delta, delta) = 0 has its own, the g-fold sum of S_delta
+        # a root decided as a sum of pieces has its own
         self._subs = {zero: (_Box(zero), np.zeros(1, dtype=np.int32), 0, 1)}
         self._reads = {}  # tuple(a) -> S, never returned; inductive normals, I0 betas
 
@@ -341,34 +384,86 @@ class ExtTable:
             self._subs.setdefault(key, (box, owned, lo, hi))
 
     def _decide(self, key):
-        """Store S_key in _subs unless it is there: with g = gcd(key) > 1 and
-        delta = key / g, as the g-fold sum of S_delta when ext(delta, delta) = 0,
-        else by a build of key."""
+        """Store S_key in _subs unless it is there: as the sum of the pieces of a certified
+        split of key, within the pair budget, else by a build of key."""
         if key in self._subs:
             return
-        g = math.gcd(*key)
-        d = np.asarray(key, dtype=np.int64) // g
-        Ed = self._euler @ d
-        # gcd 1, or ext(delta, delta) >= -<delta, delta> > 0, or a box whose int64 strides would wrap
-        if g == 1 or d @ Ed < 0 or math.prod(x + 1 for x in key) >= 2**63:
+        # a box whose int64 strides would wrap, or values past int64: the build decides (and refuses)
+        fits = math.prod(x + 1 for x in key) < 2**63 and (1 + self._multiplicity) * sum(key) ** 2 < 2**63
+        try:
+            runs = self._split(key) if fits else None
+            pieces = [(self._subdim_rows(beta), k) for beta, k in runs or ()]  # the heaviest one too
+        except DimensionTooLargeError:  # a piece that its build refuses: key's own build decides
+            pieces = None
+        if not pieces:
             return self._build(key)
-        box, delta = _Box(key), tuple(d.tolist())
-        self._decide(delta)
-        S = self._rows(delta)
-        if (S @ Ed).min() < 0:  # ext(delta, delta) > 0
-            return self._build(key)
-        m = len(S)  # |S_(j delta)| >= j (m - 1) + 1, as |A + B| >= |A| + |B| - 1
-        if m * ((m - 1) * g * (g - 1) // 2 + g - 1) > _MAX_CANDIDATES:  # the least pairs the sum forms
-            return self._build(key)
-        step = S @ box.strides  # flat in box(key): b + s <= key has no carry
-        flat, pairs = step, 0
-        for _ in range(g - 1):
-            pairs += len(flat) * len(step)
-            if pairs > _MAX_CANDIDATES:  # past the budget, the build decides (or refuses) key
-                return self._build(key)
-            flat = np.sort((flat[:, None] + step).ravel())  # in flat order
-            flat = flat[np.diff(flat, prepend=-1) > 0]  # each point once
+        box = _Box(key)
+        # k copies of each piece, as flat steps in box(key): b + s <= key has no carry
+        runs = [(S @ box.strides, k) for S, k in pieces]
+        flat, pairs = runs[0][0], 0
+        runs[0] = (flat, runs[0][1] - 1)
+        for i, (step, k) in enumerate(runs):
+            for j in range(k):
+                # the least pairs still to come: each piece forms |S_acc| |S_beta| of them
+                rest = [(len(step), k - j)] + [(len(s), n) for s, n in runs[i + 1:]]
+                if pairs + _least_pairs(len(flat), rest) > _MAX_CANDIDATES:
+                    return self._build(key)  # past the budget, the build decides (or refuses) key
+                pairs += len(flat) * len(step)
+                flat = np.sort(flat[:, None] + step, axis=None)  # in flat order
+                flat = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]  # each point once
         self._subs[key] = (box, flat, 0, len(flat))
+
+    def _split(self, key):
+        """Runs (beta, k), k copies of beta each, that sum to key and pass _certified, or None.
+        First g = gcd(key) copies of key / g; else the layers 1[key >= v], v = 1 ... max(key):
+        each run of equal layers is appended to the pieces so far, or, where that fails, merged
+        into one copy of an earlier piece, or else carried into the next layer; else the parts
+        of key on the components of its support, once each is a key."""
+        g = math.gcd(*key)
+        if g > 1 and self._certified([(delta := tuple(x // g for x in key), g)]):
+            return [(delta, g)]
+        pieces, carry, below = [], (0,) * len(key), 0
+        for v in sorted(set(key) - {0}):
+            layer, k = tuple(int(x >= v) for x in key), v - below
+            new = [(tuple(c + y for c, y in zip(carry, layer)), 1)] + [(layer, k - 1)] * (k > 1)
+            carry, below = tuple(c + k * y for c, y in zip(carry, layer)), v  # all of the new layers
+            merged = [(tuple(map(sum, zip(beta, carry))), 1) for beta, _ in pieces]
+            trials = [pieces + new] + [pieces[:i] + [(beta, n - 1)] * (n > 1) + pieces[i + 1:] + [merged[i]]
+                                       for i, (beta, n) in enumerate(pieces)]
+            passed = next(filter(self._certified, trials), None)
+            if passed is not None:
+                pieces, carry = passed, (0,) * len(key)
+        if not any(carry) and pieces != [(key, 1)]:
+            return pieces
+        # else, a support in several components whose parts are all decided already: no build
+        parts = [(part, 1) for part in _components(key, self._euler)]
+        if len(parts) > 1 and all(part in self._subs for part, _ in parts) and self._certified(parts):
+            return parts
+        return None
+
+    def _certified(self, runs):
+        """Whether ext(acc, beta) = ext(beta, acc) = 0 for each piece beta of the runs (beta, k)
+        and the sum acc of the pieces before it, the heaviest piece first, read off S_beta
+        alone (see the module docstring): <s, acc> >= 0 and <acc, beta - s> >= 0 for every s
+        in S_beta.  The rows s = beta and s = 0 are tested first, for every piece, so no S_beta
+        is decided for a split that fails them; the heaviest piece is not decided here."""
+        E, acc, tests = self._euler, 0, []
+        for beta, k in sorted(runs, key=lambda run: -sum(run[0])):  # the heaviest piece first
+            b = np.array(beta)
+            # the copies of beta meet acc + j b, j < k: each test is a minimum of functions
+            # linear in j, so its two ends decide it (and at acc + j b = 0 every test passes)
+            X = np.array([acc + 0 * b, acc + (k - 1) * b])
+            acc = acc + k * b
+            if X.any():
+                sub, quo = E @ X.T, X @ E  # <s, x> = s @ sub, <x, s> = quo @ s
+                if (b @ sub < 0).any() or (quo @ b < 0).any():  # s = beta, s = 0
+                    return False
+                tests.append((beta, sub, quo, quo @ b))
+        for beta, sub, quo, top in tests:
+            S = self._subdim_rows(beta)
+            if (S @ sub).min() < 0 or (S @ quo.T > top).any():
+                return False
+        return True
 
     def _rows(self, key):
         """S_key of a decided key, decoded from its slice."""
@@ -443,9 +538,10 @@ class ExtTable:
         On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta holds
         beta, so the ext tests on S_beta imply both isotropy tests; <beta, gamma>
         = 0 is tested first, on every normal at once, only to skip S_beta.  A
-        build of a marks every beta as a key, a sum of copies of S_delta marks
-        none, so each beta that is not yet a key is decided first, the same way
-        as a root.  S_beta is then decoded from its own slice, and both ext tests
+        build of a marks every beta as a key, a sum of pieces marks none, so
+        each beta that is not yet a key is decided first, the same way as a
+        root, the heaviest first, as a build marks lighter ones as keys.
+        S_beta is then decoded from its own slice, and both ext tests
         of every beta are one segmented minimum over them end to end.
         """
         key = self._vector(a).values
@@ -463,7 +559,7 @@ class ExtTable:
         B, T, G = B[on], T[on], G[on]  # never empty: beta = 0 passes
         # each S_beta decoded from its own slice, laid out beta by beta
         keys = list(map(tuple, B.tolist()))
-        for beta in keys:
+        for beta in sorted(keys, key=sum, reverse=True):
             self._decide(beta)
         S = [self._rows(beta) for beta in keys]
         lens = np.array([len(rows) for rows in S])

@@ -26,6 +26,14 @@ def sun31_table(sun31):
     return ExtTable(q)
 
 
+@pytest.fixture
+def built_roots(monkeypatch):
+    """The roots that ExtTable._build receives, in order, on every table of the test."""
+    roots, build = [], ExtTable._build
+    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    return roots
+
+
 @pytest.fixture(scope="session")
 def a2():
     return make_line(2)

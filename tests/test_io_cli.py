@@ -439,6 +439,16 @@ def test_cli_sum_of_copies_answers_past_the_box_budget(d5file):
     assert (code, out) == (2, "") and "above the budget" in err and "box of" in err
 
 
+def test_cli_split_answers_where_the_build_refuses(d5file):
+    # (k, k + 1, ..., k + 1, k) = k (1)^6 + (0, 1, 1, 1, 1, 0), a certified split: at k = 6 and 7
+    # the build of alpha marks over 2**24 candidates and exits 2, the sum of the pieces answers
+    argv = ["counts", d5file, "--involution", "tau", "--alpha"]
+    for k, n1 in [(6, 3906), (7, 7194)]:
+        alpha = (k, k + 1, k + 1, k + 1, k + 1, k)
+        literal = ",".join(f"x{i}={x}" for i, x in enumerate(alpha, 1))
+        assert run_cli(argv + [literal]) == (0, ",".join(map(str, alpha)) + f"\t{n1}\t21\t7\n", "")
+
+
 def test_cli_inequalities_and_reduce_coords(d5file):
     alpha = "x1=2,x2=3,x3=4,x4=4,x5=3,x6=2"
     base = ["--alpha", alpha, "--method", "antiinv",

@@ -34,7 +34,7 @@ from quiver_cones.errors import DimensionTooLargeError, ValueOverflowError
 import reference_schofield as ref
 import reference_table
 from goldens import D5HAT_TABLE, SUN61_TABLE, SUN62_ROW
-from oracle import triple_flag
+from oracle import random_involution_quiver, triple_flag
 
 
 def _listed(quiver_and_involution):
@@ -56,11 +56,18 @@ class _PerKeyTable(ExtTable):
     _build = reference_table.build_per_key
 
 
-def _per_key_table(q, roots):
-    t = _PerKeyTable(q)
+def _built_table(table, q, roots):
+    """A cold table of class table on which each root that is not yet a key is built, in order
+    (generic_subdims would decide a root that splits as a sum, with no build of it)."""
+    t = table(q)
     for a in roots:
-        t.generic_subdims(a)
+        if a not in t._subs:
+            t._build(a)
     return t
+
+
+def _per_key_table(q, roots):
+    return _built_table(_PerKeyTable, q, roots)
 
 
 def _entries(t):
@@ -128,37 +135,36 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("case", ["d5hat", "sun6"])
-def test_cold_counts_builds_the_table_once(monkeypatch, case):
+def test_cold_counts_builds_the_table_once(built_roots, case):
     # n2 and every I0 test read the sets that the build of alpha decided; both
-    # alphas have gcd 1, so alpha is built, not split
+    # alphas split, so alpha is built here on purpose, and counts decides nothing more
     if case == "d5hat":
         (q, inv), alpha = make_d5hat(), (2, 3, 4, 4, 3, 2)
         invs = [inv]
     else:
         (q, invs), alpha = make_sun(3, 1), (2, 2, 3, 2, 2, 3)
-    roots, build = [], ExtTable._build
-    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
-    counts(ExtTable(q), alpha, invs)
-    assert roots == [alpha]
+    t = ExtTable(q)
+    t._build(alpha)
+    counts(t, alpha, invs)
+    assert built_roots == [alpha]
 
 
-def test_a_key_root_is_read_not_built(monkeypatch, d5hat):
-    # a root that an earlier build decided as a key is read from _subs; any other
-    # root of gcd 1 is built in full, in its own box, and leaves every earlier entry as it was
+def test_a_key_root_is_read_not_built(built_roots, d5hat):
+    # a root that an earlier build decided as a key is read from _subs, neither split nor
+    # built; a second build, in its own box, leaves every earlier entry as it was
     q, _ = d5hat
-    roots, build = [], ExtTable._build
-    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
     t, first = ExtTable(q), (3, 4, 4, 4, 4, 4)
+    t._build(first)
     subs = [b.values for b in t.generic_subdims(first)]
     before = dict(t._subs)
     keys = [subs[1], subs[len(subs) // 2], subs[-2]]
     assert all(key in before for key in keys)
     for key in keys:
         t.generic_subdims(key)
-    assert roots == [first]
+    assert built_roots == [first]
     nested = (5, 4, 4, 4, 4, 4)
-    t.generic_subdims(nested)
-    assert roots == [first, nested]
+    t._build(nested)
+    assert built_roots == [first, nested]
     assert _entries(t) == _entries(_per_key_table(q, [first, nested]))
     for key, (box, buf, lo, hi) in before.items():
         assert t._subs[key][0] is box and t._subs[key][1] is buf and t._subs[key][2:] == (lo, hi), key
@@ -169,8 +175,8 @@ def test_cold_counts_decides_few_keys(case):
     # which keys the build marks and which candidates it accepts: every answer
     # test still passes with the sub or the quotient tests of the closed-set
     # filter left out, these counts not; d5hat-partial has arrows through
-    # vertices off supp(alpha), kronecker3 parallel arrows; every alpha is built:
-    # kronecker3 is 4 (2, 3) with <(2, 3), (2, 3)> < 0, the others have gcd 1
+    # vertices off supp(alpha), kronecker3 parallel arrows; every alpha is built first
+    # (d5hat, d5hat4 and d5hat-partial split), so counts reads every set it needs
     if case == "d5hat":
         (q, inv), alpha, keys, accepted = make_d5hat(), (2, 3, 4, 4, 3, 2), 382, 14_170
         invs = [inv]
@@ -186,6 +192,7 @@ def test_cold_counts_decides_few_keys(case):
     else:
         (q, invs), alpha, keys, accepted = make_sun(3, 2), (1, 2) * 6, 673, 66_221
     t = ExtTable(q)
+    t._build(alpha)
     counts(t, alpha, invs)
     assert len(t._subs) == keys
     assert sum(hi - lo - 2 for key, (_, _, lo, hi) in t._subs.items() if any(key)) == accepted
@@ -268,17 +275,12 @@ GOLDEN_ROOTS = [
 @pytest.mark.parametrize("family, q, roots", GOLDEN_ROOTS, ids=[g[0] for g in GOLDEN_ROOTS])
 def test_batched_build_matches_per_key_build_on_goldens(family, q, roots):
     # every _subs entry, key set and S_t in flat order, against the build that
-    # decides one key at a time: each golden alpha on a cold table, then all of
+    # decides one key at a time: each golden alpha built on a cold table, then all of
     # them on one table, where each later root is built in its own box or, if
     # an earlier build decided it as a key, read
     for a in roots:
-        t = ExtTable(q)
-        t.generic_subdims(a)
-        assert _entries(t) == _entries(_per_key_table(q, [a])), (family, a)
-    t = ExtTable(q)
-    for a in roots:
-        t.generic_subdims(a)
-    assert _entries(t) == _entries(_per_key_table(q, roots)), family
+        assert _entries(_built_table(ExtTable, q, [a])) == _entries(_per_key_table(q, [a])), (family, a)
+    assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), family
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -291,15 +293,12 @@ def test_batched_build_matches_per_key_build_on_random_quivers(seed):
     else:
         q, hi = _random_acyclic_quiver(rng, seed), 3
     roots = [tuple(rng.randint(0, hi) for _ in q.vertices) for _ in range(5)]
-    t = ExtTable(q)
-    for a in roots:
-        t.generic_subdims(a)
-    assert _entries(t) == _entries(_per_key_table(q, roots)), (q.arrows, roots)
+    assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), (q.arrows, roots)
 
 
 def _cold_entries(monkeypatch, q, roots, candidates):
     """Each root built on a cold table with candidates as the enumeration: its entries, and
-    the arguments and result of every enumeration call."""
+    the arguments and result of every enumeration call (a root is built even where it splits)."""
     calls = []
 
     def recorded(*args):
@@ -310,9 +309,7 @@ def _cold_entries(monkeypatch, q, roots, candidates):
     monkeypatch.setattr(schofield, "_candidates", recorded)
     entries = {}
     for a in roots:
-        t = ExtTable(q)
-        t.generic_subdims(a)
-        entries[a] = _entries(t)
+        entries[a] = _entries(_built_table(ExtTable, q, [a]))
     return entries, calls
 
 
@@ -435,13 +432,14 @@ def test_every_prefix_of_the_sinks_first_order_is_closed_under_heads(monkeypatch
 @pytest.mark.parametrize("case", ["d5hat", "sun62"])
 def test_subdimensions_are_transitive_on_every_key(case):
     # b -> b' -> t implies b -> t, so S_b is inside S_t for every b in S_t; the
-    # table decides each key on its own, so this checks the keys against each other
+    # build decides each key on its own, so this checks the keys against each other
+    # ((3, 4, 4, 4, 4, 3) splits, so it is built on purpose)
     if case == "d5hat":
         q, alpha = make_d5hat()[0], (3, 4, 4, 4, 4, 3)
     else:
         q, alpha = make_sun(3, 2)[0], (1, 2) * 6
     t = ExtTable(q)
-    t.generic_subdims(alpha)
+    t._build(alpha)
     root = schofield._Box(alpha)
     subs = {int(np.asarray(key) @ root.strides): box.coords(buf[lo:hi]) @ root.strides
             for key, (box, buf, lo, hi) in t._subs.items()}
@@ -486,19 +484,19 @@ def test_raw_tuples_are_validated(d5hat_table):
 
 
 def test_box_budget_is_checked_before_building(monkeypatch):
-    # (5, 4, 4, 4, 4, 5) has gcd 1 and is tau-symmetric, so each call builds it, and its box
-    # of 6**2 * 5**4 points is past the budget
-    q, inv = make_d5hat()
-    monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 5**6 - 1)
+    # Sun(6,2) at (1, 2) x 6 is a Schur root (no split passes even the sign tests) and is
+    # tau-symmetric, so each call builds it, and its box of 2**6 * 3**6 points is past the budget
+    q, invs = make_sun(3, 2)
+    monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 2**6 * 3**6 - 1)
     t = ExtTable(q)
-    alpha, keys = (5, 4, 4, 4, 4, 5), len(t._subs)
+    alpha, keys = (1, 2) * 6, len(t._subs)
     for call in (lambda: t.generic_subdims(alpha),
-                 lambda: t.ext(alpha, (1,) * 6),
-                 lambda: t.iso_pairs(alpha, inv)):
+                 lambda: t.ext(alpha, (1,) * 12),
+                 lambda: t.iso_pairs(alpha, invs[0])):
         with pytest.raises(DimensionTooLargeError, match="points, above the budget"):
             call()
     assert len(t._subs) == keys
-    assert len(t.generic_subdims((3, 4, 4, 4, 4, 4))) > 0  # 4 * 5**5 points fit
+    assert len(t.generic_subdims((1, 1) * 6)) > 0  # 2**12 points fit
 
 
 def test_a_sum_of_copies_needs_no_box_budget(monkeypatch):
@@ -516,27 +514,26 @@ def test_a_sum_of_copies_needs_no_box_budget(monkeypatch):
     assert t.iso_pairs(alpha, inv) == betas
 
 
-def test_a_box_past_the_int64_strides_is_refused_by_the_build(monkeypatch):
+def test_a_box_past_the_int64_strides_is_refused_by_the_build(built_roots):
     # (500)^10 on the line A10 is 500 (1)^10 with <delta, delta> = 1 and a least pair count within
     # the budget; but box(alpha) has 501**10 >= 2**63 points, where the int64 strides wrap, so no
     # sum is tried (nor delta decided for one): the build decides alpha and refuses its box
-    roots, build = [], ExtTable._build
-    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
     t, alpha = ExtTable(make_line(10)[0]), (500,) * 10
     with pytest.raises(DimensionTooLargeError, match=f"has {501**10} points, above the budget"):
         t.generic_subdims(alpha)
-    assert roots == [alpha] and (1,) * 10 not in t._subs
+    assert built_roots == [alpha] and (1,) * 10 not in t._subs
 
 
 def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat):
     # no arrow joins two vertices of the support: every point is a candidate of every larger
-    # one; gcd 1, so the root is built (a multiple of e_1 would be a sum of copies of S_e1)
+    # one; built here on purpose (its split, (1, 0, 0, 0, 0, 1) + 1999 e_1, is past the pair
+    # budget, so from the command line too the build decides it and refuses)
     q, inv = d5hat
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 10_000)
     t = ExtTable(q)
     keys = len(t._subs)
     with pytest.raises(DimensionTooLargeError, match="marks over"):
-        t.generic_subdims((2000, 0, 0, 0, 0, 1))
+        t._build((2000, 0, 0, 0, 0, 1))
     assert len(t._subs) == keys  # a failed build stores nothing
     assert len(t.generic_subdims((2, 2, 2, 2, 2, 2))) == 43
     path = tmp_path / "d5hat.quiver"
@@ -605,7 +602,8 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     monkeypatch.setattr(schofield, "_nonneg_columns", recorded)
     q, _ = d5hat
     t = ExtTable(q)
-    assert len(t.generic_subdims((300, 0, 0, 0, 0, 1))) == 602
+    t._build((300, 0, 0, 0, 0, 1))  # its split would build e_1 and (1, 0, 0, 0, 0, 1) alone
+    assert len(t._rows((300, 0, 0, 0, 0, 1))) == 602
     assert products == []
     keys = [key for key in t._subs if any(key)]
     assert len(keys) == 601
@@ -613,22 +611,20 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     assert edges == THIN_CANDIDATES
 
 
-def test_sum_past_its_budget_falls_back_to_the_build(monkeypatch, d5hat):
+def test_sum_past_its_budget_falls_back_to_the_build(monkeypatch, built_roots, d5hat):
     # 300 e_1 is the sum of 300 copies of S_e1 = {0, e_1}: step j forms (j + 1) * 2 pairs,
     # 300 * 301 - 2 over the 299 steps, which the bound checked first counts exactly; one pair
     # fewer and the build decides the root, with its own 300 * 299 / 2 candidates, to the same S
     q, _ = d5hat
-    alpha, pairs = (300, 0, 0, 0, 0, 0), 300 * 301 - 2
-    roots, build = [], ExtTable._build
-    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+    alpha, pairs, roots = (300, 0, 0, 0, 0, 0), 300 * 301 - 2, built_roots
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs)
     S = ExtTable(q).generic_subdims(alpha)
     assert len(S) == 301 and alpha not in roots
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs - 1)
     assert ExtTable(q).generic_subdims(alpha) == S and roots[-1] == alpha
-    # (3)^6 from S_(1)^6 of 9 rows: the bound is 9 * (8 * 3 + 2) = 234 pairs, the steps form
-    # 9 * 9 + 43 * 9 = 468, counted before each step; one fewer and the build takes (3)^6,
-    # which marks far more candidates than that
+    # (3)^6 from S_(1)^6 of 9 rows: before the first step at least 9 * (2 * 9 + 8) = 234 pairs
+    # are still to come, before the second 9 * 9 + 43 * 9 = 468 in all, what the steps form; one
+    # fewer and the build takes (3)^6, which marks far more candidates than that
     alpha = (3,) * 6
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 468)
     assert len(ExtTable(q).generic_subdims(alpha)) == 147 and alpha not in roots
@@ -646,13 +642,11 @@ def _built(q, alpha):
     return t._rows(alpha).tolist()
 
 
-def _check_split(monkeypatch, table, q, alpha):
-    # alpha = g delta with ext(delta, delta) = 0 is decided from S_delta alone, with no build
-    # of alpha, and its S is the one the build of alpha decides
-    roots, build = [], ExtTable._build
-    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
+def _check_split(built_roots, table, q, alpha):
+    # alpha is decided as a certified sum of pieces, with no build of alpha, and its S is
+    # the one the build of alpha decides
     S = table(q)._subdim_rows(alpha).tolist()
-    assert roots and alpha not in roots
+    assert built_roots and alpha not in built_roots
     assert S == _built(q, alpha), (q.name, alpha)
 
 
@@ -663,48 +657,150 @@ SPLIT_CASES = [
     (make_kronecker(2)[0], (7, 7)),
     (make_kronecker(2)[0], (6, 12)),
     (make_d5hat()[0], (300, 0, 0, 0, 0, 0)),
+    # every golden alpha off the diagonal (all of them split), and 3 (1)^6 + (0, 1, 1, 1, 1, 0)
+    *((make_d5hat()[0], row[0]) for row in D5HAT_TABLE if len(set(row[0])) > 1),
+    *((make_sun(3, 1)[0], row[0]) for row in SUN61_TABLE if len(set(row[0])) > 1),
+    (make_d5hat()[0], (3, 4, 4, 4, 4, 3)),
 ]
 
 
 @pytest.mark.parametrize("q, alpha", SPLIT_CASES, ids=lambda x: x.name if isinstance(x, Quiver) else
                          ",".join(map(str, x)))
-def test_split_matches_the_build(monkeypatch, q, alpha):
-    _check_split(monkeypatch, ExtTable, q, alpha)
+def test_split_matches_the_build(built_roots, q, alpha):
+    _check_split(built_roots, ExtTable, q, alpha)
 
 
-def test_a_split_without_the_ext_test_fails(monkeypatch):
+def test_split_matches_the_build_on_random_quivers():
+    # quivers with an involution, parallel arrows and 3 to 6 vertices; every alpha that
+    # splits has the S that its build decides (a quiver with many arrows seldom splits)
+    split = 0
+    for seed in range(8):
+        rng = random.Random(f"split-vs-build:{seed}")
+        q, _ = random_involution_quiver(rng, 3 + seed % 4)
+        for _ in range(8):
+            alpha = tuple(rng.randint(0, 3) for _ in q.vertices)
+            t = ExtTable(q)
+            if any(alpha) and t._split(alpha):
+                split += 1
+                assert t._subdim_rows(alpha).tolist() == _built(q, alpha), (q.arrows, alpha)
+    assert split >= 12
+
+
+def _planted(method, old, new):
+    """method of ExtTable with old replaced by new in its source, as a function."""
+    source = textwrap.dedent(inspect.getsource(method))
+    planted = source.replace(old, new)
+    assert planted != source
+    scope = {}
+    exec(planted, vars(schofield), scope)
+    return scope[method.__name__]
+
+
+def test_a_split_without_the_ext_test_fails(built_roots):
     # Theta3 with an isolated vertex v at (2, 2, 2) = 2 delta: <delta, delta> = 3 - 3 = 0, so the
     # sign test lets delta through, but ext(delta, delta) = 1 and alpha is built; planted fault:
-    # a split that skips the ext test sums two copies of S_delta, 18 rows against 15
+    # a certificate that skips the test on S_beta sums two copies of S_delta, 18 rows against 15
     q, alpha = Quiver("Theta3v", ["s", "t", "v"], [(f"a{i}", "s", "t") for i in range(1, 4)]), (2, 2, 2)
     t = ExtTable(q)
     assert t.ext((1, 1, 1), (1, 1, 1)) == 1
     assert [b.values for b in t.generic_subdims(alpha)] == ref.RecursiveExtTable(q).generic_subdims(alpha)
     assert len(_built(q, alpha)) == 15
-    source = textwrap.dedent(inspect.getsource(schofield.ExtTable._decide))
-    planted = source.replace("if (S @ Ed).min() < 0:", "if False:")
-    assert planted != source
-    scope = {}
-    exec(planted, vars(schofield), scope)
 
     class Unchecked(ExtTable):
-        _decide = scope["_decide"]
+        _certified = _planted(schofield.ExtTable._certified,
+                              "if (S @ sub).min() < 0 or (S @ quo.T > top).any():", "if False:")
 
     assert len(Unchecked(q)._subdim_rows(alpha)) == 18
     with pytest.raises(AssertionError):
-        _check_split(monkeypatch, Unchecked, q, alpha)
+        _check_split(built_roots, Unchecked, q, alpha)
 
 
-def test_a_multiple_of_delta_builds_delta_alone(monkeypatch, d5hat):
+def _e1_plus_e2(table):
+    """table, with (1, 1) on the line 1 -> 2 proposed as e1 + e2, then as e2 + e1, each
+    taken if it is certified; ext(e1, e2) = 1 and ext(e2, e1) = 0, so neither is."""
+
+    class Proposed(table):
+        def _split(self, key):
+            proposals = ([((1, 0), 1), ((0, 1), 1)], [((0, 1), 1), ((1, 0), 1)])
+            return next((runs for runs in proposals if key == (1, 1) and self._certified(runs)), None)
+
+    return Proposed
+
+
+@pytest.mark.parametrize("skipped", ["sub", "quotient"])
+def test_a_split_that_skips_one_ext_direction_fails(a2, skipped):
+    # S_(1,1) = {0, e2, (1, 1)}: e1 is no generic subdimension (the rep k -> k, 1 has no sub
+    # of dimension e1), but S_e1 + S_e2 holds it; ext(acc, beta) is read by the quotient form
+    # (e1 + e2) and ext(beta, acc) by the other (e2 + e1), so skipping either one sums the pieces
+    q, _ = a2
+    assert _built(q, (1, 1)) == [[0, 0], [0, 1], [1, 1]]
+    assert _e1_plus_e2(ExtTable)(q)._subdim_rows((1, 1)).tolist() == _built(q, (1, 1))
+    zeroed = {"sub": "sub, quo = 0 * E @ X.T, X @ E", "quotient": "sub, quo = E @ X.T, 0 * X @ E"}
+
+    class OneWay(ExtTable):
+        _certified = _planted(schofield.ExtTable._certified, "sub, quo = E @ X.T, X @ E", zeroed[skipped])
+
+    assert _e1_plus_e2(OneWay)(q)._subdim_rows((1, 1)).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+def _ext_off_the_quotients(t, a, b):
+    """ext(a, b) = max(0, -min over s in S_b of <a, b - s>): Schofield's theorem read off the
+    generic quotients b - s of b, as the certificate of a split reads ext(acc, beta)."""
+    S = t._subdim_rows(b)
+    return max(0, -int(((np.asarray(b) - S) @ (np.asarray(a) @ t._euler)).min()))
+
+
+@pytest.mark.parametrize("case", ["d5hat", "sun6", "kronecker3", "line4", *(f"random{s}" for s in range(4))])
+def test_ext_off_the_quotients_matches_ext_off_the_subs(case):
+    rng = random.Random(f"quotient-form:{case}")
+    q, hi = {"d5hat": (make_d5hat()[0], 2), "sun6": (make_sun(3, 1)[0], 2),
+             "kronecker3": (make_kronecker(3)[0], 4), "line4": (make_line(4)[0], 3)}.get(case, (None, 2))
+    if q is None:
+        q, _ = random_involution_quiver(rng, rng.randint(3, 5))
+    t, nonzero = ExtTable(q), 0
+    for _ in range(40):
+        a, b = (tuple(rng.randint(0, hi) for _ in q.vertices) for _ in range(2))
+        assert _ext_off_the_quotients(t, a, b) == t.ext(a, b), (q.arrows, a, b)
+        nonzero += t.ext(a, b) > 0
+    assert nonzero > 0
+
+
+def test_a_multiple_of_delta_builds_delta_alone(built_roots, d5hat):
     # (4)^6 = 4 (1)^6 with ext((1)^6, (1)^6) = 0: S_alpha is a sum of copies of S_delta, and
     # every I0 beta is a key of the build of delta, so nothing above (1)^6 is built
     q, inv = d5hat
-    roots, build = [], ExtTable._build
-    monkeypatch.setattr(ExtTable, "_build", lambda self, root: roots.append(root) or build(self, root))
     t = ExtTable(q)
     assert counts(t, (4,) * 6, [inv]) == (406, 9, [5])
-    assert roots == [(1,) * 6]
+    assert built_roots == [(1,) * 6]
     assert len(t._subs) == 14
+
+
+def test_a_disconnected_root_of_decided_parts_is_their_sum(built_roots, d5hat):
+    # (0, 1, 0, 1, 1, 0) is one layer on x2 and on x4 -> x5, which no arrow joins: on a cold
+    # table it is built; once the builds of (0, 1, 0, 0, 1, 0) and (0, 1, 1, 1, 1, 0) have decided
+    # e2 and (0, 0, 0, 1, 1, 0) as keys, it is their sum, with no build, and the S of its build
+    q, _ = d5hat
+    alpha, pieces = (0, 1, 0, 1, 1, 0), [(0, 1, 0, 0, 1, 0), (0, 1, 1, 1, 1, 0)]
+    ExtTable(q).generic_subdims(alpha)
+    assert built_roots == [alpha]
+    t = _built_table(ExtTable, q, pieces)
+    assert t._split(alpha) == [((0, 1, 0, 0, 0, 0), 1), ((0, 0, 0, 1, 1, 0), 1)]
+    S = t._subdim_rows(alpha).tolist()
+    assert built_roots == [alpha, *pieces]
+    assert S == _built(q, alpha)
+
+
+def test_the_sum_stops_before_the_pieces_it_cannot_afford(monkeypatch, d5hat):
+    # (5)^6 = 5 (1)^6, |S_(j (1)^6)| = 9, 43, 147, 406: the steps form 81, 387, 1323 and 3654
+    # pairs; under a budget of 3000, the pairs still to come pass it before the third step
+    # (468 + 147 * 9 + (147 + 8) * 9 > 3000), not only before the fourth, so S_(4 (1)^6) is
+    # never formed and the build decides (and refuses) the root
+    seen, least = [], schofield._least_pairs
+    monkeypatch.setattr(schofield, "_least_pairs", lambda m, runs: seen.append(m) or least(m, runs))
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 3000)
+    with pytest.raises(DimensionTooLargeError, match="marks over"):
+        ExtTable(d5hat[0]).generic_subdims((5,) * 6)
+    assert seen == [9, 43, 147]
 
 
 @pytest.mark.parametrize("case", ["d5hat-tau", "sun61-tau", "sun61-rho"])
