@@ -4,20 +4,19 @@ Schofield's criterion (General representations of quivers, Proc. LMS 1992,
 Thm 5.4) decides generic subdimensions: b is a generic subdimension of t
 (b -> t) iff <s, t - b> >= 0 for every generic subdimension s of b.  An
 ExtTable evaluates it once per root a that a caller asks about, over
-box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
-|b| at a time, as every b <= t with b != t is lighter than t:
+box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, in two phases:
 
-* top-down, mark the root and, for the marked keys t of one level together,
-  in batches of keys with about _CHUNK points b <= t in all, their candidates:
+* _mark, top-down, one pass over the box by mass |b|, heaviest first, each
+  mass in flat order: a level's keys are its points marked by then, as every
+  b <= t with b != t is lighter than t; in batches of keys t of one level with
+  about _CHUNK points b <= t in all, it marks their candidates:
   the b <= t with, for c = t - b, <b|A, c> >= 0 for every prefix A of the
   support's vertices taken sinks first (at A = the support, the criterion at
   s = b, which prunes most of the box), and <b|V, c> >= 0 and <b, c|W> >= 0
   for each vertex v, V (W) the vertices on paths out of (into) v, v included.
   The grid of b is grown one vertex at a time in that order, the new vertex's
   steps outermost, so each step is one operation over the whole grid so far,
-  and a b is dropped at the first prefix it fails; one sort of the packed
-  (owner, flat index) of the survivors then groups them by t in flat order,
-  skipped when those already increase (one key on one vertex).  A and V are
+  and a b is dropped at the first prefix it fails.  A and V are
   closed under arrow heads and W under arrow tails, so every representation
   of dimension b (c) has a sub (quotient) of dimension b|A, b|V (c|W);
   Ext^1 over kQ is right exact, so ext(b, c) >= -<b|A, c>, -<b|V, c>,
@@ -29,7 +28,7 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, one mass level
   the whole support (its sum is <b, c>, tested first) or one vertex v (a
   closed V has no arrow from v to the rest of the support, a closed W none
   from the rest to v, so the sum is b_v c_v) is not a row;
-* bottom-up, level by level, in batches; once S_b is final, push b to every
+* _push, bottom-up, by level in batches; once S_b is final, push b to every
   key t it is a candidate of with one product of the rows s of S_b with
   a negative entry on supp(root) (a box-sized mask, made once per build)
   against the columns t - b, and accept b for t when the column's minimum is
@@ -108,9 +107,9 @@ _MAX_BOX_POINTS = 2**20
 # most candidates one table build may mark; a box with no arrow inside its
 # support makes every point a candidate of every larger point
 _MAX_CANDIDATES = 2**24
-# entries of one push product, and about as many per array (supp(root) x points) of a
-# push batch or of one step of the closed-set screen; points b <= t of the keys of one
-# marking batch (or of its one key), so each array of its enumeration has at most
+# entries of one _push product, and about as many per array (supp(root) x points) of a
+# _push batch or of one step of _mark's closed-set screen; points b <= t of the keys of
+# one _mark batch (or of its one key), so each array of its enumeration has at most
 # 1 + max(root) times as many entries
 _CHUNK = 2**16
 
@@ -208,6 +207,52 @@ def _candidates(tops, w, strides, slack, axes):
     return idx, own
 
 
+def _push(levels, counts, tail, pe, neg):
+    """Bottom-up, the candidates of ExtTable._mark's keys that are generic subdimensions:
+    (owned, spans), S_t of the j-th key in marking order at owned[spans[j]:spans[j + 1]]."""
+    # edge e joins tail[e] to key j (marking order), e in starts[j]:starts[j + 1]; one in-place sort
+    # of (1 + the index of key tail[e], e), packed in an int64, puts the edges from key j at ends[j]:ends[j + 1]
+    tops = np.concatenate([top for _, top in levels]).astype(np.float64)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    rank = np.zeros(len(neg), dtype=np.int64)
+    rank[np.concatenate([keys for keys, _ in levels])] = np.arange(1, len(tops) + 1)
+    order = rank[tail]
+    order[starts[1:] - 1] = 0  # the edge from t to itself, like those from 0, is never pushed
+    shift = len(tail).bit_length()
+    order <<= shift
+    order |= np.arange(len(tail), dtype=np.int32)
+    order.sort()
+    ends = np.searchsorted(order, np.arange(1, len(tops) + 2) << shift)
+    order &= (1 << shift) - 1
+    order = order.astype(np.int32)
+    accepted = np.zeros(len(tail), dtype=bool)
+    accepted[starts[:-1]] = accepted[starts[1:] - 1] = True  # 0 and t
+    j = len(tops)
+    # by ascending mass, so the S_t of a level are final when it is reached;
+    # then each key of the level is pushed to every key it is a candidate of
+    for keys, top in reversed(levels):
+        j -= len(keys)
+        a, z = starts[j], starts[j + len(keys)]
+        held = accepted[a:z] & neg.take(tail[a:z])  # the s of each S_b that can make <s, c> < 0
+        off = np.concatenate(([0], np.cumsum(held)))[starts[j:j + len(keys) + 1] - a]
+        subs = tail[a:z][held]
+        lens, got = off[1:] - off[:-1], ends[j + 1:j + len(keys) + 1] - ends[j:j + len(keys)]
+        for lo, hi in _batches(lens + got, _CHUNK // (2 * len(pe))):
+            rows, pos = pe.take(subs[off[lo]:off[hi]], axis=1), order[ends[j + lo]:ends[j + hi]]
+            n = got[lo:hi] * (lens[lo:hi] > 0)  # edges of the keys with such rows
+            tested = (n > 0).repeat(got[lo:hi])
+            row_at, col_at = off[lo:hi + 1] - off[lo], np.concatenate(([0], np.cumsum(n)))
+            # c = u - t for the key u of each edge, one product per key
+            c = tops[np.searchsorted(starts, pos[tested], side="right") - 1] - top[lo:hi].repeat(n, axis=0)
+            keep = [_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[col_at[i]:col_at[i + 1]])
+                    for i in n.nonzero()[0].tolist()]
+            ok = ~tested  # a key with no such row accepts every edge
+            ok[tested] = np.concatenate(keep) if keep else False
+            accepted[pos[ok]] = True
+    owned = tail[accepted]
+    return owned, [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
+
+
 class ExtTable:
     """Generic ext values and generic subdimensions for one fixed quiver.
 
@@ -268,21 +313,29 @@ class ExtTable:
     def _build(self, root):
         """Decide S_t, into _subs, for root and every key it needs, in box(root)."""
         on = np.flatnonzero(root)
-        E = self._euler[np.ix_(on, on)]
-        m = self._multiplicity if (E < 0).any() else 0  # E = I on a support with no arrow inside
+        m = self._multiplicity if (self._euler[np.ix_(on, on)] < 0).any() else 0  # 0 with no arrow inside the support
         if (1 + m) * sum(root) ** 2 >= 2**53:  # the float64 bound of __init__, before allocating
             raise ValueOverflowError("Euler form values may exceed the exact float64 products of a table build")
-        box, reach = _Box(root), self._reach
-        if box.size > _MAX_BOX_POINTS:  # before the first box-sized array
+        if (box := _Box(root)).size > _MAX_BOX_POINTS:  # before the first box-sized array
             raise DimensionTooLargeError(f"box of {root} has {box.size} points, above the budget of {_MAX_BOX_POINTS}")
-        # every b <= t <= root and c = t - b lives on supp(root): vectors are held
-        # there, vertex-major (one row per vertex of the support, one column per
-        # point), and each closed set V or W is tested once, by its trace on it: a 0/1 row of H or W
+        levels, counts, tail, pe, neg = self._mark(root, box)
+        owned, spans = _push(levels, counts, tail, pe, neg)
+        built = box.coords(np.concatenate([keys for keys, _ in levels])).tolist()
+        for key, lo, hi in zip(map(tuple, built), spans, spans[1:]):
+            self._subs.setdefault(key, (box, owned, lo, hi))
+
+    def _mark(self, root, box):
+        """(levels, counts, tail, pe, neg): (keys, tops on supp(root)) of each mass level but 0's,
+        heaviest first, the keys root needs in flat order; the edges of each key and their int32 tails
+        (0, candidates, key) in that order; every <b, .> on supp(root), and the b with one negative."""
+        on = np.flatnonzero(root)
+        E, reach = self._euler[np.ix_(on, on)], self._reach
+        # every b <= t <= root and c = t - b lives on supp(root): vectors are held there, vertex-major (a
+        # row per vertex, a column per point), each closed set V or W tested once by its trace, a row of H or W
         H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
                          dtype=np.float64).reshape(-1, len(on)) for r in (reach[:, on], reach[on].T))
         arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
-        axis = {v: i for i, v in enumerate(on.tolist())}
-        axes = [axis[v] for v in self._sinks_first if root[v]]  # the support's axes, sinks first
+        axes = [on.tolist().index(v) for v in self._sinks_first if root[v]]  # the support's axes, sinks first
         E = E.astype(np.float64)
         points = np.indices(box.radix[on].tolist(), dtype=np.min_scalar_type(max(root))).reshape(len(on), -1)
         pe = points.astype(np.float64)  # <b, .>
@@ -292,16 +345,15 @@ class ExtTable:
         neg = (pe < 0).any(axis=0)  # the s whose rows can make some <s, c> negative
         needed = np.zeros(box.size, dtype=bool)
         needed[[0, -1]] = True  # 0 is in every S_t and no key of the build
-        # marked keys wait in runs, sorted arrays of (|root| - |b|) << shift | b;
-        # every candidate of t is lighter than t, so once a mass is the heaviest
-        # left, all its keys are marked
-        shift, runs = box.size.bit_length(), [np.array([box.size - 1])]
-        levels, counts, edges, marked, step = [], [], [], 0, max(1, _CHUNK // len(on))
-        while runs:
-            depth = min(int(run[0]) for run in runs) >> shift
-            cuts = [np.searchsorted(run, (depth + 1) << shift) for run in runs]
-            keys = np.sort(np.concatenate([r[:k] for r, k in zip(runs, cuts)])) & ((1 << shift) - 1)
-            runs = [run[cut:] for run, cut in zip(runs, cuts) if cut < len(run)]
+        # heaviest mass first, each mass in flat order: every candidate of t is lighter than t, so a
+        # level's keys are marked when it is reached, and t - e_s, s a source of supp(t), is one, so
+        # no level is empty; the last level is 0 alone
+        depth = sum(root) - points.sum(axis=0, dtype=np.min_scalar_type(sum(root)))  # 8 or 16 bits sort by radix
+        by_mass, ends = np.argsort(depth, kind="stable").astype(np.int32), np.cumsum(np.bincount(depth))
+        del depth
+        levels, counts, edges, marked, step, a = [], [], [], 0, max(1, _CHUNK // len(on)), 0
+        for z in ends[:-1]:  # an array, as a list of one bound per mass costs as much as the box
+            keys, a = by_mass[a:z][needed[by_mass[a:z]]], z
             top = box.coords(keys)[:, on]
             levels.append((keys, top))
             for lo, hi in _batches(np.prod(top + 1, axis=1), _CHUNK):
@@ -328,60 +380,8 @@ class ExtTable:
                     )
                 counts.append(np.bincount(own, minlength=len(t)))
                 edges.append(cands.astype(np.int32))
-                unseen = np.flatnonzero(~needed[cands])
                 needed[cands] = True
-                if len(unseen):
-                    mass = points.take(cands[unseen], axis=1).sum(axis=0, dtype=np.int64)
-                    run = np.sort((sum(root) - mass) << shift | cands[unseen])
-                    runs.append(run[np.diff(run, prepend=-1) > 0])  # each key once
-        del points
-        # edge e joins tail[e] to the key j (marking order) with e in starts[j]:starts[j + 1];
-        # one in-place sort of the pairs (rank of tail[e], e), packed in an int64, with
-        # each key ranked 1 + its marking index, puts key j's at ends[j]:ends[j + 1]
-        tail, tops = np.concatenate(edges), np.concatenate([top for _, top in levels]).astype(np.float64)
-        del edges
-        starts = np.cumsum(np.concatenate([[0], *counts]))
-        rank = np.zeros(box.size, dtype=np.int64)
-        rank[np.concatenate([keys for keys, _ in levels])] = np.arange(1, len(tops) + 1)
-        order = rank[tail]
-        order[starts[1:] - 1] = 0  # the edge from t to itself, like those from 0, is never pushed
-        shift = len(tail).bit_length()
-        order <<= shift
-        order |= np.arange(len(tail), dtype=np.int32)
-        order.sort()
-        ends = np.searchsorted(order, np.arange(1, len(tops) + 2) << shift)
-        order &= (1 << shift) - 1
-        order = order.astype(np.int32)
-        accepted = np.zeros(len(tail), dtype=bool)
-        accepted[starts[:-1]] = accepted[starts[1:] - 1] = True  # 0 and t
-        j = len(tops)
-        # by ascending mass, so the S_t of a level are final when it is reached;
-        # then each key of the level is pushed to every key it is a candidate of
-        for keys, top in reversed(levels):
-            j -= len(keys)
-            a, z = starts[j], starts[j + len(keys)]
-            held = accepted[a:z] & neg.take(tail[a:z])  # the s of each S_b that can make <s, c> < 0
-            off = np.concatenate(([0], np.cumsum(held)))[starts[j:j + len(keys) + 1] - a]
-            subs = tail[a:z][held]
-            lens, got = off[1:] - off[:-1], ends[j + 1:j + len(keys) + 1] - ends[j:j + len(keys)]
-            for lo, hi in _batches(lens + got, _CHUNK // (2 * len(on))):
-                rows, pos = pe.take(subs[off[lo]:off[hi]], axis=1), order[ends[j + lo]:ends[j + hi]]
-                n = got[lo:hi] * (lens[lo:hi] > 0)  # edges of the keys with such rows
-                tested = (n > 0).repeat(got[lo:hi])
-                row_at, col_at = off[lo:hi + 1] - off[lo], np.concatenate(([0], np.cumsum(n)))
-                # c = u - t for the key u of each edge, one product per key
-                c = tops[np.searchsorted(starts, pos[tested], side="right") - 1] - top[lo:hi].repeat(n, axis=0)
-                keep = [_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[col_at[i]:col_at[i + 1]])
-                        for i in n.nonzero()[0].tolist()]
-                ok = ~tested  # a key with no such row accepts every edge
-                ok[tested] = np.concatenate(keep) if keep else False
-                accepted[pos[ok]] = True
-        owned = tail[accepted]
-        del tail, order, accepted
-        spans = [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
-        built = box.coords(np.concatenate([keys for keys, _ in levels])).tolist()
-        for key, lo, hi in zip(map(tuple, built), spans, spans[1:]):
-            self._subs.setdefault(key, (box, owned, lo, hi))
+        return levels, np.concatenate(counts), np.concatenate(edges), pe, neg
 
     def _decide(self, key):
         """Store S_key in _subs unless it is there: as the sum of the pieces of a certified

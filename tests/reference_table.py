@@ -1,11 +1,13 @@
 """Reference oracle: the subdimension table built one key at a time.
 
-This is how ExtTable._build decided its keys before it walked the box by mass
-level in batches: top-down, the needed keys in descending flat order, each
-key's candidates from its own per-axis outer sums and filters; bottom-up, the
-keys in ascending flat order, each pushed to its parents with its own rows
-and columns.  It fills an ExtTable's _subs with the same entries, and the
-differential tests compare every entry against the batched build.
+This is how ExtTable._build decided its keys before it ran in two phases over
+the box by mass level, in batches (ExtTable._mark, then schofield._push):
+top-down, the needed keys in descending flat order, each key's candidates from
+its own per-axis outer sums and filters; bottom-up, the keys in ascending flat
+order, each pushed to its parents with its own rows and columns.  It fills an
+ExtTable's _subs with the same entries, and the differential tests compare
+every entry against the batched build, and against _push alone on the output
+_mark recorded for the same root.
 
     class PerKeyTable(ExtTable):
         _build = build_per_key

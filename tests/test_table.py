@@ -296,6 +296,57 @@ def test_batched_build_matches_per_key_build_on_random_quivers(seed):
     assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), (q.arrows, roots)
 
 
+def _arrays(marked):
+    levels, *rest = marked
+    return [array for level in levels for array in level] + rest
+
+
+def _pushed(q, root):
+    """Each key of a cold build of root -> its S_t, from _push alone on _mark's recorded
+    output, which _push leaves as it was."""
+    box = schofield._Box(root)
+    marked = ExtTable(q)._mark(root, box)
+    recorded = [array.copy() for array in _arrays(marked)]
+    owned, spans = schofield._push(*marked)
+    assert all(np.array_equal(x, y) for x, y in zip(_arrays(marked), recorded, strict=True)), root
+    keys = box.coords(np.concatenate([keys for keys, _ in marked[0]])).tolist()
+    return {tuple(key): box.coords(owned[lo:hi]).tolist() for key, lo, hi in zip(keys, spans, spans[1:])}
+
+
+def _check_push(q, roots):
+    for root in roots:
+        expected = _entries(_per_key_table(q, [root]))
+        del expected[(0,) * len(root)]  # every table holds S_0; no build decides it
+        assert _pushed(q, root) == expected, (q.name, root)
+
+
+def _phase_roots(seed):
+    """A random acyclic quiver (even seed) or a wide, shallow one (odd seed) and three nonzero roots."""
+    rng = random.Random(f"build-phases:{seed}")
+    q, hi = (_wide_shallow_quiver(rng, seed), 1) if seed % 2 else (_random_acyclic_quiver(rng, seed), 3)
+    roots = [tuple(rng.randint(0, hi) for _ in q.vertices) for _ in range(4)]
+    return q, [root for root in roots if any(root)][:3]
+
+
+@pytest.mark.parametrize("family, q, roots", GOLDEN_ROOTS, ids=[g[0] for g in GOLDEN_ROOTS])
+def test_push_matches_per_key_build_on_goldens(family, q, roots):
+    _check_push(q, roots)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_push_matches_per_key_build_on_random_quivers(seed):
+    _check_push(*_phase_roots(seed))
+
+
+def test_push_matches_per_key_build_one_key_per_batch(monkeypatch):
+    # at _CHUNK = 1 every batch of _mark, and every batch of _push with an edge, holds one key
+    monkeypatch.setattr(schofield, "_CHUNK", 1)
+    sun62 = make_sun(3, 2)[0]
+    _check_push(make_d5hat()[0], [(1, 2, 3, 3, 2, 1), (2, 1, 0, 0, 1, 2)])
+    _check_push(sun62, [(1, 1, 0, 1) * 3])
+    _check_push(*_phase_roots(1))
+
+
 def _cold_entries(monkeypatch, q, roots, candidates):
     """Each root built on a cold table with candidates as the enumeration: its entries, and
     the arguments and result of every enumeration call (a root is built even where it splits)."""
@@ -399,6 +450,45 @@ def test_never_sorting_fails_the_order_check(monkeypatch, name):
 
     with pytest.raises(AssertionError):
         _check_candidate_order(monkeypatch, q, roots, never_sorted)
+
+
+def _check_mark_order(table, q, roots):
+    """_mark's levels on a cold table: the root alone first, then one mass per level, heaviest
+    first, each level's keys (never 0) in strictly increasing flat order, tops their coordinates."""
+    for root in roots:
+        box, on = schofield._Box(root), np.flatnonzero(root)
+        levels, masses = table(q)._mark(root, box)[0], []
+        assert levels[0][0].tolist() == [box.size - 1], root
+        for keys, top in levels:
+            assert len(keys) and (keys > 0).all() and (np.diff(keys) > 0).all(), (root, keys)
+            coords = box.coords(keys)
+            assert np.array_equal(top, coords[:, on]), root
+            mass = set(coords.sum(axis=1).tolist())
+            assert len(mass) == 1, (root, keys)
+            masses += mass
+        assert all(x > y for x, y in zip(masses, masses[1:])), (root, masses)
+
+
+MARK_CASES = ORDER_CASES + [(f"random{seed}", *_phase_roots(seed)) for seed in range(4)]
+
+
+@pytest.mark.parametrize("name, q, roots", MARK_CASES, ids=[c[0] for c in MARK_CASES])
+def test_mark_walks_the_box_heaviest_first_in_flat_order(name, q, roots):
+    _check_mark_order(ExtTable, q, roots)
+
+
+@pytest.mark.parametrize("old, new", [
+    # lightest mass first: the pass starts at 0 and never reaches the root
+    ("depth = sum(root) - points.sum(", "depth = points.sum("),
+    # an order within a mass that is not flat order, as an unstable sort may give: here descending
+    ('np.argsort(depth, kind="stable")', '(len(depth) - 1 - np.argsort(depth[::-1], kind="stable"))'),
+], ids=["lightest-first", "unstable"])
+def test_a_misordered_pass_fails_the_mark_order_check(old, new):
+    class Misordered(ExtTable):
+        _mark = _planted(ExtTable._mark, old, new)
+
+    with pytest.raises(AssertionError):
+        _check_mark_order(Misordered, make_d5hat()[0], [(1, 2, 3, 3, 2, 1), (2, 3, 4, 4, 3, 2)])
 
 
 @pytest.mark.parametrize("q", [make_line(5)[0], make_kronecker(3)[0], make_d5hat()[0],
@@ -687,7 +777,8 @@ def test_split_matches_the_build_on_random_quivers():
 
 
 def _planted(method, old, new):
-    """method of ExtTable with old replaced by new in its source, as a function."""
+    """method of ExtTable, or function of schofield, with old replaced by new in its source, as a
+    function whose globals are the module's, so a monkeypatched name in it is read."""
     source = textwrap.dedent(inspect.getsource(method))
     planted = source.replace(old, new)
     assert planted != source
@@ -839,17 +930,10 @@ def test_push_products_hold_only_rows_with_a_negative_entry(monkeypatch):
 def test_every_accepted_row_fails_the_row_mask_check(monkeypatch):
     # planted fault: every accepted row of each S_b in the product; the sets stay
     # the same (a row with no negative entry cannot reject), only the work grows
-    source = textwrap.dedent(inspect.getsource(schofield.ExtTable._build))
-    planted = source.replace("accepted[a:z] & neg.take(tail[a:z])", "accepted[a:z].copy()")
-    assert planted != source
-    scope = {}
-    exec(planted, vars(schofield), scope)  # the module's globals, so the recorder is read
-
-    class Wasteful(ExtTable):
-        _build = scope["_build"]
-
+    wasteful = _planted(schofield._push, "accepted[a:z] & neg.take(tail[a:z])", "accepted[a:z].copy()")
+    monkeypatch.setattr(schofield, "_push", wasteful)  # _build reads _push from the module
     with pytest.raises(AssertionError):
-        _check_row_mask(monkeypatch, Wasteful)
+        _check_row_mask(monkeypatch, ExtTable)
 
 
 def test_nested_root_on_one_table_matches_recursion(d5hat):
