@@ -6,10 +6,9 @@ Thm 5.4) decides generic subdimensions: b is a generic subdimension of t
 ExtTable evaluates it once per root a that a caller asks about, over
 box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, in two phases:
 
-* _mark, top-down, one pass over the box by mass |b|, heaviest first, each
-  mass in flat order: a level's keys are its points marked by then, as every
-  b <= t with b != t is lighter than t; in batches of keys t of one level with
-  about _CHUNK points b <= t in all, it marks their candidates:
+* _mark, top-down, breadth-first from the root, wave 0: each later wave holds
+  the points the wave before first marked, in flat order; in batches of keys t
+  of one wave with about _CHUNK points b <= t in all, it marks their candidates:
   the b <= t with, for c = t - b, <b|A, c> >= 0 for every prefix A of the
   support's vertices taken sinks first (at A = the support, the criterion at
   s = b, which prunes most of the box), and <b|V, c> >= 0 and <b, c|W> >= 0
@@ -27,7 +26,10 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, in two phases:
   H (W) a 0/1 row per V (W) traced on the support.  A trace that is empty,
   the whole support (its sum is <b, c>, tested first) or one vertex v (a
   closed V has no arrow from v to the rest of the support, a closed W none
-  from the rest to v, so the sum is b_v c_v) is not a row;
+  from the rest to v, so the sum is b_v c_v) is not a row.  The keys are then
+  laid out in levels by mass |b|, heaviest first, each mass in flat order: as
+  every b <= t with b != t is lighter than t, a level's S_b are final once the
+  lighter levels are pushed;
 * _push, bottom-up, by level in batches; once S_b is final, push b to every
   key t it is a candidate of with one product of the rows s of S_b with
   a negative entry on supp(root) (a box-sized mask, made once per build)
@@ -109,8 +111,8 @@ _MAX_BOX_POINTS = 2**20
 _MAX_CANDIDATES = 2**24
 # entries of one _push product, and about as many per array (supp(root) x points) of a
 # _push batch or of one step of _mark's closed-set screen; points b <= t of the keys of
-# one _mark batch (or of its one key), so each array of its enumeration has at most
-# 1 + max(root) times as many entries
+# one _mark batch, cut from one wave (or of its one key), so each array of its enumeration
+# has at most 1 + max(root) times as many entries
 _CHUNK = 2**16
 
 
@@ -166,9 +168,10 @@ def _nonneg_columns(rows, cols):
 
 
 def _batches(weight, bound):
-    """(lo, hi) of runs of items, cut where the weight before an item passes a multiple of bound."""
-    cuts = (np.flatnonzero(np.diff((np.cumsum(weight) - weight) // max(1, bound))) + 1).tolist()
-    return zip([0, *cuts], [*cuts, len(weight)]) if len(weight) else ()
+    """(lo, hi) of runs of items, cut where the weight before an item passes a multiple of bound (and at
+    both ends, where -1 meets a sum >= 0), made ints as read: a wave of _mark may have a run per box point."""
+    cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) // max(1, bound), prepend=-1, append=-1))
+    return zip(map(int, cuts[:-1]), map(int, cuts[1:]))
 
 
 def _candidates(tops, w, strides, slack, axes):
@@ -209,8 +212,8 @@ def _candidates(tops, w, strides, slack, axes):
 
 def _push(levels, counts, tail, pe, neg):
     """Bottom-up, the candidates of ExtTable._mark's keys that are generic subdimensions:
-    (owned, spans), S_t of the j-th key in marking order at owned[spans[j]:spans[j + 1]]."""
-    # edge e joins tail[e] to key j (marking order), e in starts[j]:starts[j + 1]; one in-place sort
+    (owned, spans), S_t of the j-th key in level order at owned[spans[j]:spans[j + 1]]."""
+    # edge e joins tail[e] to key j (level order), e in starts[j]:starts[j + 1]; one in-place sort
     # of (1 + the index of key tail[e], e), packed in an int64, puts the edges from key j at ends[j]:ends[j + 1]
     tops = np.concatenate([top for _, top in levels]).astype(np.float64)
     starts = np.concatenate(([0], np.cumsum(counts)))
@@ -234,6 +237,9 @@ def _push(levels, counts, tail, pe, neg):
         j -= len(keys)
         a, z = starts[j], starts[j + len(keys)]
         held = accepted[a:z] & neg.take(tail[a:z])  # the s of each S_b that can make <s, c> < 0
+        if not held.any():  # no key of the level has such a row: every edge out of its keys is accepted
+            accepted[order[ends[j]:ends[j + len(keys)]]] = True
+            continue
         off = np.concatenate(([0], np.cumsum(held)))[starts[j:j + len(keys) + 1] - a]
         subs = tail[a:z][held]
         lens, got = off[1:] - off[:-1], ends[j + 1:j + len(keys) + 1] - ends[j:j + len(keys)]
@@ -345,20 +351,19 @@ class ExtTable:
         neg = (pe < 0).any(axis=0)  # the s whose rows can make some <s, c> negative
         needed = np.zeros(box.size, dtype=bool)
         needed[[0, -1]] = True  # 0 is in every S_t and no key of the build
-        # heaviest mass first, each mass in flat order: every candidate of t is lighter than t, so a
-        # level's keys are marked when it is reached, and t - e_s, s a source of supp(t), is one, so
-        # no level is empty; the last level is 0 alone
-        depth = sum(root) - points.sum(axis=0, dtype=np.min_scalar_type(sum(root)))  # 8 or 16 bits sort by radix
-        by_mass, ends = np.argsort(depth, kind="stable").astype(np.int32), np.cumsum(np.bincount(depth))
-        del depth
-        levels, counts, edges, marked, step, a = [], [], [], 0, max(1, _CHUNK // len(on)), 0
-        for z in ends[:-1]:  # an array, as a list of one bound per mass costs as much as the box
-            keys, a = by_mass[a:z][needed[by_mass[a:z]]], z
-            top = box.coords(keys)[:, on]
-            levels.append((keys, top))
-            for lo, hi in _batches(np.prod(top + 1, axis=1), _CHUNK):
-                t = top[lo:hi]
-                cands, own = _candidates(t, t @ E.T, box.strides[on], slack_base, axes)
+        # breadth-first from the root, each wave the points the wave before first marked, in flat order: a
+        # key's candidates do not depend on its batch, so every order marks the same keys and edges
+        strides, radix, step = box.strides[on], box.radix[on], max(1, _CHUNK // len(on))
+        wave, keys, mass, counts, edges, marked = np.array([box.size - 1]), [], [], [], [], 0
+        while len(wave):
+            top = wave[:, None] // strides % radix  # on supp(root) alone, as a wave may hold most of the box
+            keys.append(wave)
+            mass.append(top.sum(axis=1))
+            fresh, sizes = [], np.prod(top + 1, axis=1)
+            del top  # each batch decodes its own keys, so no wave's tops are all held at once
+            for lo, hi in _batches(sizes, _CHUNK):
+                t = wave[lo:hi, None] // strides % radix
+                cands, own = _candidates(t, t @ E.T, strides, slack_base, axes)
                 tc, ok = t.T.astype(np.float64), np.empty(len(cands), dtype=bool)
                 for i in range(0, len(cands), step):  # the closed-set screen, step candidates at a time
                     part = slice(i, i + step)
@@ -380,8 +385,18 @@ class ExtTable:
                     )
                 counts.append(np.bincount(own, minlength=len(t)))
                 edges.append(cands.astype(np.int32))
+                fresh.append(cands[~needed[cands]])
                 needed[cands] = True
-        return levels, np.concatenate(counts), np.concatenate(edges), pe, neg
+            wave = np.sort(np.concatenate(fresh))
+            wave = wave[np.concatenate(([True], wave[1:] != wave[:-1]))[:len(wave)]]  # each point once, if any
+        # the levels _push reads: by mass, heaviest first, each mass in flat order
+        keys, mass, counts = np.concatenate(keys), np.concatenate(mass), np.concatenate(counts)
+        order = np.lexsort((keys, -mass))
+        firsts, tail = (np.cumsum(counts) - counts)[order].tolist(), np.concatenate(edges)
+        keys, counts, cuts = keys[order], counts[order], np.flatnonzero(np.diff(mass[order])) + 1
+        del edges  # each key's edges as one int32 slice, with no gather index as long as the tails
+        tail = np.concatenate([tail[a:a + n] for a, n in zip(firsts, counts.tolist())])
+        return list(zip(np.split(keys, cuts), np.split(keys[:, None] // strides % radix, cuts))), counts, tail, pe, neg
 
     def _decide(self, key):
         """Store S_key in _subs unless it is there: as the sum of the pieces of a certified

@@ -16,12 +16,18 @@ grid_candidates is the batched build's candidate enumeration before the
 sinks-first prefix test: every b <= t of a batch from per-axis outer sums,
 then <b, t - b> >= 0 alone.  It takes schofield._candidates' arguments and
 returns its arrays, so a test can build with either one.
+
+mark_by_mass is ExtTable._mark before it walked the keys breadth-first from
+the root: one pass over the box by mass, heaviest first, each mass in flat
+order, in batches of keys of one level.  It takes _mark's arguments and
+returns its arrays, which the differential tests hold equal.
 """
 
 import numpy as np
 
+from quiver_cones import schofield
 from quiver_cones.errors import DimensionTooLargeError
-from quiver_cones.schofield import _MAX_CANDIDATES, _Box, _nonneg_columns, _rowdot
+from quiver_cones.schofield import _MAX_CANDIDATES, _Box, _batches, _candidates, _nonneg_columns, _rowdot
 
 
 def _grids(tops, w, strides):
@@ -139,3 +145,63 @@ def build_per_key(self, root):
     owned = buf[:end].copy()
     for t, (key, _, _) in new.items():
         self._subs[key] = (box, owned, *spans[t])
+
+
+def mark_by_mass(self, root, box):
+    """ExtTable._mark's result from one pass over the box by mass, heaviest first, each mass in flat
+    order: a level's keys are its points marked by then, as every b <= t with b != t is lighter than t."""
+    on = np.flatnonzero(root)
+    E, reach = self._euler[np.ix_(on, on)], self._reach
+    # every b <= t <= root and c = t - b lives on supp(root): vectors are held there, vertex-major (a
+    # row per vertex, a column per point), each closed set V or W tested once by its trace, a row of H or W
+    H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
+                     dtype=np.float64).reshape(-1, len(on)) for r in (reach[:, on], reach[on].T))
+    arrows = np.argwhere(E < 0).repeat(-E[E < 0], axis=0).tolist()  # (tail, head), one per arrow
+    axes = [on.tolist().index(v) for v in self._sinks_first if root[v]]  # the support's axes, sinks first
+    E = E.astype(np.float64)
+    points = np.indices(box.radix[on].tolist(), dtype=np.min_scalar_type(max(root))).reshape(len(on), -1)
+    pe = points.astype(np.float64)  # <b, .>
+    for u, w in arrows:
+        pe[w] -= points[u]
+    slack_base = _rowdot(pe.T, points.T)  # <b, b>
+    neg = (pe < 0).any(axis=0)  # the s whose rows can make some <s, c> negative
+    needed = np.zeros(box.size, dtype=bool)
+    needed[[0, -1]] = True  # 0 is in every S_t and no key of the build
+    # heaviest mass first, each mass in flat order: every candidate of t is lighter than t, so a
+    # level's keys are marked when it is reached, and t - e_s, s a source of supp(t), is one, so
+    # no level is empty; the last level is 0 alone
+    depth = sum(root) - points.sum(axis=0, dtype=np.min_scalar_type(sum(root)))  # 8 or 16 bits sort by radix
+    by_mass, ends = np.argsort(depth, kind="stable").astype(np.int32), np.cumsum(np.bincount(depth))
+    del depth
+    levels, counts, edges, marked, step, a = [], [], [], 0, max(1, schofield._CHUNK // len(on)), 0
+    for z in ends[:-1]:  # an array, as a list of one bound per mass costs as much as the box
+        keys, a = by_mass[a:z][needed[by_mass[a:z]]], z
+        top = box.coords(keys)[:, on]
+        levels.append((keys, top))
+        for lo, hi in _batches(np.prod(top + 1, axis=1), schofield._CHUNK):
+            t = top[lo:hi]
+            cands, own = _candidates(t, t @ E.T, box.strides[on], slack_base, axes)
+            tc, ok = t.T.astype(np.float64), np.empty(len(cands), dtype=bool)
+            for i in range(0, len(cands), step):  # the closed-set screen, step candidates at a time
+                part = slice(i, i + step)
+                b = points.take(cands[part], axis=1)
+                c = (tc.take(own[part], axis=1) if len(t) > 1 else tc) - b
+                x = E @ c
+                x *= b  # summed over V, <b|V, c>
+                ok[part] = (H @ x).min(axis=0, initial=0) >= 0
+                x = pe.take(cands[part], axis=1)
+                x *= c  # summed over W, <b, c|W>
+                ok[part] &= (W @ x).min(axis=0, initial=0) >= 0
+            # the edges of each t: 0, its candidates, t (b = 0 and b = t pass every test)
+            at = np.flatnonzero(ok)
+            cands, own = cands[at], own[at]
+            marked += len(cands) - 2 * len(t)
+            if marked > _MAX_CANDIDATES:
+                raise DimensionTooLargeError(
+                    f"table build for {root} marks over {_MAX_CANDIDATES} candidates, above the budget"
+                )
+            counts.append(np.bincount(own, minlength=len(t)))
+            edges.append(cands.astype(np.int32))
+            needed[cands] = True
+    return levels, np.concatenate(counts), np.concatenate(edges), pe, neg
+

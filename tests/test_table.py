@@ -108,7 +108,7 @@ def test_table_matches_recursion_on_zoo(family, q, invs, hi, draws):
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
     # tiny chunks push every key through the multi-chunk path and cut the keys
-    # of one mass level into several batches, at most one key each at _CHUNK = 1
+    # of one wave into several batches, at most one key each at _CHUNK = 1
     monkeypatch.setattr(schofield, "_CHUNK", chunk)
     batches, cut = [], schofield._batches
     monkeypatch.setattr(schofield, "_batches", lambda *args: batches.append(list(cut(*args))) or batches[-1])
@@ -131,7 +131,7 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
         assert _entries(t) == _entries(_per_key_table(q, roots)), (q.name, roots)
     if chunk == 1:
         assert all(hi - lo == 1 for batch in batches for lo, hi in batch)
-    assert any(len(batch) > 1 for batch in batches)  # some level is cut
+    assert any(len(batch) > 1 for batch in batches)  # some wave is cut
 
 
 @pytest.mark.parametrize("case", ["d5hat", "sun6"])
@@ -413,12 +413,12 @@ def test_sources_first_fails_the_grid_check(monkeypatch, name):
 
 
 def _check_candidate_order(monkeypatch, q, roots, candidates):
-    """Each enumeration's (owner, flat) pairs strictly increase; returns its owner counts."""
+    """Each enumeration's (owner, flat) pairs strictly increase; returns its owner counts and its calls."""
     _, calls = _cold_entries(monkeypatch, q, roots, candidates)
     for args, (idx, own) in calls:
         key = own.astype(np.int64) << 32 | idx
         assert (key[1:] > key[:-1]).all(), (q.name, args[0].tolist())
-    return [len(np.unique(own)) for _, (_, own) in calls]
+    return [len(np.unique(own)) for _, (_, own) in calls], calls
 
 
 ORDER_CASES = [("d5hat", make_d5hat()[0], [row[0] for row in D5HAT_TABLE]),
@@ -429,10 +429,16 @@ ORDER_CASES = [("d5hat", make_d5hat()[0], [row[0] for row in D5HAT_TABLE]),
 
 @pytest.mark.parametrize("name, q, roots", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
 def test_candidates_come_in_owner_then_flat_order(monkeypatch, name, q, roots):
-    # the push reads each owner's candidates as one run, in flat order; a thin box
-    # has one owner on one axis per batch, whose grid needs no sort
-    owners = _check_candidate_order(monkeypatch, q, roots, schofield._candidates)
-    assert max(owners) == 1 if name == "thin" else max(owners) > 1
+    # the push reads each owner's candidates as one run, in flat order; the root's call
+    # has one owner, and in a thin box one axis, whose grid needs no sort
+    enumerate_ = schofield._candidates
+    owners, calls = _check_candidate_order(monkeypatch, q, roots, enumerate_)
+    assert max(owners) > 1
+    if name == "thin":
+        args, found = calls[0]
+        assert owners[0] == 1
+        unsorted = _planted(enumerate_, "own.sort()", "raise AssertionError('sorted')")
+        assert all(np.array_equal(x, y) for x, y in zip(unsorted(*args), found, strict=True))
 
 
 @pytest.mark.parametrize("name", ["d5hat", "sun61", "sun62"])
@@ -478,10 +484,10 @@ def test_mark_walks_the_box_heaviest_first_in_flat_order(name, q, roots):
 
 
 @pytest.mark.parametrize("old, new", [
-    # lightest mass first: the pass starts at 0 and never reaches the root
-    ("depth = sum(root) - points.sum(", "depth = points.sum("),
-    # an order within a mass that is not flat order, as an unstable sort may give: here descending
-    ('np.argsort(depth, kind="stable")', '(len(depth) - 1 - np.argsort(depth[::-1], kind="stable"))'),
+    # lightest mass first: the levels start at the lightest key and end at the root
+    ("np.lexsort((keys, -mass))", "np.lexsort((keys, mass))"),
+    # no flat tie-break within a mass, so the order there is whatever an unstable sort gives
+    ("np.lexsort((keys, -mass))", "np.argsort(-mass)"),
 ], ids=["lightest-first", "unstable"])
 def test_a_misordered_pass_fails_the_mark_order_check(old, new):
     class Misordered(ExtTable):
@@ -489,6 +495,43 @@ def test_a_misordered_pass_fails_the_mark_order_check(old, new):
 
     with pytest.raises(AssertionError):
         _check_mark_order(Misordered, make_d5hat()[0], [(1, 2, 3, 3, 2, 1), (2, 3, 4, 4, 3, 2)])
+
+
+def _check_mark_against_the_mass_pass(mark, q, roots):
+    """mark's levels, counts, tails, pe and neg on a cold table, array-equal to those of the
+    pass over the box by mass that _mark replaced (reference_table.mark_by_mass)."""
+    for root in roots:
+        box = schofield._Box(root)
+        got, expected = (f(ExtTable(q), root, box) for f in (mark, reference_table.mark_by_mass))
+        assert all(np.array_equal(x, y) for x, y in zip(_arrays(got), _arrays(expected), strict=True)), (q.name, root)
+
+
+MASS_PASS_CASES = MARK_CASES + [("T3", *_listed(triple_flag(3)))]
+
+
+@pytest.mark.parametrize("name, q, roots", MASS_PASS_CASES, ids=[c[0] for c in MASS_PASS_CASES])
+def test_mark_matches_the_mass_ordered_pass(name, q, roots):
+    _check_mark_against_the_mass_pass(ExtTable._mark, q, roots)
+
+
+def test_mark_matches_the_mass_ordered_pass_one_key_per_batch(monkeypatch):
+    # at _CHUNK = 1 each wave is cut into batches of one key, in both passes
+    monkeypatch.setattr(schofield, "_CHUNK", 1)
+    _check_mark_against_the_mass_pass(ExtTable._mark, make_d5hat()[0], [(1, 2, 3, 3, 2, 1), (2, 1, 0, 0, 1, 2)])
+    _check_mark_against_the_mass_pass(ExtTable._mark, make_sun(3, 2)[0], [(1, 1, 0, 1) * 3])
+    _check_mark_against_the_mass_pass(ExtTable._mark, *_phase_roots(1))
+
+
+@pytest.mark.parametrize("old, new", [
+    # a wave that keeps a point each time a key of it marks the point, so a key is expanded twice
+    ("wave[1:] != wave[:-1]", "wave[1:] == wave[1:]"),
+    # the levels left in the order the waves marked their keys
+    ("np.lexsort((keys, -mass))", "np.arange(len(keys))"),
+], ids=["no-dedup", "unsorted"])
+def test_a_faulty_wave_fails_the_mass_pass_check(old, new):
+    faulty = _planted(ExtTable._mark, old, new)
+    with pytest.raises(AssertionError):
+        _check_mark_against_the_mass_pass(faulty, make_d5hat()[0], [(1, 2, 3, 3, 2, 1)])
 
 
 @pytest.mark.parametrize("q", [make_line(5)[0], make_kronecker(3)[0], make_d5hat()[0],
