@@ -42,7 +42,15 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, in two phases:
   its own box, those an earlier build decided too (their entries stay); a
   root that is already a key is read, not built.
 
-Every root a is first tried as a sum of pieces, a = beta_1 + ... + beta_r
+An arrow-thin root a, 1 at both ends of each arrow inside supp(a), is read
+first, in closed form (_arrow_thin): S_a = {b <= a : b_w = 1 wherever b_u > 0
+for an arrow u -> w inside supp(a)}.  Why: the representations of dimension a
+whose arrows inside supp(a) are nonzero maps between lines are open and dense,
+and their subrepresentations U are those with U_w = k wherever U_u = k, any
+subspace at a vertex that no such arrow meets; so a general one has just those
+dimensions.  Past _MAX_BOX_POINTS rows (its box is no smaller) the build refuses a.
+
+Every other root a is first tried as a sum of pieces, a = beta_1 + ... + beta_r
 (_split).  The generator tries g = gcd(a) copies of a / g, then the layers
 1[a >= v], v = 1 ... max(a): each run of equal layers is appended to the pieces
 so far, or, where that fails, merged into one copy of an earlier piece, or
@@ -106,8 +114,7 @@ from .quiver import DimVector, Weight, _VertexVector, euler_form, weight_eval
 _ENTRY_BOUND = 2**20
 # most points of box(a) one table build may index; checked before allocating
 _MAX_BOX_POINTS = 2**20
-# most candidates one table build may mark; a box with no arrow inside its
-# support makes every point a candidate of every larger point
+# most candidates one table build may mark; a support with no arrow inside is read in closed form
 _MAX_CANDIDATES = 2**24
 # entries of one _push product, and about as many per array (supp(root) x points) of a
 # _push batch or of one step of _mark's closed-set screen; points b <= t of the keys of
@@ -318,9 +325,7 @@ class ExtTable:
 
     def _build(self, root):
         """Decide S_t, into _subs, for root and every key it needs, in box(root)."""
-        on = np.flatnonzero(root)
-        m = self._multiplicity if (self._euler[np.ix_(on, on)] < 0).any() else 0  # 0 with no arrow inside the support
-        if (1 + m) * sum(root) ** 2 >= 2**53:  # the float64 bound of __init__, before allocating
+        if (1 + self._multiplicity) * sum(root) ** 2 >= 2**53:  # the float64 bound of __init__, before allocating
             raise ValueOverflowError("Euler form values may exceed the exact float64 products of a table build")
         if (box := _Box(root)).size > _MAX_BOX_POINTS:  # before the first box-sized array
             raise DimensionTooLargeError(f"box of {root} has {box.size} points, above the budget of {_MAX_BOX_POINTS}")
@@ -399,12 +404,14 @@ class ExtTable:
         return list(zip(np.split(keys, cuts), np.split(keys[:, None] // strides % radix, cuts))), counts, tail, pe, neg
 
     def _decide(self, key):
-        """Store S_key in _subs unless it is there: as the sum of the pieces of a certified
-        split of key, within the pair budget, else by a build of key."""
+        """Store S_key in _subs unless it is there: in closed form if key is arrow-thin, else as the
+        sum of the pieces of a certified split of key, within the pair budget, else by a build."""
         if key in self._subs:
             return
         # a box whose int64 strides would wrap, or values past int64: the build decides (and refuses)
         fits = math.prod(x + 1 for x in key) < 2**63 and (1 + self._multiplicity) * sum(key) ** 2 < 2**63
+        if fits and self._arrow_thin(key):
+            return
         try:
             runs = self._split(key) if fits else None
             pieces = [(self._subdim_rows(beta), k) for beta, k in runs or ()]  # the heaviest one too
@@ -427,6 +434,22 @@ class ExtTable:
                 flat = np.sort(flat[:, None] + step, axis=None)  # in flat order
                 flat = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]  # each point once
         self._subs[key] = (box, flat, 0, len(flat))
+
+    def _arrow_thin(self, key):
+        """Whether key is arrow-thin; if so, S_key is decided in closed form (module docstring)."""
+        inside = (self._euler < 0) & (np.outer(key, key) > 0)  # [u, w]: an arrow u -> w inside supp(key)
+        if (np.array(key)[inside.any(axis=0) | inside.any(axis=1)] > 1).any():
+            return False
+        box, flat = _Box(key), np.zeros(1, dtype=np.int64)
+        for v in (v for v in self._sinks_first if key[v]):  # each head of v is placed before v
+            grow = flat[(flat[:, None] // box.strides[inside[v]] % 2).all(axis=1)]  # b_w = 1 at each head w
+            if len(flat) + key[v] * len(grow) > _MAX_BOX_POINTS:
+                self._build(key)  # the box is no smaller, so the build refuses key
+                return True
+            flat = np.concatenate([flat, (np.arange(1, key[v] + 1)[:, None] * box.strides[v] + grow).ravel()])
+        flat.sort()
+        self._subs[key] = (box, flat, 0, len(flat))
+        return True
 
     def _split(self, key):
         """Runs (beta, k), k copies of beta each, that sum to key and pass _certified, or None.
@@ -553,7 +576,7 @@ class ExtTable:
         On the normals <beta, gamma> + <beta, tau.beta> = 0, and S_beta holds
         beta, so the ext tests on S_beta imply both isotropy tests; <beta, gamma>
         = 0 is tested first, on every normal at once, only to skip S_beta.  A
-        build of a marks every beta as a key, a sum of pieces marks none, so
+        build of a marks every beta as a key, a sum or a closed form none, so
         each beta that is not yet a key is decided first, the same way as a
         root, the heaviest first, as a build marks lighter ones as keys.
         S_beta is then decoded from its own slice, and both ext tests

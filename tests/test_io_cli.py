@@ -421,11 +421,28 @@ def test_cli_counts_checks_every_alpha_before_printing(monkeypatch, d5file):
     assert (code, out) == (2, "") and "above the budget" in err
 
 
-def test_cli_thin_multiple_exits_2_on_the_candidate_budget(d5file):
-    # 10000 e_1: its box of 10001 points fits, but the sum of 10000 copies of S_e1 = {0, e_1}
-    # forms about 10**8 pairs and the build marks about 5 * 10**7 candidates, both past 2**24
-    code, out, err = run_cli(["counts", d5file, "--alpha", "x1=10000"])
+def test_cli_a_build_past_the_candidate_budget_exits_2(d5file):
+    # (10000, 0, 1, 0, 0, 0), with 10000 at the tail of the arrow x1 -> x3, is no arrow-thin
+    # root: its box of 20002 points fits, but its split, (1, 0, 1, 0, 0, 0) + 9999 e_1, forms
+    # about 2 * 10**8 pairs and its build marks about 5 * 10**7 candidates, both past 2**24
+    code, out, err = run_cli(["counts", d5file, "--alpha", "x1=10000,x3=1"])
     assert (code, out) == (2, "") and "marks over" in err
+
+
+def test_cli_arrow_thin_roots_answer_in_closed_form(d5file, tmp_path):
+    # S of an arrow-thin root is read off the arrows of its support with no build, so these
+    # answer where a build refused: A30 at (1)^30 (a box of 2**30 points), 10000 e_1 (past the
+    # candidate budget) and hom at 1048575 e_1 (an S of 2**20 rows); an S of more rows than
+    # 2**20 is left to the build, which refuses its box
+    q, inv = make_line(30)
+    path = tmp_path / "a30.quiver"
+    path.write_text(serialize_quiver(q, [inv]))
+    ones = ",".join(f"{v}=1" for v in q.vertices)
+    assert run_cli(["counts", str(path), "--alpha", ones]) == (0, ",".join(["1"] * 30) + "\t31\t31\n", "")
+    assert run_cli(["counts", d5file, "--alpha", "x1=10000"]) == (0, "10000,0,0,0,0,0\t10001\t2\n", "")
+    assert run_cli(["hom", d5file, "--a", "x1=1048575", "--b", "x1=1048575"]) == (0, f"{1048575**2}\n", "")
+    code, out, err = run_cli(["hom", d5file, "--a", "x1=1048575,x6=1", "--b", "x1=1"])
+    assert (code, out) == (2, "") and f"(1048575, 0, 0, 0, 0, 1) has {2**21} points, above the budget" in err
 
 
 def test_cli_sum_of_copies_answers_past_the_box_budget(d5file):

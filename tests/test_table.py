@@ -20,6 +20,7 @@ from quiver_cones import (
     Weight,
     counts,
     enumerate_I0,
+    inequalities,
     make_d5hat,
     make_kronecker,
     make_line,
@@ -121,14 +122,16 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
         assert betas == [b for b, _ in ref.iso_pairs(oracle, a, inv)]
     wide = _wide_shallow_quiver(random.Random("small-chunks"), 0)
     sun62 = make_sun(3, 2)[0]
-    # one wide quiver, Sun(6,2) at a small alpha, and two roots on one table
-    for q, roots in [(wide, [(1,) * len(wide.vertices)]),
-                     (sun62, [(1, 1, 0, 1) * 3]),
-                     (sun62, [(1, 0) * 6, (1, 1) * 6])]:
+    # one wide quiver, Sun(6,2) at a small alpha, and two roots on one table, the second
+    # above the first; each root has a 2 at an end of an arrow and no split, so each is built
+    for q, roots in [(wide, [(1, 1, 1, 1, 1, 2, 1, 1, 1, 0)]),
+                     (sun62, [(0, 2, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1)]),
+                     (sun62, [(0, 1, 0, 2, 2, 1, 1, 1, 0, 0, 0, 0), (1, 2, 0, 2, 2, 1, 1, 1, 0, 0, 0, 0)])]:
         t, oracle = ExtTable(q), ref.RecursiveExtTable(q)
         for a in roots:
             assert [b.values for b in t.generic_subdims(a)] == oracle.generic_subdims(a), (q.name, a)
-        assert _entries(t) == _entries(_per_key_table(q, roots)), (q.name, roots)
+        # a split tried on the way may decide pieces in closed form: the builds alone are compared
+        assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), (q.name, roots)
     if chunk == 1:
         assert all(hi - lo == 1 for batch in batches for lo, hi in batch)
     assert any(len(batch) > 1 for batch in batches)  # some wave is cut
@@ -658,35 +661,58 @@ def test_a_box_past_the_int64_strides_is_refused_by_the_build(built_roots):
 
 
 def test_candidate_budget_is_checked_while_marking(monkeypatch, tmp_path, d5hat):
-    # no arrow joins two vertices of the support: every point is a candidate of every larger
-    # one; built here on purpose (its split, (1, 0, 0, 0, 0, 1) + 1999 e_1, is past the pair
-    # budget, so from the command line too the build decides it and refuses)
+    # (2000, 0, 1, 0, 0, 0), with 2000 at the tail of the arrow x1 -> x3, is no arrow-thin root:
+    # each (x, 0, 0) marks the x - 1 points below it; built here on purpose (its split,
+    # (1, 0, 1, 0, 0, 0) + 1999 e_1, is past the pair budget, so from the command line too the
+    # build decides it and refuses)
     q, inv = d5hat
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 10_000)
     t = ExtTable(q)
     keys = len(t._subs)
     with pytest.raises(DimensionTooLargeError, match="marks over"):
-        t._build((2000, 0, 0, 0, 0, 1))
+        t._build((2000, 0, 1, 0, 0, 0))
     assert len(t._subs) == keys  # a failed build stores nothing
     assert len(t.generic_subdims((2, 2, 2, 2, 2, 2))) == 43
     path = tmp_path / "d5hat.quiver"
     path.write_text(serialize_quiver(q, [inv]))
-    code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=2000,x6=1"])
+    code, out, err = _run_cli(["counts", str(path), "--alpha", "x1=2000,x3=1"])
     assert (code, out) == (2, "") and "marks over" in err
 
 
 @pytest.mark.parametrize("budget, fits", [(300 * 299 // 2, True), (300 * 299 // 2 - 1, False)])
 def test_candidate_budget_counts_each_candidate_once(monkeypatch, d5hat, budget, fits):
     # (300, 0, ..., 0) marks exactly 300 * 299 / 2 candidates: b < t on x1, neither 0
-    # nor t itself; the budget counts them, not the grid points or the stored edges.  Its
-    # sum of copies of S_e1 forms 300 * 301 - 2 pairs, past either budget, so the build decides
+    # nor t itself; the budget counts them, not the grid points or the stored edges.  It is
+    # arrow-thin, read in closed form with no build, so it is built here on purpose
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", budget)
     t = ExtTable(d5hat[0])
     if fits:
-        assert len(t.generic_subdims((300, 0, 0, 0, 0, 0))) == 301
+        t._build((300, 0, 0, 0, 0, 0))
+        assert len(t._rows((300, 0, 0, 0, 0, 0))) == 301
     else:
         with pytest.raises(DimensionTooLargeError, match="marks over"):
-            t.generic_subdims((300, 0, 0, 0, 0, 0))
+            t._build((300, 0, 0, 0, 0, 0))
+
+
+# (300, 0, 1, 0, 0, 0) marks every nonzero point of its box but (300, 0, 0, 0, 0, 0) as a key:
+# (x, 0, 1) has 2x - 1 candidates, (y, 0, 1) for y < x and (y, 0, 0) for 0 < y < x (where
+# <b, t - b> = y (x - y - 1)), and (x, 0, 0) for x < 300 has x - 1
+ARROW_CANDIDATES = 299 * 298 // 2 + 300**2
+
+
+@pytest.mark.parametrize("fits", [True, False])
+def test_candidate_budget_counts_each_candidate_off_the_closed_form(monkeypatch, built_roots, d5hat, fits):
+    # the same count at a root with 300 at the tail of the arrow x1 -> x3, which no closed form
+    # reads: its split, (1, 0, 1, 0, 0, 0) + 299 e_1, forms more pairs than the build marks
+    # candidates, so at either budget the build decides it, and counts each candidate once
+    q, alpha = d5hat[0], (300, 0, 1, 0, 0, 0)
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", ARROW_CANDIDATES - (not fits))
+    if fits:
+        assert len(ExtTable(q).generic_subdims(alpha)) == 2 * 300 + 1
+    else:
+        with pytest.raises(DimensionTooLargeError, match="marks over"):
+            ExtTable(q).generic_subdims(alpha)
+    assert built_roots == [alpha]
 
 
 def test_gate_rejects_foreign_and_oversized_vectors(d5hat_table, sun31):
@@ -745,14 +771,16 @@ def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
 
 
 def test_sum_past_its_budget_falls_back_to_the_build(monkeypatch, built_roots, d5hat):
-    # 300 e_1 is the sum of 300 copies of S_e1 = {0, e_1}: step j forms (j + 1) * 2 pairs,
-    # 300 * 301 - 2 over the 299 steps, which the bound checked first counts exactly; one pair
-    # fewer and the build decides the root, with its own 300 * 299 / 2 candidates, to the same S
+    # (300, 0, 1, 0, 0, 0) is the sum of S_(1, 0, 1, 0, 0, 0) and 299 copies of S_e1 = {0, e_1}:
+    # step j adds S_e1 to S_(j + 1, 0, 1, 0, 0, 0) of 2j + 3 rows, 179 998 pairs over the 299
+    # steps, which the bound checked first counts exactly; one pair fewer and the build decides
+    # the root, with its own ARROW_CANDIDATES candidates, to the same S
     q, _ = d5hat
-    alpha, pairs, roots = (300, 0, 0, 0, 0, 0), 300 * 301 - 2, built_roots
+    alpha, pairs, roots = (300, 0, 1, 0, 0, 0), sum(2 * (2 * j + 3) for j in range(299)), built_roots
+    assert pairs == 179_998 and ARROW_CANDIDATES < pairs
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs)
     S = ExtTable(q).generic_subdims(alpha)
-    assert len(S) == 301 and alpha not in roots
+    assert len(S) == 601 and alpha not in roots
     monkeypatch.setattr(schofield, "_MAX_CANDIDATES", pairs - 1)
     assert ExtTable(q).generic_subdims(alpha) == S and roots[-1] == alpha
     # (3)^6 from S_(1)^6 of 9 rows: before the first step at least 9 * (2 * 9 + 8) = 234 pairs
@@ -776,10 +804,11 @@ def _built(q, alpha):
 
 
 def _check_split(built_roots, table, q, alpha):
-    # alpha is decided as a certified sum of pieces, with no build of alpha, and its S is
-    # the one the build of alpha decides
-    S = table(q)._subdim_rows(alpha).tolist()
-    assert built_roots and alpha not in built_roots
+    # alpha is no arrow-thin root and is decided with no build of alpha, so as a certified sum
+    # of pieces, and its S is the one the build of alpha decides
+    t = table(q)
+    S = t._subdim_rows(alpha).tolist()
+    assert not _is_arrow_thin(q, alpha) and alpha not in built_roots
     assert S == _built(q, alpha), (q.name, alpha)
 
 
@@ -789,9 +818,10 @@ SPLIT_CASES = [
     *((make_sun(3, 1)[0], (k,) * 6) for k in range(2, 5)),
     (make_kronecker(2)[0], (7, 7)),
     (make_kronecker(2)[0], (6, 12)),
-    (make_d5hat()[0], (300, 0, 0, 0, 0, 0)),
-    # every golden alpha off the diagonal (all of them split), and 3 (1)^6 + (0, 1, 1, 1, 1, 0)
-    *((make_d5hat()[0], row[0]) for row in D5HAT_TABLE if len(set(row[0])) > 1),
+    (make_d5hat()[0], (40, 0, 40, 0, 0, 0)),  # 40 copies of (1, 0, 1, 0, 0, 0)
+    # every golden alpha off the diagonal (all of them split, but the arrow-thin (2, 1, 0, 0, 1, 2),
+    # which is read in closed form), and 3 (1)^6 + (0, 1, 1, 1, 1, 0)
+    *((make_d5hat()[0], row[0]) for row in D5HAT_TABLE if len(set(row[0])) > 1 and row[0] != (2, 1, 0, 0, 1, 2)),
     *((make_sun(3, 1)[0], row[0]) for row in SUN61_TABLE if len(set(row[0])) > 1),
     (make_d5hat()[0], (3, 4, 4, 4, 4, 3)),
 ]
@@ -804,30 +834,169 @@ def test_split_matches_the_build(built_roots, q, alpha):
 
 
 def test_split_matches_the_build_on_random_quivers():
-    # quivers with an involution, parallel arrows and 3 to 6 vertices; every alpha that
-    # splits has the S that its build decides (a quiver with many arrows seldom splits)
+    # quivers with an involution, parallel arrows and 3 to 6 vertices; every alpha that is not
+    # arrow-thin and splits has the S that its build decides (a quiver with many arrows seldom splits)
     split = 0
     for seed in range(8):
         rng = random.Random(f"split-vs-build:{seed}")
         q, _ = random_involution_quiver(rng, 3 + seed % 4)
-        for _ in range(8):
+        for _ in range(12):
             alpha = tuple(rng.randint(0, 3) for _ in q.vertices)
             t = ExtTable(q)
-            if any(alpha) and t._split(alpha):
+            if any(alpha) and not _is_arrow_thin(q, alpha) and t._split(alpha):
                 split += 1
                 assert t._subdim_rows(alpha).tolist() == _built(q, alpha), (q.arrows, alpha)
     assert split >= 12
 
 
-def _planted(method, old, new):
-    """method of ExtTable, or function of schofield, with old replaced by new in its source, as a
-    function whose globals are the module's, so a monkeypatched name in it is read."""
-    source = textwrap.dedent(inspect.getsource(method))
-    planted = source.replace(old, new)
-    assert planted != source
+def _planted(method, old, new, more=()):
+    """method of ExtTable, or function of schofield, with old replaced by new in its source (and
+    each further (old, new) pair of more), as a function whose globals are the module's, so a
+    monkeypatched name in it is read."""
+    planted = textwrap.dedent(inspect.getsource(method))
+    for old, new in [(old, new), *more]:
+        assert old in planted
+        planted = planted.replace(old, new)
     scope = {}
     exec(planted, vars(schofield), scope)
     return scope[method.__name__]
+
+
+def _is_arrow_thin(q, alpha):
+    """Whether alpha is 1 at both ends of every arrow with both ends in its support."""
+    ends = [(alpha[q.vertex_index(t)], alpha[q.vertex_index(h)]) for _, t, h in q.arrows]
+    return all(a == b == 1 for a, b in ends if a and b)
+
+
+def _closed(table, q, alpha):
+    """S_alpha as table's closed form decides it on a cold table, or None where it decides nothing."""
+    t = table(q)
+    return t._rows(alpha).tolist() if t._arrow_thin(alpha) else None
+
+
+def _check_closed_form(table, q, roots):
+    """Each root's closed form, where table gives one: S_alpha as its build (each root not yet a
+    key of an earlier build on one table is built) and the recursion decide it; and a closed form
+    exactly where alpha is arrow-thin.  Returns how many roots had one."""
+    built, oracle, thin = ExtTable(q), ref.RecursiveExtTable(q), 0
+    for alpha in roots:
+        S = _closed(table, q, alpha)
+        if S is not None:
+            if alpha not in built._subs:
+                built._build(alpha)
+            assert S == built._rows(alpha).tolist() == list(map(list, oracle.generic_subdims(alpha))), (q.name, alpha)
+            thin += 1
+        assert (S is not None) == _is_arrow_thin(q, alpha), (q.name, alpha)
+    return thin
+
+
+def _thin_roots(q):
+    """Every nonzero 0/1 vector of q, heaviest first (so most are keys of an earlier build)."""
+    return sorted((a for a in itertools.product((0, 1), repeat=len(q.vertices)) if any(a)), key=sum, reverse=True)
+
+
+def _arrow_thin_roots(rng, q, draws, points):
+    """draws vectors with entries up to 3 and boxes of at most points points, made arrow-thin: both
+    ends of each arrow inside the support set to 1, so an entry above 1 is left only where no
+    arrow joins its vertex to the rest of the support."""
+    idx, found = q.vertex_index, 0
+    while found < draws:
+        alpha = [rng.choice((0, 0, 1, 2, 3)) for _ in q.vertices]
+        for _, t, h in q.arrows:
+            if alpha[idx(t)] and alpha[idx(h)]:
+                alpha[idx(t)] = alpha[idx(h)] = 1
+        if np.prod([a + 1 for a in alpha]) <= points:
+            found += 1
+            yield tuple(alpha)
+
+
+THIN_QUIVERS = [make_line(5)[0], make_kronecker(2)[0], make_kronecker(3)[0], make_d5hat()[0],
+                *(make_sun(k, n)[0] for k, n in [(2, 1), (2, 2), (3, 1), (3, 2)])]
+
+
+@pytest.mark.parametrize("q", THIN_QUIVERS, ids=lambda q: q.name)
+def test_closed_form_matches_the_build_on_thin_roots(q):
+    roots = _thin_roots(q)
+    assert _check_closed_form(ExtTable, q, roots) == len(roots)
+
+
+@pytest.mark.parametrize("family", ["involution", "wide"])
+def test_closed_form_matches_the_build_on_random_quivers(family):
+    # parallel arrows (involution quivers), isolated vertices with entries up to 3 (8 arrow-thin
+    # roots per quiver), and two roots per quiver drawn with no care, mostly not arrow-thin
+    seeds, thin, large = 30 if family == "involution" else 6, 0, 0
+    for seed in range(seeds):
+        rng = random.Random(f"closed-form:{family}:{seed}")
+        if family == "involution":
+            q, points = random_involution_quiver(rng, rng.randint(3, 7))[0], 2**12
+        else:  # the recursion walks a whole box per key
+            q, points = _wide_shallow_quiver(rng, seed), 2**9
+        roots = [*_arrow_thin_roots(rng, q, 8, points), *(tuple(rng.randint(0, 2) for _ in q.vertices) for _ in range(2))]
+        thin += _check_closed_form(ExtTable, q, roots)
+        large += sum(max(a) > 1 for a in roots if _is_arrow_thin(q, a))
+    assert thin >= 8 * seeds and large >= 2 * seeds
+
+
+def test_closed_form_under_tails_fails():
+    # planted fault: each vertex closed under its arrow tails, placed sources first, which reads
+    # the generic quotients: at A2 (1, 1) {0, e1, (1, 1)} instead of {0, e2, (1, 1)}
+    class Tails(ExtTable):
+        _arrow_thin = _planted(ExtTable._arrow_thin, "inside[v]", "inside[:, v]",
+                               [("self._sinks_first if", "self._sinks_first[::-1] if")])
+
+    assert _closed(Tails, make_line(2)[0], (1, 1)) == [[0, 0], [1, 0], [1, 1]]
+    with pytest.raises(AssertionError):
+        _check_closed_form(Tails, make_d5hat()[0], _thin_roots(make_d5hat()[0]))
+
+
+def test_closed_form_of_a_2_at_an_arrow_fails():
+    # planted fault: an arrow with a 2 at its tail let in, as at A2 (2, 1); a general rep k^2 -> k
+    # has subs of dimension e1 (its kernel) and (1, 1), but none of dimension (2, 0), so S has 5 of
+    # the 6 box points, where the rule of the closed form keeps 4 (no e1)
+    class Loose(ExtTable):
+        _arrow_thin = _planted(ExtTable._arrow_thin, "> 1).any()", "> 2).any()")
+
+    q = make_line(2)[0]
+    assert _closed(Loose, q, (2, 1)) == [[0, 0], [0, 1], [1, 1], [2, 1]]
+    assert _built(q, (2, 1)) == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 1]]
+    with pytest.raises(AssertionError):
+        _check_closed_form(Loose, q, [(1, 1), (2, 1)])
+
+
+def test_closed_form_rows_are_held_against_the_box_budget(monkeypatch, built_roots, d5hat):
+    # 300 e_1 has an S of 301 rows: at a budget of 301 it is read in closed form; one fewer and
+    # the build decides it, which refuses its box of 301 points, so every refusal is a build's
+    q, _ = d5hat
+    monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 301)
+    assert len(ExtTable(q).generic_subdims((300, 0, 0, 0, 0, 0))) == 301 and built_roots == []
+    monkeypatch.setattr(schofield, "_MAX_BOX_POINTS", 300)
+    with pytest.raises(DimensionTooLargeError, match="has 301 points, above the budget"):
+        ExtTable(q).generic_subdims((300, 0, 0, 0, 0, 0))
+    assert built_roots == [(300, 0, 0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("case", ["d5hat", "sun61"])
+def test_golden_calls_build_no_arrow_thin_root(built_roots, case):
+    # counts and the dw, inductive and antiinv systems (reduce reads nothing but the system) at
+    # each golden alpha, each call on a cold table: no root handed to a build is arrow-thin, and
+    # on the D5hat counts rows the one root built is delta = (1, 1, 2, 2, 1, 1); the arrow-thin
+    # golden alphas, (1)^6 and (2, 1, 0, 0, 1, 2), have the S of their builds and of the recursion
+    (q, invs), rows = (make_d5hat(), D5HAT_TABLE) if case == "d5hat" else (make_sun(3, 1), SUN61_TABLE)
+    invs = invs if isinstance(invs, list) else [invs]
+    assert _check_closed_form(ExtTable, q, [alpha for alpha, *_ in rows]) == (2 if case == "d5hat" else 0)
+    built_roots.clear()
+    for alpha, *_ in rows:
+        symmetric = [inv for inv in invs if tuple(alpha[p] for p in inv.perm) == alpha]
+        counts(ExtTable(q), alpha, symmetric)
+    if case == "d5hat":
+        assert set(built_roots) == {(1, 1, 2, 2, 1, 1)}
+    for alpha, *_ in rows:
+        inequalities(ExtTable(q), alpha, "dw")
+        inequalities(ExtTable(q), alpha, "inductive")
+        for inv in invs:
+            if tuple(alpha[p] for p in inv.perm) == alpha:
+                inequalities(ExtTable(q), alpha, "antiinv", inv=inv)
+    assert built_roots and not any(_is_arrow_thin(q, root) for root in built_roots)
 
 
 def test_a_split_without_the_ext_test_fails(built_roots):
@@ -850,31 +1019,32 @@ def test_a_split_without_the_ext_test_fails(built_roots):
 
 
 def _e1_plus_e2(table):
-    """table, with (1, 1) on the line 1 -> 2 proposed as e1 + e2, then as e2 + e1, each
-    taken if it is certified; ext(e1, e2) = 1 and ext(e2, e1) = 0, so neither is."""
+    """table, with (2, 2) on the line 1 -> 2 proposed as 2 e1 + 2 e2, then as 2 e2 + 2 e1,
+    each taken if it is certified; ext(e1, e2) = 1 and ext(e2, e1) = 0, so neither is."""
 
     class Proposed(table):
         def _split(self, key):
-            proposals = ([((1, 0), 1), ((0, 1), 1)], [((0, 1), 1), ((1, 0), 1)])
-            return next((runs for runs in proposals if key == (1, 1) and self._certified(runs)), None)
+            proposals = ([((1, 0), 2), ((0, 1), 2)], [((0, 1), 2), ((1, 0), 2)])
+            return next((runs for runs in proposals if key == (2, 2) and self._certified(runs)), None)
 
     return Proposed
 
 
 @pytest.mark.parametrize("skipped", ["sub", "quotient"])
 def test_a_split_that_skips_one_ext_direction_fails(a2, skipped):
-    # S_(1,1) = {0, e2, (1, 1)}: e1 is no generic subdimension (the rep k -> k, 1 has no sub
-    # of dimension e1), but S_e1 + S_e2 holds it; ext(acc, beta) is read by the quotient form
-    # (e1 + e2) and ext(beta, acc) by the other (e2 + e1), so skipping either one sums the pieces
+    # (2, 2) is no arrow-thin root, so its S comes from a split or a build: S_(2,2) = {b : b1 <= b2}
+    # (a general rep is an isomorphism k^2 -> k^2, whose subs have b1 <= b2), but S_2e1 + S_2e2 is
+    # the whole box; ext(acc, beta) is read by the quotient form (2 e1 + 2 e2) and ext(beta, acc)
+    # by the other (2 e2 + 2 e1), so skipping either one sums the pieces
     q, _ = a2
-    assert _built(q, (1, 1)) == [[0, 0], [0, 1], [1, 1]]
-    assert _e1_plus_e2(ExtTable)(q)._subdim_rows((1, 1)).tolist() == _built(q, (1, 1))
+    assert _built(q, (2, 2)) == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
+    assert _e1_plus_e2(ExtTable)(q)._subdim_rows((2, 2)).tolist() == _built(q, (2, 2))
     zeroed = {"sub": "sub, quo = 0 * E @ X.T, X @ E", "quotient": "sub, quo = E @ X.T, 0 * X @ E"}
 
     class OneWay(ExtTable):
         _certified = _planted(schofield.ExtTable._certified, "sub, quo = E @ X.T, X @ E", zeroed[skipped])
 
-    assert _e1_plus_e2(OneWay)(q)._subdim_rows((1, 1)).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert len(_e1_plus_e2(OneWay)(q)._subdim_rows((2, 2))) == 9
 
 
 def _ext_off_the_quotients(t, a, b):
@@ -900,27 +1070,31 @@ def test_ext_off_the_quotients_matches_ext_off_the_subs(case):
 
 
 def test_a_multiple_of_delta_builds_delta_alone(built_roots, d5hat):
-    # (4)^6 = 4 (1)^6 with ext((1)^6, (1)^6) = 0: S_alpha is a sum of copies of S_delta, and
-    # every I0 beta is a key of the build of delta, so nothing above (1)^6 is built
+    # 2 delta, delta = (1, 1, 2, 2, 1, 1) the null root (<delta, delta> = 0), with ext(delta, delta) = 0
+    # (two general reps of dimension delta lie in different tubes): S_alpha is a sum of two copies
+    # of S_delta, and every I0 beta is a key of the build of delta or arrow-thin, so delta alone is built
     q, inv = d5hat
     t = ExtTable(q)
-    assert counts(t, (4,) * 6, [inv]) == (406, 9, [5])
-    assert built_roots == [(1,) * 6]
-    assert len(t._subs) == 14
+    assert counts(t, (2, 2, 4, 4, 2, 2), [inv]) == (142, 18, [8])
+    assert built_roots == [(1, 1, 2, 2, 1, 1)]
+    assert len(t._subs) == 27
 
 
 def test_a_disconnected_root_of_decided_parts_is_their_sum(built_roots, d5hat):
-    # (0, 1, 0, 1, 1, 0) is one layer on x2 and on x4 -> x5, which no arrow joins: on a cold
-    # table it is built; once the builds of (0, 1, 0, 0, 1, 0) and (0, 1, 1, 1, 1, 0) have decided
-    # e2 and (0, 0, 0, 1, 1, 0) as keys, it is their sum, with no build, and the S of its build
+    # (0, 1, 0, 2, 1, 1) is e2 and (0, 0, 0, 2, 1, 1) on x2 and on x5 <- x4 -> x6, which no arrow
+    # joins; its layers give no split (ext(e4, (0, 0, 0, 1, 1, 1)) = 1), so on a cold table it is
+    # built; once (0, 0, 0, 2, 1, 1) is built and e2 read in closed form, both are keys, and
+    # alpha is their sum, with no build, and the S of its build
     q, _ = d5hat
-    alpha, pieces = (0, 1, 0, 1, 1, 0), [(0, 1, 0, 0, 1, 0), (0, 1, 1, 1, 1, 0)]
+    alpha, parts = (0, 1, 0, 2, 1, 1), [(0, 1, 0, 0, 0, 0), (0, 0, 0, 2, 1, 1)]
     ExtTable(q).generic_subdims(alpha)
     assert built_roots == [alpha]
-    t = _built_table(ExtTable, q, pieces)
-    assert t._split(alpha) == [((0, 1, 0, 0, 0, 0), 1), ((0, 0, 0, 1, 1, 0), 1)]
+    t = ExtTable(q)
+    for part in parts:
+        t.generic_subdims(part)
+    assert t._split(alpha) == [(part, 1) for part in parts]
     S = t._subdim_rows(alpha).tolist()
-    assert built_roots == [alpha, *pieces]
+    assert built_roots == [alpha, parts[1]]
     assert S == _built(q, alpha)
 
 
@@ -1029,14 +1203,16 @@ def test_int64_bound_is_checked(d5hat):
 def test_float64_bound_is_checked_before_the_box(monkeypatch, tmp_path, d5hat):
     # a build's products are exact in float64 only below 2**53, a tighter bound
     # than the int64 one of the reads
+    # (1, 1, 2, 2, 1, 1) has 2s at ends of arrows and no split, so a build decides it (the
+    # closed form of an arrow-thin root, such as (1)^6, forms no product and needs no float)
     q, _ = d5hat
     t = ExtTable(q)
     t._multiplicity = 2**50  # as if the quiver had that many parallel arrows
-    assert 2**53 <= (1 + t._multiplicity) * 6**2 < 2**63
+    assert 2**53 <= (1 + t._multiplicity) * 8**2 < 2**63
     boxes, box = [], schofield._Box
     monkeypatch.setattr(schofield, "_Box", lambda root: boxes.append(root) or box(root))
     with pytest.raises(ValueOverflowError, match="float64"):
-        t.generic_subdims((1,) * 6)
+        t.generic_subdims((1, 1, 2, 2, 1, 1))
     assert boxes == []  # refused before the build allocates
     assert t.ext((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)) == 1  # (1 + m) * 1 * 1 fits, and the reads are int64
     # a real quiver past the bound: 2048 parallel arrows at the largest entries, from the CLI
