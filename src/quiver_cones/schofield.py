@@ -30,13 +30,28 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, in two phases:
   laid out in levels by mass |b|, heaviest first, each mass in flat order: as
   every b <= t with b != t is lighter than t, a level's S_b are final once the
   lighter levels are pushed;
-* _push, bottom-up, by level in batches; once S_b is final, push b to every
-  key t it is a candidate of with one product of the rows s of S_b with
-  a negative entry on supp(root) (a box-sized mask, made once per build)
-  against the columns t - b, and accept b for t when the column's minimum is
-  >= 0 (a b with no such row is accepted for every t, with no product).  As
-  t - b >= 0 and is zero off that support, no other row can make <s, t - b>
-  negative, so the filter changes no S_t;
+* _push, bottom-up, one pass per level; once the S of a level are final, each
+  key s of it with a negative entry on supp(root) (a box-sized mask, made once
+  per build) is flagged if S_s holds a pair x, s - x other than {0, s} (one
+  packed search per batch of keys), then each key b of the level is pushed
+  to every key t it is a candidate of: b is accepted for t iff <s, t - b> >= 0
+  for every row s of S_b with a negative entry that is neither b nor flagged
+  (a b with no such row is accepted for every t).  All (row, edge) pairs of
+  the level are read as <s, t> - <s, b> off one product of the level's
+  distinct rows against the keys they meet, in batches of pairs.  The rows
+  left out change no S_t: as t - b >= 0 and is zero off supp(root), a row
+  with no negative entry there has <s, t - b> >= 0; _mark kept b as a
+  candidate of t only where <b, t - b> >= 0; and a flagged s is a sum of two
+  lighter rows of S_b.
+  Why: if x -> s and s -> b then x -> b, as every representation of
+  dimension b has a subrepresentation of dimension s, and that one has one of
+  dimension x; so x and s - x lie in S_b, and <s, c> = <x, c> + <s - x, c>.
+  By induction on |s|, the minimum over the rows tested is >= 0 iff it is
+  over all of S_b.  The rows tested are the Schur roots: x -> s and s - x -> s
+  say ext(x, s - x) = ext(s - x, x) = 0, so a general representation of
+  dimension s is a direct sum of two of dimensions x and s - x (Kac, below)
+  and s is no Schur root; back, a general representation of a dimension that
+  is no Schur root is a direct sum of two, each a subrepresentation;
 * S_t = 0, the accepted candidates of t and t, in flat order: a slice of flat
   indices into one buffer per build.  A build decides every key it needs in
   its own box, those an earlier build decided too (their entries stay); a
@@ -116,8 +131,9 @@ _ENTRY_BOUND = 2**20
 _MAX_BOX_POINTS = 2**20
 # most candidates one table build may mark; a support with no arrow inside is read in closed form
 _MAX_CANDIDATES = 2**24
-# entries of one _push product, and about as many per array (supp(root) x points) of a
-# _push batch or of one step of _mark's closed-set screen; points b <= t of the keys of
+# (row, edge) pairs of one _push batch, S entries of the keys _push flags in one batch,
+# multiply-adds of one block of a _push level's product, and about as many entries per array
+# (supp(root) x points) of one step of _mark's closed-set screen; points b <= t of the keys of
 # one _mark batch, cut from one wave (or of its one key), so each array of its enumeration
 # has at most 1 + max(root) times as many entries
 _CHUNK = 2**16
@@ -164,19 +180,11 @@ def _rowdot(x, y):
     return np.einsum("ij,ij->i", x, y)
 
 
-def _nonneg_columns(rows, cols):
-    """For each row c of cols, whether r . c >= 0 for every column r of rows
-    (the <s, .> of the s that can make some <s, c> negative, vertex-major), in
-    products of about _CHUNK entries, float64 ones in a build (exact below 2**53)."""
-    step, out = max(1, _CHUNK // rows.shape[1]), np.empty(len(cols), dtype=bool)
-    for i in range(0, len(cols), step):
-        out[i:i + step] = (cols[i:i + step] @ rows).min(axis=1) >= 0
-    return out
-
-
 def _batches(weight, bound):
     """(lo, hi) of runs of items, cut where the weight before an item passes a multiple of bound (and at
     both ends, where -1 meets a sum >= 0), made ints as read: a wave of _mark may have a run per box point."""
+    if weight.sum() < bound:  # every weight before an item is below bound: one run, or none
+        return [(0, len(weight))] if len(weight) else []
     cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) // max(1, bound), prepend=-1, append=-1))
     return zip(map(int, cuts[:-1]), map(int, cuts[1:]))
 
@@ -217,6 +225,53 @@ def _candidates(tops, w, strides, slack, axes):
     return idx, own
 
 
+def _sums(keys, flat, sizes):
+    """The keys s whose S_s holds a pair x, s - x other than {0, s}: S_s, s = keys[i], is the next
+    sizes[i] entries of flat, in flat order (as x <= s, x + (s - x) has no carry, so s - x is the
+    flat index s - x), each x looked up as s - x, in batches of keys with about _CHUNK entries,
+    one packed search each; 0 and s find each other, so a key with more than 2 hits has such a pair."""
+    shift, firsts, split = int(keys.max()).bit_length(), np.cumsum(sizes) - sizes, []
+    for lo, hi in _batches(sizes, _CHUNK):
+        own = np.arange(hi - lo).repeat(sizes[lo:hi])
+        f = flat[firsts[lo]:firsts[lo] + len(own)]
+        packed = own << shift
+        packed |= f  # (own, x): ascending
+        query = packed + (keys[lo:hi].take(own) - 2 * f)  # (own, s - x)
+        hit = packed.take(np.searchsorted(packed, query), mode="clip") == query
+        split.append(keys[lo:hi][np.add.reduceat(hit, firsts[lo:hi] - firsts[lo], dtype=np.intp) > 2])
+    return np.concatenate(split)
+
+
+def _nonneg_pairs(pe, distinct, slot, lens, got, first, tops, targets):
+    """For each edge out of the i-th key b = tops[first + i] of a level (got[i] of them, key by
+    key) to the key t = tops[targets[e]], whether <s, t - b> >= 0 for each of b's lens[i] rows
+    s = distinct[slot[r]] (flat indices, key by key), read as <s, t> - <s, b> off one product of
+    the distinct rows against the keys from the first t in level order to the level's last; the
+    pairs are laid out edge by edge, in batches of about _CHUNK, and an edge fails where one of
+    its pairs, so its segment's minimum, is negative (float64, exact below 2**53)."""
+    lo = int(targets.min())
+    # prod[x, i] = <s, x> for the i-th distinct row s and each key x = tops[lo + x], in blocks of
+    # keys of about _CHUNK multiply-adds (small enough that OpenBLAS keeps each on one thread)
+    keys, cols = tops[lo:first + len(lens)], pe.take(distinct, axis=1)
+    prod, step = np.empty((len(keys), len(distinct))), max(1, _CHUNK // cols.size)
+    for x in range(0, len(keys), step):
+        np.matmul(keys[x:x + step], cols, out=prod[x:x + step])
+    prod = prod.ravel()
+    at_b = prod.take(slot + (np.arange(first - lo, first - lo + len(lens)) * len(distinct)).repeat(lens))  # <s, b>
+    per = lens.repeat(got)  # the rows of each edge
+    row = (np.cumsum(lens) - lens).repeat(got)  # the first row of each edge
+    out = np.ones(len(per), dtype=bool)
+    for a, z in _batches(per, _CHUNK):
+        n = per[a:z]
+        cut = np.cumsum(n) - n
+        at = np.arange(int(cut[-1] + n[-1])) + (row[a:z] - cut).repeat(n)  # the row of each pair
+        col = slot.take(at)
+        col += ((targets[a:z] - lo) * len(distinct)).repeat(n)  # where each pair's <s, t> is
+        low = prod.take(col) < at_b.take(at)  # <s, t - b> < 0
+        out[a + np.searchsorted(cut, np.flatnonzero(low), side="right") - 1] = False
+    return out
+
+
 def _push(levels, counts, tail, pe, neg):
     """Bottom-up, the candidates of ExtTable._mark's keys that are generic subdimensions:
     (owned, spans), S_t of the j-th key in level order at owned[spans[j]:spans[j + 1]]."""
@@ -224,8 +279,8 @@ def _push(levels, counts, tail, pe, neg):
     # of (1 + the index of key tail[e], e), packed in an int64, puts the edges from key j at ends[j]:ends[j + 1]
     tops = np.concatenate([top for _, top in levels]).astype(np.float64)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    rank = np.zeros(len(neg), dtype=np.int64)
-    rank[np.concatenate([keys for keys, _ in levels])] = np.arange(1, len(tops) + 1)
+    rank, flats = np.zeros(len(neg), dtype=np.int64), np.concatenate([keys for keys, _ in levels])
+    rank[flats] = np.arange(1, len(tops) + 1)
     order = rank[tail]
     order[starts[1:] - 1] = 0  # the edge from t to itself, like those from 0, is never pushed
     shift = len(tail).bit_length()
@@ -237,31 +292,37 @@ def _push(levels, counts, tail, pe, neg):
     order = order.astype(np.int32)
     accepted = np.zeros(len(tail), dtype=bool)
     accepted[starts[:-1]] = accepted[starts[1:] - 1] = True  # 0 and t
+    test = neg.copy()  # the s to test: a negative entry, and S_s with no pair x, s - x but {0, s}
     j = len(tops)
-    # by ascending mass, so the S_t of a level are final when it is reached;
-    # then each key of the level is pushed to every key it is a candidate of
-    for keys, top in reversed(levels):
+    # by ascending mass, so the S_t of a level are final when it is reached: its keys that
+    # can be rows are flagged, then each key is pushed to every key it is a candidate of
+    for keys, _ in reversed(levels):
         j -= len(keys)
-        a, z = starts[j], starts[j + len(keys)]
-        held = accepted[a:z] & neg.take(tail[a:z])  # the s of each S_b that can make <s, c> < 0
-        if not held.any():  # no key of the level has such a row: every edge out of its keys is accepted
-            accepted[order[ends[j]:ends[j + len(keys)]]] = True
+        a, z, n = starts[j], starts[j + len(keys)], counts[j:j + len(keys)]
+        flat, cut = tail[a:z], starts[j:j + len(keys)] - a
+        got = ends[j + 1:j + len(keys) + 1] - ends[j:j + len(keys)]
+        can = (got > 0) & neg.take(keys)  # the keys that can be a row to test of a heavier key's S
+        if can.any():
+            in_s = accepted[a:z] & can.repeat(n)
+            test[_sums(keys[can], flat[in_s], np.add.reduceat(in_s, cut, dtype=np.intp)[can])] = False
+        held = accepted[a:z] & test.take(flat)
+        held[cut + n - 1] = False  # s = b: _mark kept b for t only where <b, t - b> >= 0
+        lens = np.add.reduceat(held, cut, dtype=np.intp)
+        pos = order[ends[j]:ends[j + len(keys)]]
+        tested = (lens > 0).repeat(got)
+        if not tested.any():  # no key of the level has a row to test: every edge out of its keys is accepted
+            accepted[pos] = True
             continue
-        off = np.concatenate(([0], np.cumsum(held)))[starts[j:j + len(keys) + 1] - a]
-        subs = tail[a:z][held]
-        lens, got = off[1:] - off[:-1], ends[j + 1:j + len(keys) + 1] - ends[j:j + len(keys)]
-        for lo, hi in _batches(lens + got, _CHUNK // (2 * len(pe))):
-            rows, pos = pe.take(subs[off[lo]:off[hi]], axis=1), order[ends[j + lo]:ends[j + hi]]
-            n = got[lo:hi] * (lens[lo:hi] > 0)  # edges of the keys with such rows
-            tested = (n > 0).repeat(got[lo:hi])
-            row_at, col_at = off[lo:hi + 1] - off[lo], np.concatenate(([0], np.cumsum(n)))
-            # c = u - t for the key u of each edge, one product per key
-            c = tops[np.searchsorted(starts, pos[tested], side="right") - 1] - top[lo:hi].repeat(n, axis=0)
-            keep = [_nonneg_columns(rows[:, row_at[i]:row_at[i + 1]], c[col_at[i]:col_at[i + 1]])
-                    for i in n.nonzero()[0].tolist()]
-            ok = ~tested  # a key with no such row accepts every edge
-            ok[tested] = np.concatenate(keep) if keep else False
-            accepted[pos[ok]] = True
+        accepted[pos[~tested]] = True  # a key with no row to test accepts every edge
+        pos = pos[tested]
+        # the distinct rows, read off 1 + the key index of each row over their span of the keys
+        rows = rank.take(flat[held])
+        low = int(rows.min())
+        seen = np.bincount(rows - low) > 0
+        distinct, slot = flats.take(np.flatnonzero(seen) + (low - 1)), (np.cumsum(seen) - 1).take(rows - low)
+        targets = np.searchsorted(starts, pos, side="right") - 1  # the key t of each edge
+        ok = _nonneg_pairs(pe, distinct, slot, lens, got * (lens > 0), j, tops, targets)
+        accepted[pos[ok]] = True
     owned = tail[accepted]
     return owned, [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
 

@@ -4,7 +4,9 @@ This is how ExtTable._build decided its keys before it ran in two phases over
 the box by mass level, in batches (ExtTable._mark, then schofield._push):
 top-down, the needed keys in descending flat order, each key's candidates from
 its own per-axis outer sums and filters; bottom-up, the keys in ascending flat
-order, each pushed to its parents with its own rows and columns.  It fills an
+order, each pushed to its parents with its own rows and columns, every row of
+S_b with a negative entry (the batched push leaves out the rows whose own S
+holds a pair x, s - x other than {0, s}, and the row b itself).  It fills an
 ExtTable's _subs with the same entries, and the differential tests compare
 every entry against the batched build, and against _push alone on the output
 _mark recorded for the same root.
@@ -27,7 +29,16 @@ import numpy as np
 
 from quiver_cones import schofield
 from quiver_cones.errors import DimensionTooLargeError
-from quiver_cones.schofield import _MAX_CANDIDATES, _Box, _batches, _candidates, _nonneg_columns, _rowdot
+from quiver_cones.schofield import _MAX_CANDIDATES, _Box, _batches, _candidates, _rowdot
+
+
+def _nonneg_columns(rows, cols):
+    """For each row c of cols, whether r . c >= 0 for every column r of rows (the <s, .> of
+    the s that can make some <s, c> negative, vertex-major), in products of about _CHUNK entries."""
+    step, out = max(1, schofield._CHUNK // rows.shape[1]), np.empty(len(cols), dtype=bool)
+    for i in range(0, len(cols), step):
+        out[i:i + step] = (cols[i:i + step] @ rows).min(axis=1) >= 0
+    return out
 
 
 def _grids(tops, w, strides):

@@ -416,11 +416,16 @@ def test_sources_first_fails_the_grid_check(monkeypatch, name):
 
 
 def _check_candidate_order(monkeypatch, q, roots, candidates):
-    """Each enumeration's (owner, flat) pairs strictly increase; returns its owner counts and its calls."""
-    _, calls = _cold_entries(monkeypatch, q, roots, candidates)
-    for args, (idx, own) in calls:
+    """Each enumeration's (owner, flat) pairs strictly increase, checked as each call returns (a
+    build fed pairs out of order may fail before it ends); returns its owner counts and its calls."""
+
+    def checked(*args):
+        idx, own = found = candidates(*args)
         key = own.astype(np.int64) << 32 | idx
         assert (key[1:] > key[:-1]).all(), (q.name, args[0].tolist())
+        return found
+
+    _, calls = _cold_entries(monkeypatch, q, roots, checked)
     return [len(np.unique(own)) for _, (_, own) in calls], calls
 
 
@@ -751,14 +756,8 @@ THIN_CANDIDATES = 300 * 299 // 2 + 300 * 301
 def test_thin_box_tests_each_candidate_against_zero_alone(monkeypatch, d5hat):
     # at (300, 0, ..., 0, 1) every c = t - b lives on x1 and x6, joined by no arrow, where
     # each <s, .> is s_1 c_1 + s_6 c_6 >= 0, so no row of S_b has a negative entry that
-    # counts: no product is formed, and each candidate is accepted against 0 alone
-    products, check = [], schofield._nonneg_columns
-
-    def recorded(rows, cols):
-        products.append(rows.shape)
-        return check(rows, cols)
-
-    monkeypatch.setattr(schofield, "_nonneg_columns", recorded)
+    # counts: no pair is formed, and each candidate is accepted against 0 alone
+    products = _recorded_pairs(monkeypatch)
     q, _ = d5hat
     t = ExtTable(q)
     t._build((300, 0, 0, 0, 0, 1))  # its split would build e_1 and (1, 0, 0, 0, 0, 1) alone
@@ -1123,34 +1122,101 @@ def test_i0_of_a_split_alpha_matches_recursion(case):
     assert betas == [b for b, _ in ref.iso_pairs(ref.RecursiveExtTable(q), alpha, inv)]
 
 
-def _check_row_mask(monkeypatch, table):
-    # only the s of S_b with a negative entry on the support can make <s, t - b>
-    # negative, and only they enter a push product, in cold builds of two roots
-    products, check = [], schofield._nonneg_columns
+def _recorded_pairs(monkeypatch):
+    """The arguments of every schofield._nonneg_pairs call from here on, as a list that grows."""
+    calls, pairs = [], schofield._nonneg_pairs
 
-    def recorded(rows, cols):
-        products.append(rows)
-        return check(rows, cols)
+    def recorded(*args):
+        calls.append(args)
+        return pairs(*args)
 
-    monkeypatch.setattr(schofield, "_nonneg_columns", recorded)
-    for q, alpha in [(make_d5hat()[0], (4,) * 6), (make_sun(3, 2)[0], (1, 2) * 6)]:
-        table(q).generic_subdims(alpha)
-    assert products
-    for rows in products:
-        assert (rows < 0).any(axis=0).all(), rows.shape
+    monkeypatch.setattr(schofield, "_nonneg_pairs", recorded)
+    return calls
+
+
+def _tested_rows(monkeypatch, q, root):
+    """(the table, the box, and (row, key t) for each row the push of a cold build of root
+    tested, as flat indices of the box, one pair per row of each key)."""
+    calls, t, box = _recorded_pairs(monkeypatch), ExtTable(q), schofield._Box(root)
+    t._build(root)
+    on, tested = np.flatnonzero(root), []
+    for pe, distinct, slot, lens, _, first, tops, _ in calls:
+        rows, keys = distinct[slot], tops[first:first + len(lens)].astype(np.int64) @ box.strides[on]
+        tested += zip(rows.tolist(), keys.repeat(lens).tolist())
+        assert (pe.take(rows, axis=1) < 0).any(axis=0).all(), (root, "a row with no negative entry")
+    return t, box, tested
+
+
+def _summed(t, box, s):
+    """Whether S_s, s a flat index of box, holds a pair x, s - x other than {0, s}."""
+    key = box.coords(np.int64(s))
+    S = set(map(tuple, t._rows(tuple(key.tolist())).tolist()))
+    return any(tuple((key - x).tolist()) in S for x in map(np.array, S) if x.any() and (key - x).any())
+
+
+ROW_MASK_ROOTS = [(make_d5hat()[0], (3, 4, 4, 4, 4, 3)), (make_d5hat()[0], (4,) * 6),
+                  (make_sun(3, 2)[0], (1, 2) * 6)]
+
+
+def _check_row_mask(monkeypatch):
+    # the push tests a row s of S_b only if it has a negative entry on the support (no other
+    # row can make <s, t - b> negative), is not b (_mark kept b only where <b, t - b> >= 0)
+    # and its own S_s holds no pair x, s - x but {0, s} (else x and s - x, both in S_b, split
+    # <s, c>), in cold builds of three roots, each built even where it splits
+    for q, root in ROW_MASK_ROOTS:
+        t, box, tested = _tested_rows(monkeypatch, q, root)
+        assert tested, root
+        assert all(s != key for s, key in tested), root
+        assert not any(_summed(t, box, s) for s in {s for s, _ in tested}), root
 
 
 def test_push_products_hold_only_rows_with_a_negative_entry(monkeypatch):
-    _check_row_mask(monkeypatch, ExtTable)
+    _check_row_mask(monkeypatch)
 
 
 def test_every_accepted_row_fails_the_row_mask_check(monkeypatch):
-    # planted fault: every accepted row of each S_b in the product; the sets stay
-    # the same (a row with no negative entry cannot reject), only the work grows
-    wasteful = _planted(schofield._push, "accepted[a:z] & neg.take(tail[a:z])", "accepted[a:z].copy()")
+    # planted fault: every accepted row of each S_b tested; the sets stay the same, only the work grows
+    wasteful = _planted(schofield._push, "held = accepted[a:z] & test.take(flat)", "held = accepted[a:z].copy()")
     monkeypatch.setattr(schofield, "_push", wasteful)  # _build reads _push from the module
     with pytest.raises(AssertionError):
-        _check_row_mask(monkeypatch, ExtTable)
+        _check_row_mask(monkeypatch)
+
+
+def test_an_unflagged_push_fails_the_row_mask_check(monkeypatch):
+    # planted fault: no key flagged, so every row with a negative entry is tested, as before the flag
+    monkeypatch.setattr(schofield, "_push", _planted(schofield._push, "if can.any():", "if False:"))
+    with pytest.raises(AssertionError):
+        _check_row_mask(monkeypatch)
+
+
+@pytest.mark.parametrize("old, new", [
+    # the pair {0, s} counted: every key with a row is flagged, so no row is tested
+    ("dtype=np.intp) > 2]", "dtype=np.intp) > 0]"),
+    # every complement s - x taken as found, as if looked up in the box, not in S_s (a lookup
+    # in S_b would be no fault: x and s - x in S_b split <s, c> just as well)
+    ('hit = packed.take(np.searchsorted(packed, query), mode="clip") == query', "hit = query >= 0"),
+], ids=["trivial-pair", "complement-unchecked"])
+def test_a_faulty_flag_fails_the_push_check(monkeypatch, old, new):
+    # the push rejects nothing at Sun(6,2) (1,2)x6; at (3,4,4,4,4,3) it accepts 83 950 of its 93 484 edges
+    monkeypatch.setattr(schofield, "_sums", _planted(schofield._sums, old, new))
+    with pytest.raises(AssertionError):
+        _check_push(make_d5hat()[0], [(3, 4, 4, 4, 4, 3)])
+
+
+@pytest.mark.parametrize("q, root, held, tested", [
+    (make_sun(3, 2)[0], (1, 2) * 6, 52_598, 6_690),
+    (make_d5hat()[0], (4,) * 6, 110_951, 5_345),
+    (triple_flag(4)[0], triple_flag(4)[1], 567_649, 57_411),
+], ids=["sun62", "d5hat4", "t4"])
+def test_the_push_tests_the_schur_rows_alone(monkeypatch, q, root, held, tested):
+    # held: the rows of every S_b of the build with a negative entry on the support, b and the
+    # root included, as the push held them before it flagged keys; tested: the rows it tests
+    # now, the s != b of each pushed S_b whose own S_s holds no pair x, s - x but {0, s}, the
+    # Schur roots (the root has no edge out, so none of its rows is tested)
+    t, box, rows = _tested_rows(monkeypatch, q, root)
+    E = t._euler[:, np.flatnonzero(root)]
+    built = [key for key in t._subs if any(key)]
+    assert (sum(int(((t._rows(b) @ E) < 0).any(axis=1).sum()) for b in built), len(rows)) == (held, tested)
 
 
 def test_nested_root_on_one_table_matches_recursion(d5hat):
