@@ -175,23 +175,52 @@ def test_solve_max_matches_fraction_reference(kind, monkeypatch):
         assert any(x.denominator > 2**64 for x in optima)
 
 
+def _record_decisions(monkeypatch):
+    """Record every decision of a `_Farkas` tableau, with its certificate read off the final
+    tableau: (rows, blocked row indices, target, whether it is in the cone, certificate)."""
+    decisions, contains = [], redundancy._Farkas.contains
+
+    def recording(lp, c):
+        inside = contains(lp, c)
+        blocked = {j - 2 * lp.d for j in lp.blocked}
+        decisions.append((list(lp.rows), blocked, c, inside,
+                          lp.multipliers() if inside else lp.witness()))
+        return inside
+
+    monkeypatch.setattr(redundancy._Farkas, "contains", recording)
+    return decisions
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def _certified(rows, blocked, c, inside, certificate):
+    """Whether the certificate proves the decision, by exact integer dot products and no LP:
+    (D, m) with D > 0, m >= 0, m zero on the blocked rows and sum_j m_j rows[j] = D.c when c
+    is in the cone; else y with c.y > 0 and r.y <= 0 for every unblocked row r."""
+    if inside:
+        D, m = certificate
+        combination = [sum(x * r[k] for x, r in zip(m, rows)) for k in range(len(c))]
+        return (D > 0 and len(m) == len(rows) and min(m, default=0) >= 0
+                and not any(m[j] for j in blocked) and combination == [D * x for x in c])
+    return _dot(c, certificate) > 0 and all(_dot(r, certificate) <= 0
+                                            for j, r in enumerate(rows) if j not in blocked)
+
+
 def test_reduce_lps_match_fraction_reference(d5hat, d5hat_table, monkeypatch):
-    lps = []
-
-    def recording(*lp):
-        lps.append(lp)
-        return solve_max(*lp)
-
-    monkeypatch.setattr(redundancy, "solve_max", recording)
+    decisions = _record_decisions(monkeypatch)
     q, _ = d5hat
     for method in ("dw", "inductive"):
         irredundant_core(inequalities(d5hat_table, DimVector(q, (1, 2, 3, 3, 2, 1)), method))
     irredundant_core(_example1_system(d5hat, d5hat_table))
-    assert len(lps) > 50
+    assert len(decisions) > 50
     # reduce hands the LP layer plain ints only
-    entries = [x for objective, rows, rhs in lps for part in (objective, *rows, rhs) for x in part]
+    entries = [x for rows, _, c, _, _ in decisions for part in (c, *rows) for x in part]
     assert {type(x) for x in entries} == {int}
-    assert [solve_max(*lp) for lp in lps] == [reference_lp.solve_max(*lp) for lp in lps]
+    for rows, blocked, c, inside, _ in decisions:
+        cone = [r for j, r in enumerate(rows) if j not in blocked]
+        assert inside == reference_lp.redundant_row([*cone, c], len(cone), reference_lp.solve_max)
 
 
 @pytest.mark.parametrize("rows", [[(1,), (1, 0)], [(1, 0), (1,)]], ids=["short-target", "long-target"])
@@ -511,17 +540,73 @@ def test_core_is_the_greedy_on_random_quivers_with_an_involution(seed):
 
 def test_reduce_lps_are_output_sized(sun31, sun31_table, monkeypatch):
     # Sun(6,1) at (3,2,4,3,2,4): 924 dw rows, 10 survive the reverse filter, 6 the greedy.
-    # One filter LP per row and one greedy LP per survivor, none with more columns than
-    # survivors; the one-LP-per-row greedy had LPs of up to 923 columns
+    # One re-solve per row in the filter and one per survivor in the greedy, on one tableau
+    # that never holds more row columns than survivors; the one-LP-per-row greedy had LPs
+    # of up to 923 columns
     q, _ = sun31
     system = inequalities(sun31_table, DimVector(q, (3, 2, 4, 3, 2, 4)), "dw")
-    columns = []
+    decisions = _record_decisions(monkeypatch)
+    built, init = [], redundancy._Farkas.__init__
 
-    def recording(objective, rows, rhs):
-        columns.append(len(objective))
-        return solve_max(objective, rows, rhs)
+    def counting(lp, *args):
+        built.append(lp)
+        init(lp, *args)
 
-    monkeypatch.setattr(redundancy, "solve_max", recording)
+    monkeypatch.setattr(redundancy._Farkas, "__init__", counting)
     core = irredundant_core(system)
     assert (len(system.normals), len(core.normals)) == (924, 6)
-    assert len(columns) <= 924 + 10 and max(columns) <= 10
+    assert len(built) == 1
+    assert [bool(blocked) for _, blocked, *_ in decisions] == [False] * 924 + [True] * 10
+    assert max(len(rows) for rows, *_ in decisions) == 10
+
+
+def _certificate_cases(d5hat, d5hat_table, sun31, sun31_table):
+    """The dw, inductive and antiinv systems at every golden alpha and on the seeded random
+    quivers with an involution."""
+    for t, alpha, invs in _golden_pairs(d5hat, d5hat_table, sun31, sun31_table):
+        yield from (inequalities(t, alpha, method) for method in ("dw", "inductive"))
+        yield from (inequalities(t, alpha, "antiinv", inv=inv) for inv in invs)
+    for seed in range(12):
+        t, alphas, tau = _random_cases(seed)
+        for alpha in alphas:
+            yield from (inequalities(t, alpha, method) for method in ("dw", "inductive"))
+            yield inequalities(t, alpha, "antiinv", inv=tau)
+
+
+def test_every_decision_of_reduce_is_certified(d5hat, d5hat_table, sun31, sun31_table,
+                                               monkeypatch):
+    decisions = _record_decisions(monkeypatch)
+    systems = 0
+    for system in _certificate_cases(d5hat, d5hat_table, sun31, sun31_table):
+        irredundant_core(system)
+        systems += 1
+    assert systems == 20 * 2 + 22 + 12 * 2 * 3
+    assert all(_certified(*decision) for decision in decisions)
+    inside = [decision for decision in decisions if decision[3]]
+    # both kinds are exercised, by filter and greedy decisions alike
+    assert {bool(d[1]) for d in inside} == {bool(d[1]) for d in decisions if not d[3]} == {
+        False, True}
+    assert any(any(d[4][1]) for d in inside)
+
+
+def test_planted_wrong_certificates_are_refused(d5hat, d5hat_table, monkeypatch):
+    decisions = _record_decisions(monkeypatch)
+    q, _ = d5hat
+    for method in ("dw", "inductive"):
+        irredundant_core(inequalities(d5hat_table, DimVector(q, ALPHA_BIG), method))
+    irredundant_core(_example1_system(d5hat, d5hat_table))
+    refused = {True: 0, False: 0}
+    for rows, blocked, c, inside, certificate in decisions:
+        if inside:
+            # one multiplier off by one, on an unblocked nonzero row
+            D, m = certificate
+            j = next((j for j, r in enumerate(rows) if any(r) and j not in blocked), None)
+            if j is None:
+                continue
+            certificate = D, [x + (i == j) for i, x in enumerate(m)]
+        else:
+            # the witness read off the a- columns: z[a-_k] - D = -D.y_k
+            certificate = [-x for x in certificate]
+        assert not _certified(rows, blocked, c, inside, certificate)
+        refused[inside] += 1
+    assert refused[True] > 100 and refused[False] > 20, refused

@@ -24,21 +24,24 @@ def test_traced_names_resolve_and_are_restored(monkeypatch):
     assert _attributes() == before
 
 
-def test_every_lp_of_reduce_is_one_traced_span(monkeypatch, d5hat, d5hat_table):
-    # the benchmark's lp_calls and lp_p50_ms count redundancy.solve_max spans:
-    # one per LP that reduce runs, whatever the signature of solve_max
+def test_reduce_is_one_traced_span_with_no_lp_span(monkeypatch, d5hat, d5hat_table):
+    # reduce re-solves one warm tableau (redundancy._Farkas) and never calls
+    # redundancy.solve_max, so the benchmark's lp_calls and lp_p50_ms, which count
+    # solve_max spans, read 0 on reduce; its time is in the irredundant_core span
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
-    calls, solve_max = [], redundancy.solve_max
+    calls, contains = [], redundancy._Farkas.contains
 
-    def recording(*args):
-        calls.append(args)
-        return solve_max(*args)
+    def recording(lp, c):
+        calls.append(c)
+        return contains(lp, c)
 
-    monkeypatch.setattr(redundancy, "solve_max", recording)
+    monkeypatch.setattr(redundancy._Farkas, "contains", recording)
     q, _ = d5hat
     system = cones.inequalities(d5hat_table, quiver_cones.DimVector(q, (1, 2, 3, 3, 2, 1)), "dw")
     with tracing.installed(tracing.Tracer(), quiver_cones) as tracer:
-        core = redundancy.irredundant_core(system)
-    assert calls and len(tracer.durations("redundancy.solve_max")) == len(calls)
+        core = cli.irredundant_core(system)
+    assert len(tracer.durations("redundancy.irredundant_core")) == 1
+    assert tracer.durations("redundancy.solve_max") == []
+    assert len(calls) == 59 + 11  # one per row, then one per survivor of the filter
     assert (len(system.normals), len(core.normals)) == (59, 8)
