@@ -57,6 +57,24 @@ box(a) = {b : 0 <= b <= a}, flat-indexed in mixed-radix order, in two phases:
   its own box, those an earlier build decided too (their entries stay); a
   root that is already a key is read, not built.
 
+A build walks one key per orbit of G, the permutations p of supp(root) that
+keep every arrow multiplicity of the full subquiver on supp(root) and fix
+root, acting on box(root) by (p.x)[p[u]] = x[u] (_symmetries: a backtracking
+search over the vertices grouped by entry, in- and out-multiplicity, which
+gives up, keeping the identity alone, past |supp(root)| automorphisms, so
+|G| <= |supp(root)|).  The keys walked are the least flat index rep(b) of
+their orbits: each candidate b marks rep(b).  With g.rep(b) = b, an edge b -> t
+is tested off the rows g.s of S_b = g.S_rep(b), s the rows of S_rep(b), as
+<g.s, t> - <s, rep(b)>, that is as rep(b) -> g^-1.t, and each candidate b of a
+key that is no key itself is stored with S_b = g.S_rep(b), moved and sorted
+(_images, its entries held against _MAX_CANDIDATES too): every candidate of the
+root, and so every I0 beta, is stored.  Why: the representations of dimension
+x <= root live on the full subquiver on supp(root), and p, an automorphism of
+it, carries one of dimension x, and its subrepresentations, to one of
+dimension p.x and its subrepresentations, so S_(p.x) = p.S_x; and as p keeps
+every arrow multiplicity, <p.x, p.y> = <x, y>.  So b -> t iff
+rep(b) -> g^-1.t, and each test reads the same numbers.
+
 An arrow-thin root a, 1 at both ends of each arrow inside supp(a), is read
 first, in closed form (_arrow_thin): S_a = {b <= a : b_w = 1 wherever b_u > 0
 for an arrow u -> w inside supp(a)}.  Why: the representations of dimension a
@@ -129,7 +147,8 @@ from .quiver import DimVector, Weight, _VertexVector, euler_form, weight_eval
 _ENTRY_BOUND = 2**20
 # most points of box(a) one table build may index; checked before allocating
 _MAX_BOX_POINTS = 2**20
-# most candidates one table build may mark; a support with no arrow inside is read in closed form
+# most candidates one table build may mark, and most entries of the S it stores as images of others';
+# a support with no arrow inside is read in closed form
 _MAX_CANDIDATES = 2**24
 # (row, edge) pairs of one _push batch, S entries of the keys _push flags in one batch,
 # multiply-adds of one block of a _push level's product, and about as many entries per array
@@ -174,6 +193,98 @@ def _components(key, E):
             left -= grow
         parts.append(tuple(x if i in part else 0 for i, x in enumerate(key)))
     return parts
+
+
+def _symmetries(E, values):
+    """The automorphisms of the quiver with Euler matrix E that fix values, as rows p of one array, the
+    identity first: (p.x)[p[u]] = x[u]; the identity alone if there are more than len(values) of them.
+    A backtracking search, each vertex placed after one it shares an arrow with where it can, its image
+    one with the same value, in- and out-multiplicity that keeps every arrow to the vertices placed."""
+    n, E = len(values), E.tolist()
+    pair = [list(zip(row, col)) for row, col in zip(E, zip(*E))]  # pair[u][v]: the arrows u -> v and v -> u
+    sig = [(x, sum(row), sum(col)) for x, row, col in zip(values, E, zip(*E))]
+    same = [[w for w in range(n) if sig[w] == sig[u]] for u in range(n)]
+    order, i = [], 0
+    while len(order) < n:  # breadth-first, component by component
+        if i == len(order):
+            order.append(next(v for v in range(n) if v not in order))
+        order += [v for v in range(n) if (E[order[i]][v] or E[v][order[i]]) and v not in order]
+        i += 1
+    found, image, used = [], [0] * n, [False] * n
+
+    def extend(k):
+        """Whether the search stops: past n automorphisms."""
+        if k == n:
+            found.append(image.copy())
+            return len(found) > n
+        u = order[k]
+        arrows, images = [pair[u][v] for v in order[:k]], [image[v] for v in order[:k]]
+        for w in same[u]:
+            if not used[w] and [pair[w][x] for x in images] == arrows:
+                image[u], used[w] = w, True
+                stop = extend(k + 1)
+                used[w] = False
+                if stop:
+                    return True
+        return False
+
+    return np.array([list(range(n))] if extend(0) else sorted(found)).reshape(-1, n)
+
+
+class _Orbits:
+    """The automorphisms perms of _symmetries on supp(root) = on, the identity first, acting on
+    box(root): g.x = hi[g, x // size] + lo[g, x % size] is the flat index of y, y[p[u]] = x[u] for
+    p = perms[g], read off two tables, each over the points of one half of the axes of supp(root)
+    (the last ones, about sqrt(box.size) points, and the rest), so nothing is box-sized."""
+
+    def __init__(self, box, on, perms):
+        moved, radix = box.strides[on][perms], box.radix[on].tolist()  # g moves e_u to e_p[u]
+        cut, self.size = len(on), 1
+        while self.size**2 < box.size:
+            cut -= 1
+            self.size *= radix[cut]
+        self.hi, self.lo = (self._table(radix[a:z], moved[:, a:z]) for a, z in ((0, cut), (cut, len(on))))
+        self.group, inverse = np.arange(len(perms))[:, None], np.empty_like(perms)
+        inverse[self.group, perms] = np.arange(len(on))  # as rows p^-1: the index of each in perms
+        self.inverse = (inverse[:, None] == perms).all(axis=2).argmax(axis=1).astype(np.int8)
+
+    @staticmethod
+    def _table(radix, moved):
+        """The flat index of g.x for each point x of the box over radix, in its own flat order."""
+        return moved @ np.indices(radix).reshape(len(radix), math.prod(radix))
+
+    def image(self, x):
+        """g.x for each g of the group (a row) and flat index x (a column)."""
+        return self.hi[self.group, x // self.size] + self.lo[self.group, x % self.size]
+
+    def least(self, images):
+        """(rep, back) of the points x of images = image(x): the least flat index of x's orbit, and g
+        with g.rep(x) = x, off the least (h.x, h) over the group, packed in an int64."""
+        shift = len(self.group).bit_length()
+        least = (images << shift | self.group).min(axis=0)
+        return least >> shift, self.inverse.take(least & ((1 << shift) - 1))
+
+
+def _images(owned, runs, moves, moved, column):
+    """g.S for each S, the runs[i]-th run of owned (each S starts with 0), and g = moves[i], with
+    g.s = moved[g, column[s]]: each image sorted, laid end to end, in batches of about _CHUNK entries;
+    no walk marked them, so they are held against _MAX_CANDIDATES too."""
+    firsts = np.flatnonzero(owned == 0)
+    lo = firsts.take(runs)
+    n = np.append(firsts[1:], len(owned)).take(runs) - lo
+    if n.sum() > _MAX_CANDIDATES:
+        raise DimensionTooLargeError(f"table build stores over {_MAX_CANDIDATES} entries, above the budget")
+    images = [np.zeros(0, dtype=np.int32)]
+    for a, z in _batches(n, _CHUNK):
+        m = n[a:z]
+        cut = np.cumsum(m) - m
+        src = owned.take(np.arange(int(cut[-1] + m[-1])) + (lo[a:z] - cut).repeat(m))
+        img = moved.take(moves[a:z].astype(np.intp).repeat(m) * moved.shape[1] + column.take(src))
+        shift = int(img.max()).bit_length()
+        img |= np.arange(z - a).repeat(m) << shift  # (image, entry) packed, so one sort orders each image
+        img.sort()
+        images.append((img & ((1 << shift) - 1)).astype(np.int32))
+    return np.concatenate(images)
 
 
 def _rowdot(x, y):
@@ -242,13 +353,15 @@ def _sums(keys, flat, sizes):
     return np.concatenate(split)
 
 
-def _nonneg_pairs(pe, distinct, slot, lens, got, first, tops, targets):
+def _nonneg_pairs(pe, distinct, slot, lens, got, first, tops, targets, moves):
     """For each edge out of the i-th key b = tops[first + i] of a level (got[i] of them, key by
     key) to the key t = tops[targets[e]], whether <s, t - b> >= 0 for each of b's lens[i] rows
-    s = distinct[slot[r]] (flat indices, key by key), read as <s, t> - <s, b> off one product of
+    s = distinct[slot[0, r]] (flat indices, key by key), read as <s, t> - <s, b> off one product of
     the distinct rows against the keys from the first t in level order to the level's last; the
     pairs are laid out edge by edge, in batches of about _CHUNK, and an edge fails where one of
-    its pairs, so its segment's minimum, is negative (float64, exact below 2**53)."""
+    its pairs, so its segment's minimum, is negative (float64, exact below 2**53).  Unless moves is
+    None, edge e leaves g.b, g = moves[e], and is tested off the rows g.s = distinct[slot[g, r]]:
+    <g.s, t - g.b> = <g.s, t> - <s, b>."""
     lo = int(targets.min())
     # prod[x, i] = <s, x> for the i-th distinct row s and each key x = tops[lo + x], in blocks of
     # keys of about _CHUNK multiply-adds (small enough that OpenBLAS keeps each on one thread)
@@ -257,7 +370,7 @@ def _nonneg_pairs(pe, distinct, slot, lens, got, first, tops, targets):
     for x in range(0, len(keys), step):
         np.matmul(keys[x:x + step], cols, out=prod[x:x + step])
     prod = prod.ravel()
-    at_b = prod.take(slot + (np.arange(first - lo, first - lo + len(lens)) * len(distinct)).repeat(lens))  # <s, b>
+    at_b = prod.take(slot[0] + (np.arange(first - lo, first - lo + len(lens)) * len(distinct)).repeat(lens))  # <s, b>
     per = lens.repeat(got)  # the rows of each edge
     row = (np.cumsum(lens) - lens).repeat(got)  # the first row of each edge
     out = np.ones(len(per), dtype=bool)
@@ -265,23 +378,34 @@ def _nonneg_pairs(pe, distinct, slot, lens, got, first, tops, targets):
         n = per[a:z]
         cut = np.cumsum(n) - n
         at = np.arange(int(cut[-1] + n[-1])) + (row[a:z] - cut).repeat(n)  # the row of each pair
-        col = slot.take(at)
-        col += ((targets[a:z] - lo) * len(distinct)).repeat(n)  # where each pair's <s, t> is
+        col = slot.take(at if moves is None else at + (moves[a:z].astype(np.intp) * slot.shape[1]).repeat(n))
+        col += ((targets[a:z] - lo) * len(distinct)).repeat(n)  # where each pair's <g.s, t> is
         low = prod.take(col) < at_b.take(at)  # <s, t - b> < 0
         out[a + np.searchsorted(cut, np.flatnonzero(low), side="right") - 1] = False
     return out
 
 
-def _push(levels, counts, tail, pe, neg):
-    """Bottom-up, the candidates of ExtTable._mark's keys that are generic subdimensions:
-    (owned, spans), S_t of the j-th key in level order at owned[spans[j]:spans[j + 1]]."""
+def _push(levels, counts, tail, pe, neg, orbits):
+    """Bottom-up, the candidates of ExtTable._mark's keys that are generic subdimensions: (extra, owned,
+    spans), S_t of the j-th key in level order, then of each point of extra, at owned[spans[j]:spans[j + 1]].
+    With orbits (an _Orbits), the keys are the least points of their orbits, each candidate b is g.rep(b)
+    for g = back[b], and an edge b -> t is tested off the rows g.s of S_b = g.S_rep(b), s the rows of
+    S_rep(b), as <g.s, t> - <s, rep(b)>; extra holds the candidates that are no key, and their S_b."""
     # edge e joins tail[e] to key j (level order), e in starts[j]:starts[j + 1]; one in-place sort
-    # of (1 + the index of key tail[e], e), packed in an int64, puts the edges from key j at ends[j]:ends[j + 1]
+    # of (1 + the index of key rep(tail[e]), e), packed in an int64, puts the edges from key j's
+    # orbit at ends[j]:ends[j + 1]
     tops = np.concatenate([top for _, top in levels]).astype(np.float64)
     starts = np.concatenate(([0], np.cumsum(counts)))
     rank, flats = np.zeros(len(neg), dtype=np.int64), np.concatenate([keys for keys, _ in levels])
     rank[flats] = np.arange(1, len(tops) + 1)
-    order = rank[tail]
+    if orbits is not None:  # each candidate x once, in column[x] of moved[g] = g.x, rep and back
+        points = np.zeros(len(neg), dtype=bool)
+        points[tail] = True
+        points, column = np.flatnonzero(points), np.zeros(len(neg), dtype=np.int32)
+        column[points] = np.arange(len(points))
+        moved = orbits.image(points)
+        rep, back = orbits.least(moved)
+    order = rank.take(tail if orbits is None else rep.take(column.take(tail)))
     order[starts[1:] - 1] = 0  # the edge from t to itself, like those from 0, is never pushed
     shift = len(tail).bit_length()
     order <<= shift
@@ -304,7 +428,8 @@ def _push(levels, counts, tail, pe, neg):
         can = (got > 0) & neg.take(keys)  # the keys that can be a row to test of a heavier key's S
         if can.any():
             in_s = accepted[a:z] & can.repeat(n)
-            test[_sums(keys[can], flat[in_s], np.add.reduceat(in_s, cut, dtype=np.intp)[can])] = False
+            flagged = _sums(keys[can], flat[in_s], np.add.reduceat(in_s, cut, dtype=np.intp)[can])
+            test[flagged if orbits is None else moved[:, column.take(flagged)]] = False  # and their orbits
         held = accepted[a:z] & test.take(flat)
         held[cut + n - 1] = False  # s = b: _mark kept b for t only where <b, t - b> >= 0
         lens = np.add.reduceat(held, cut, dtype=np.intp)
@@ -315,16 +440,21 @@ def _push(levels, counts, tail, pe, neg):
             continue
         accepted[pos[~tested]] = True  # a key with no row to test accepts every edge
         pos = pos[tested]
-        # the distinct rows, read off 1 + the key index of each row over their span of the keys
-        rows = rank.take(flat[held])
-        low = int(rows.min())
-        seen = np.bincount(rows - low) > 0
-        distinct, slot = flats.take(np.flatnonzero(seen) + (low - 1)), (np.cumsum(seen) - 1).take(rows - low)
+        # the rows of each S_b, and of each image g.S_b: the distinct ones, and where each one is
+        rows = flat[held].astype(np.int64)[None] if orbits is None else moved[:, column.take(flat[held])]
+        distinct = np.sort(rows, axis=None)
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
         targets = np.searchsorted(starts, pos, side="right") - 1  # the key t of each edge
-        ok = _nonneg_pairs(pe, distinct, slot, lens, got * (lens > 0), j, tops, targets)
+        moves = None if orbits is None else back.take(column.take(tail.take(pos)))
+        ok = _nonneg_pairs(pe, distinct, np.searchsorted(distinct, rows), lens, got * (lens > 0), j, tops, targets,
+                           moves)
         accepted[pos[ok]] = True
-    owned = tail[accepted]
-    return owned, [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
+    owned, extra = tail[accepted], np.zeros(0, dtype=np.int64)
+    if orbits is not None:  # the S_b of each candidate b that is no key, after the keys'
+        other = rep != points
+        extra = points[other]
+        owned = np.concatenate((owned, _images(owned, rank.take(rep[other]) - 1, back[other], moved, column)))
+    return extra, owned, [*(owned == 0).nonzero()[0].tolist(), len(owned)]  # each S_t starts with 0
 
 
 class ExtTable:
@@ -354,11 +484,12 @@ class ExtTable:
         self._multiplicity = -int(E.min(initial=0))
         # reach[v, w] = 1 iff w is v or on a path out of v: row v is the least
         # head-closed vertex set holding v, column v the least tail-closed one
-        pos = {v: i for i, v in enumerate(quiver._order)}
+        self._arrows = tuple({(idx(t), idx(h)): None for _, t, h in quiver.arrows})  # (tail, head), parallel ones once
+        pos = {idx(v): i for i, v in enumerate(quiver._order)}
         self._sinks_first = [idx(v) for v in reversed(quiver._order)]  # each prefix closed under arrow heads
         self._reach = np.eye(n, dtype=np.int64)
-        for t, h in sorted({(t, h) for _, t, h in quiver.arrows}, key=lambda e: -pos[e[0]]):
-            self._reach[idx(t)] |= self._reach[idx(h)]  # the row of h is final
+        for t, h in sorted(self._arrows, key=lambda e: -pos[e[0]]):
+            self._reach[t] |= self._reach[h]  # the row of h is final
         zero = (0,) * n
         # tuple(t) -> (box, buffer, start, stop): S_t is the box points at
         # buffer[start:stop], in flat order; the keys of one build share its buffer,
@@ -390,18 +521,22 @@ class ExtTable:
             raise ValueOverflowError("Euler form values may exceed the exact float64 products of a table build")
         if (box := _Box(root)).size > _MAX_BOX_POINTS:  # before the first box-sized array
             raise DimensionTooLargeError(f"box of {root} has {box.size} points, above the budget of {_MAX_BOX_POINTS}")
-        levels, counts, tail, pe, neg = self._mark(root, box)
-        owned, spans = _push(levels, counts, tail, pe, neg)
-        built = box.coords(np.concatenate([keys for keys, _ in levels])).tolist()
+        levels, *marked = self._mark(root, box)
+        extra, owned, spans = _push(levels, *marked)
+        built = box.coords(np.concatenate([keys for keys, _ in levels] + [extra])).tolist()
         for key, lo, hi in zip(map(tuple, built), spans, spans[1:]):
             self._subs.setdefault(key, (box, owned, lo, hi))
 
     def _mark(self, root, box):
-        """(levels, counts, tail, pe, neg): (keys, tops on supp(root)) of each mass level but 0's,
+        """(levels, counts, tail, pe, neg, orbits): (keys, tops on supp(root)) of each mass level but 0's,
         heaviest first, the keys root needs in flat order; the edges of each key and their int32 tails
-        (0, candidates, key) in that order; every <b, .> on supp(root), and the b with one negative."""
+        (0, candidates, key) in that order; every <b, .> on supp(root), the b with one negative, and
+        the _Orbits of the automorphisms G of the quiver on supp(root) that fix root, None if G is the
+        identity alone: the keys are then the least points of their orbits, each candidate b marking rep(b)."""
         on = np.flatnonzero(root)
         E, reach = self._euler[np.ix_(on, on)], self._reach
+        perms = _symmetries(E, [root[v] for v in on])
+        orbits = _Orbits(box, on, perms) if len(perms) > 1 else None
         # every b <= t <= root and c = t - b lives on supp(root): vectors are held there, vertex-major (a
         # row per vertex, a column per point), each closed set V or W tested once by its trace, a row of H or W
         H, W = (np.array([row for row in {*map(tuple, r.tolist())} if 1 < sum(row) < len(on)],
@@ -451,6 +586,8 @@ class ExtTable:
                     )
                 counts.append(np.bincount(own, minlength=len(t)))
                 edges.append(cands.astype(np.int32))
+                if orbits is not None:
+                    cands = orbits.image(cands).min(axis=0)  # b marks rep(b), the key S_b is read off
                 fresh.append(cands[~needed[cands]])
                 needed[cands] = True
             wave = np.sort(np.concatenate(fresh))
@@ -462,7 +599,8 @@ class ExtTable:
         keys, counts, cuts = keys[order], counts[order], np.flatnonzero(np.diff(mass[order])) + 1
         del edges  # each key's edges as one int32 slice, with no gather index as long as the tails
         tail = np.concatenate([tail[a:a + n] for a, n in zip(firsts, counts.tolist())])
-        return list(zip(np.split(keys, cuts), np.split(keys[:, None] // strides % radix, cuts))), counts, tail, pe, neg
+        levels = list(zip(np.split(keys, cuts), np.split(keys[:, None] // strides % radix, cuts)))
+        return levels, counts, tail, pe, neg, orbits
 
     def _decide(self, key):
         """Store S_key in _subs unless it is there: in closed form if key is arrow-thin, else as the
@@ -498,9 +636,9 @@ class ExtTable:
 
     def _arrow_thin(self, key):
         """Whether key is arrow-thin; if so, S_key is decided in closed form (module docstring)."""
-        inside = (self._euler < 0) & (np.outer(key, key) > 0)  # [u, w]: an arrow u -> w inside supp(key)
-        if (np.array(key)[inside.any(axis=0) | inside.any(axis=1)] > 1).any():
+        if any(key[u] and key[w] and key[u] + key[w] > 2 for u, w in self._arrows):  # an end > 1 inside supp(key)
             return False
+        inside = (self._euler < 0) & (np.outer(key, key) > 0)  # [u, w]: an arrow u -> w inside supp(key)
         box, flat = _Box(key), np.zeros(1, dtype=np.int64)
         for v in (v for v in self._sinks_first if key[v]):  # each head of v is placed before v
             grow = flat[(flat[:, None] // box.strides[inside[v]] % 2).all(axis=1)]  # b_w = 1 at each head w

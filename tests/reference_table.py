@@ -7,9 +7,11 @@ its own per-axis outer sums and filters; bottom-up, the keys in ascending flat
 order, each pushed to its parents with its own rows and columns, every row of
 S_b with a negative entry (the batched push leaves out the rows whose own S
 holds a pair x, s - x other than {0, s}, and the row b itself).  It fills an
-ExtTable's _subs with the same entries, and the differential tests compare
-every entry against the batched build, and against _push alone on the output
-_mark recorded for the same root.
+ExtTable's _subs with the entries of the batched build under the identity
+group, which walks every key on its own; a build that walks one key per orbit
+of the automorphisms fixing its root stores fewer keys.  The differential
+tests compare every entry a batched build stores against it, and every entry
+of _push alone on the output _mark recorded for the same root.
 
     class PerKeyTable(ExtTable):
         _build = build_per_key
@@ -21,8 +23,9 @@ returns its arrays, so a test can build with either one.
 
 mark_by_mass is ExtTable._mark before it walked the keys breadth-first from
 the root: one pass over the box by mass, heaviest first, each mass in flat
-order, in batches of keys of one level.  It takes _mark's arguments and
-returns its arrays, which the differential tests hold equal.
+order, in batches of keys of one level, every key walked on its own (no
+orbits).  It takes _mark's arguments and returns its arrays, which the
+differential tests hold equal to _mark's under the identity group.
 """
 
 import numpy as np
@@ -214,5 +217,5 @@ def mark_by_mass(self, root, box):
             counts.append(np.bincount(own, minlength=len(t)))
             edges.append(cands.astype(np.int32))
             needed[cands] = True
-    return levels, np.concatenate(counts), np.concatenate(edges), pe, neg
+    return levels, np.concatenate(counts), np.concatenate(edges), pe, neg, None
 

@@ -76,6 +76,22 @@ def _entries(t):
     return {key: box.coords(buf[lo:hi]).tolist() for key, (box, buf, lo, hi) in t._subs.items()}
 
 
+def _check_entries(t, q, roots):
+    """Every key the table t stores, with its S_t as stored, is a key of the per-key build of roots on
+    a cold table, with the same S_t (a build walks one key per orbit of the automorphisms that fix its
+    root, so it may store fewer keys); returns how many keys t stores."""
+    got, expected = _entries(t), _entries(_per_key_table(q, roots))
+    wrong = [key for key, S in got.items() if expected.get(key) != S]
+    assert not wrong, (q.name, roots, wrong[:3])
+    return len(got)
+
+
+@pytest.fixture
+def identity_group(monkeypatch):
+    """Every build of the test walks each of its keys on its own: the group of every root is the identity."""
+    monkeypatch.setattr(schofield, "_symmetries", lambda E, values: np.arange(len(values))[None])
+
+
 def _perm(q, inv):
     return [q.vertex_index(inv.vertex(v)) for v in q.vertices]
 
@@ -131,7 +147,7 @@ def test_small_chunks_and_screens_match_recursion(monkeypatch, chunk):
         for a in roots:
             assert [b.values for b in t.generic_subdims(a)] == oracle.generic_subdims(a), (q.name, a)
         # a split tried on the way may decide pieces in closed form: the builds alone are compared
-        assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), (q.name, roots)
+        _check_entries(_built_table(ExtTable, q, roots), q, roots)
     if chunk == 1:
         assert all(hi - lo == 1 for batch in batches for lo, hi in batch)
     assert any(len(batch) > 1 for batch in batches)  # some wave is cut
@@ -168,18 +184,20 @@ def test_a_key_root_is_read_not_built(built_roots, d5hat):
     nested = (5, 4, 4, 4, 4, 4)
     t._build(nested)
     assert built_roots == [first, nested]
-    assert _entries(t) == _entries(_per_key_table(q, [first, nested]))
+    _check_entries(t, q, [first, nested])
     for key, (box, buf, lo, hi) in before.items():
         assert t._subs[key][0] is box and t._subs[key][1] is buf and t._subs[key][2:] == (lo, hi), key
 
 
-@pytest.mark.parametrize("case", ["d5hat", "sun62", "d5hat4", "d5hat-partial", "kronecker3"])
+@pytest.mark.parametrize("case", ["d5hat", "sun62", "d5hat4", "d5hat-partial", "kronecker3", "sun61"])
 def test_cold_counts_decides_few_keys(case):
     # which keys the build marks and which candidates it accepts: every answer
     # test still passes with the sub or the quotient tests of the closed-set
     # filter left out, these counts not; d5hat-partial has arrows through
     # vertices off supp(alpha), kronecker3 parallel arrows; every alpha is built first
-    # (d5hat, d5hat4 and d5hat-partial split), so counts reads every set it needs
+    # (d5hat, d5hat4 and d5hat-partial split), so counts reads every set it needs;
+    # sun61 at (3)^6 walks one key per orbit of its 6 automorphisms and stores 838
+    # keys (946 with every key walked, 70 455 accepted), sun62 stores all 673
     if case == "d5hat":
         (q, inv), alpha, keys, accepted = make_d5hat(), (2, 3, 4, 4, 3, 2), 382, 14_170
         invs = [inv]
@@ -192,6 +210,8 @@ def test_cold_counts_decides_few_keys(case):
     elif case == "kronecker3":
         (q, _), alpha, keys, accepted = make_kronecker(3), (8, 12), 49, 863
         invs = []
+    elif case == "sun61":
+        (q, invs), alpha, keys, accepted = make_sun(3, 1), (3,) * 6, 838, 68_137
     else:
         (q, invs), alpha, keys, accepted = make_sun(3, 2), (1, 2) * 6, 673, 66_221
     t = ExtTable(q)
@@ -282,8 +302,8 @@ def test_batched_build_matches_per_key_build_on_goldens(family, q, roots):
     # them on one table, where each later root is built in its own box or, if
     # an earlier build decided it as a key, read
     for a in roots:
-        assert _entries(_built_table(ExtTable, q, [a])) == _entries(_per_key_table(q, [a])), (family, a)
-    assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), family
+        _check_entries(_built_table(ExtTable, q, [a]), q, [a])
+    _check_entries(_built_table(ExtTable, q, roots), q, roots)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -296,31 +316,151 @@ def test_batched_build_matches_per_key_build_on_random_quivers(seed):
     else:
         q, hi = _random_acyclic_quiver(rng, seed), 3
     roots = [tuple(rng.randint(0, hi) for _ in q.vertices) for _ in range(5)]
-    assert _entries(_built_table(ExtTable, q, roots)) == _entries(_per_key_table(q, roots)), (q.arrows, roots)
+    _check_entries(_built_table(ExtTable, q, roots), q, roots)
+
+
+# (name, quiver, root, |G|, keys walked, edges marked, keys stored): a build walks one key per
+# orbit of G, the automorphisms of the quiver on supp(root) that fix root, and stores every
+# candidate of those keys too; the unreduced build walks 672, 945, 185 and 19 keys, marks
+# 67 565, 74 691, 5 914 and 154 edges and stores 673, 946, 186 and 20 keys
+ORBIT_CASES = [
+    ("sun62", make_sun(3, 2)[0], (1, 2) * 6, 6, 161, 17_328, 673),
+    ("sun61", make_sun(3, 1)[0], (3,) * 6, 6, 204, 18_072, 838),
+    ("T3", *triple_flag(3), 6, 54, 1_793, 186),
+    ("d5hat-delta", make_d5hat()[0], (1, 1, 2, 2, 1, 1), 4, 13, 110, 20),
+]
+
+
+def _group(q, root):
+    """G as _symmetries finds it: the rows p of one array, over the positions of supp(root)."""
+    on = np.flatnonzero(root)
+    return schofield._symmetries(ExtTable(q)._euler[np.ix_(on, on)], [root[v] for v in on])
+
+
+def _walk(q, root):
+    """(|G|, the keys _mark walks, the edges it marks) on a cold table."""
+    levels, _, tail, *_ = ExtTable(q)._mark(root, schofield._Box(root))
+    return len(_group(q, root)), sum(len(keys) for keys, _ in levels), len(tail)
+
+
+@pytest.mark.parametrize("name, q, root, group, walked, edges, stored", ORBIT_CASES, ids=[c[0] for c in ORBIT_CASES])
+def test_reduced_build_matches_per_key_build(name, q, root, group, walked, edges, stored):
+    assert _walk(q, root) == (group, walked, edges)
+    assert _check_entries(_built_table(ExtTable, q, [root]), q, [root]) == stored
+    on, E = np.flatnonzero(root), ExtTable(q)._euler
+    for p in _group(q, root):  # each one fixes root and every arrow multiplicity on the support
+        image = on[p]
+        assert [root[v] for v in image] == [root[v] for v in on]
+        assert np.array_equal(E[np.ix_(image, image)], E[np.ix_(on, on)])
+
+
+@pytest.mark.parametrize("name, q, root", [c[:3] for c in ORBIT_CASES], ids=[c[0] for c in ORBIT_CASES])
+def test_unreduced_build_matches_per_key_build(identity_group, name, q, root):
+    # under the identity group the build walks and stores every key of the per-key build
+    assert _entries(_built_table(ExtTable, q, [root])) == _entries(_per_key_table(q, [root]))
+
+
+SWAPS = [(*c[:3], u, v) for c, (u, v) in zip(ORBIT_CASES, [(2, 4), (0, 1), (0, 2)])]
+
+
+@pytest.mark.parametrize("name, q, root, u, v", SWAPS, ids=[c[0] for c in SWAPS])
+def test_a_swap_that_breaks_an_arrow_fails_the_per_key_check(monkeypatch, name, q, root, u, v):
+    # planted fault: a group of order 2 whose swap of the u-th and v-th vertices of supp(root) fixes
+    # root but carries an arrow to a non-arrow (at Sun(6,2) the swap of 0.1 and 1.1 would be no
+    # fault: every candidate there is the least point of its orbit, so nothing is moved)
+    swap = list(range(np.count_nonzero(root)))
+    swap[u], swap[v] = v, u
+    values = [x for x in root if x]
+    assert values[u] == values[v] and swap not in _group(q, root).tolist()
+    monkeypatch.setattr(schofield, "_symmetries", lambda E, values: np.array([sorted(swap), swap]))
+    with pytest.raises(AssertionError):
+        _check_entries(_built_table(ExtTable, q, [root]), q, [root])
+
+
+@pytest.mark.parametrize("name, q, root", [c[:3] for c in ORBIT_CASES[:3]], ids=[c[0] for c in ORBIT_CASES[:3]])
+def test_an_edge_tested_against_t_fails_the_per_key_check(monkeypatch, name, q, root):
+    # planted fault: the edge g.b -> t tested as b -> t, off the rows s of S_b instead of g.s
+    unmoved = _planted(schofield._nonneg_pairs,
+                       "at if moves is None else at + (moves[a:z].astype(np.intp) * slot.shape[1]).repeat(n)", "at")
+    monkeypatch.setattr(schofield, "_nonneg_pairs", unmoved)
+    with pytest.raises(AssertionError):
+        _check_entries(_built_table(ExtTable, q, [root]), q, [root])
+
+
+def _star(arms):
+    """arms arrows x_i -> z into one sink, vertices x_1 ... x_arms, z."""
+    return Quiver(f"star{arms}", [f"x{i}" for i in range(1, arms + 1)] + ["z"],
+                  [(f"a{i}", f"x{i}", "z") for i in range(1, arms + 1)])
+
+
+def test_a_group_past_the_support_size_is_the_identity(monkeypatch):
+    # 18 identical arms have 18! automorphisms: the search stops at the 19th it finds; 12
+    # arms at (1, ..., 1, 2) are built with the identity group (their box has 12 288 points)
+    start = time.perf_counter()
+    assert _group(_star(18), (1,) * 18 + (2,)).tolist() == [list(range(19))]
+    assert time.perf_counter() - start < 0.5
+    groups, find = [], schofield._symmetries
+    monkeypatch.setattr(schofield, "_symmetries", lambda E, values: groups.append(find(E, values)) or groups[-1])
+    start, root = time.perf_counter(), (1,) * 12 + (2,)
+    t = ExtTable(_star(12))
+    t._build(root)
+    assert time.perf_counter() - start < 10
+    assert [g.tolist() for g in groups] == [[list(range(13))]] and len(t._subs) == 4_110
+
+
+def test_counts_reads_every_beta_off_the_build(monkeypatch):
+    # Sun(6,2) (1, 2)x6 with tau and rho: every I0 beta is an inductive normal, so a generic
+    # subdimension of the root and a candidate of it, which the build stores, one orbit walked or not
+    (q, invs), alpha = make_sun(3, 2), (1, 2) * 6
+    t = ExtTable(q)
+    t.generic_subdims(alpha)
+    decided, decide = [], ExtTable._decide
+
+    def recorded(self, key):
+        if key not in self._subs:
+            decided.append(key)
+        return decide(self, key)
+
+    monkeypatch.setattr(ExtTable, "_decide", recorded)
+    assert counts(t, alpha, invs) == (673, 377, [84, 128])
+    assert decided == []
+
+
+def test_candidate_budget_holds_the_images(monkeypatch):
+    # Sun(6,2) (1, 2)x6 marks 17 328 - 2 * 161 candidates of the keys it walks, and the S of its
+    # 511 other keys, images of theirs, hold 50 237 entries: past a budget of 20 000 the build refuses them
+    q = make_sun(3, 2)[0]
+    monkeypatch.setattr(schofield, "_MAX_CANDIDATES", 20_000)
+    with pytest.raises(DimensionTooLargeError, match="stores over 20000"):
+        ExtTable(q)._build((1, 2) * 6)
 
 
 def _arrays(marked):
-    levels, *rest = marked
-    return [array for level in levels for array in level] + rest
+    levels, *rest, orbits = marked
+    tables = [orbits.hi, orbits.lo, orbits.inverse] if orbits else []
+    return [array for level in levels for array in level] + rest + tables
 
 
 def _pushed(q, root):
-    """Each key of a cold build of root -> its S_t, from _push alone on _mark's recorded
-    output, which _push leaves as it was."""
+    """Each key of a cold build of root, and each other candidate of one, -> its S_t, from _push
+    alone on _mark's recorded output, which _push leaves as it was."""
     box = schofield._Box(root)
     marked = ExtTable(q)._mark(root, box)
     recorded = [array.copy() for array in _arrays(marked)]
-    owned, spans = schofield._push(*marked)
+    extra, owned, spans = schofield._push(*marked)
     assert all(np.array_equal(x, y) for x, y in zip(_arrays(marked), recorded, strict=True)), root
-    keys = box.coords(np.concatenate([keys for keys, _ in marked[0]])).tolist()
+    keys = box.coords(np.concatenate([keys for keys, _ in marked[0]] + [extra])).tolist()
     return {tuple(key): box.coords(owned[lo:hi]).tolist() for key, lo, hi in zip(keys, spans, spans[1:])}
 
 
 def _check_push(q, roots):
+    """_push's S_t of every key _mark walked, one per orbit, and of every other candidate of those,
+    as the per-key build decides it."""
     for root in roots:
         expected = _entries(_per_key_table(q, [root]))
-        del expected[(0,) * len(root)]  # every table holds S_0; no build decides it
-        assert _pushed(q, root) == expected, (q.name, root)
+        pushed = _pushed(q, root)
+        assert (0,) * len(root) not in pushed and root in pushed, (q.name, root)  # S_0 is no build's
+        assert pushed.items() <= expected.items(), (q.name, root)
 
 
 def _phase_roots(seed):
@@ -506,8 +646,9 @@ def test_a_misordered_pass_fails_the_mark_order_check(old, new):
 
 
 def _check_mark_against_the_mass_pass(mark, q, roots):
-    """mark's levels, counts, tails, pe and neg on a cold table, array-equal to those of the
-    pass over the box by mass that _mark replaced (reference_table.mark_by_mass)."""
+    """mark's levels, counts, tails, pe, neg and orbits on a cold table, array-equal to those of the
+    pass over the box by mass that _mark replaced (reference_table.mark_by_mass), which walks every
+    key on its own, as _mark does under the identity group."""
     for root in roots:
         box = schofield._Box(root)
         got, expected = (f(ExtTable(q), root, box) for f in (mark, reference_table.mark_by_mass))
@@ -518,11 +659,11 @@ MASS_PASS_CASES = MARK_CASES + [("T3", *_listed(triple_flag(3)))]
 
 
 @pytest.mark.parametrize("name, q, roots", MASS_PASS_CASES, ids=[c[0] for c in MASS_PASS_CASES])
-def test_mark_matches_the_mass_ordered_pass(name, q, roots):
+def test_mark_matches_the_mass_ordered_pass(identity_group, name, q, roots):
     _check_mark_against_the_mass_pass(ExtTable._mark, q, roots)
 
 
-def test_mark_matches_the_mass_ordered_pass_one_key_per_batch(monkeypatch):
+def test_mark_matches_the_mass_ordered_pass_one_key_per_batch(identity_group, monkeypatch):
     # at _CHUNK = 1 each wave is cut into batches of one key, in both passes
     monkeypatch.setattr(schofield, "_CHUNK", 1)
     _check_mark_against_the_mass_pass(ExtTable._mark, make_d5hat()[0], [(1, 2, 3, 3, 2, 1), (2, 1, 0, 0, 1, 2)])
@@ -536,7 +677,7 @@ def test_mark_matches_the_mass_ordered_pass_one_key_per_batch(monkeypatch):
     # the levels left in the order the waves marked their keys
     ("np.lexsort((keys, -mass))", "np.arange(len(keys))"),
 ], ids=["no-dedup", "unsorted"])
-def test_a_faulty_wave_fails_the_mass_pass_check(old, new):
+def test_a_faulty_wave_fails_the_mass_pass_check(identity_group, old, new):
     faulty = _planted(ExtTable._mark, old, new)
     with pytest.raises(AssertionError):
         _check_mark_against_the_mass_pass(faulty, make_d5hat()[0], [(1, 2, 3, 3, 2, 1)])
@@ -953,7 +1094,7 @@ def test_closed_form_of_a_2_at_an_arrow_fails():
     # has subs of dimension e1 (its kernel) and (1, 1), but none of dimension (2, 0), so S has 5 of
     # the 6 box points, where the rule of the closed form keeps 4 (no e1)
     class Loose(ExtTable):
-        _arrow_thin = _planted(ExtTable._arrow_thin, "> 1).any()", "> 2).any()")
+        _arrow_thin = _planted(ExtTable._arrow_thin, "key[u] + key[w] > 2", "key[u] + key[w] > 3")
 
     q = make_line(2)[0]
     assert _closed(Loose, q, (2, 1)) == [[0, 0], [0, 1], [1, 1], [2, 1]]
@@ -1136,14 +1277,15 @@ def _recorded_pairs(monkeypatch):
 
 def _tested_rows(monkeypatch, q, root):
     """(the table, the box, and (row, key t) for each row the push of a cold build of root
-    tested, as flat indices of the box, one pair per row of each key)."""
+    tested, as flat indices of the box, one pair per row of each key it walked; the rows of their
+    images, tested for the edges out of the other points of their orbits, have a negative entry too)."""
     calls, t, box = _recorded_pairs(monkeypatch), ExtTable(q), schofield._Box(root)
     t._build(root)
     on, tested = np.flatnonzero(root), []
-    for pe, distinct, slot, lens, _, first, tops, _ in calls:
-        rows, keys = distinct[slot], tops[first:first + len(lens)].astype(np.int64) @ box.strides[on]
+    for pe, distinct, slot, lens, _, first, tops, _, _ in calls:
+        rows, keys = distinct[slot[0]], tops[first:first + len(lens)].astype(np.int64) @ box.strides[on]
         tested += zip(rows.tolist(), keys.repeat(lens).tolist())
-        assert (pe.take(rows, axis=1) < 0).any(axis=0).all(), (root, "a row with no negative entry")
+        assert (pe.take(distinct[slot].ravel(), axis=1) < 0).any(axis=0).all(), (root, "a row with no negative entry")
     return t, box, tested
 
 
@@ -1208,11 +1350,11 @@ def test_a_faulty_flag_fails_the_push_check(monkeypatch, old, new):
     (make_d5hat()[0], (4,) * 6, 110_951, 5_345),
     (triple_flag(4)[0], triple_flag(4)[1], 567_649, 57_411),
 ], ids=["sun62", "d5hat4", "t4"])
-def test_the_push_tests_the_schur_rows_alone(monkeypatch, q, root, held, tested):
+def test_the_push_tests_the_schur_rows_alone(identity_group, monkeypatch, q, root, held, tested):
     # held: the rows of every S_b of the build with a negative entry on the support, b and the
     # root included, as the push held them before it flagged keys; tested: the rows it tests
     # now, the s != b of each pushed S_b whose own S_s holds no pair x, s - x but {0, s}, the
-    # Schur roots (the root has no edge out, so none of its rows is tested)
+    # Schur roots (the root has no edge out, so none of its rows is tested); every key walked on its own
     t, box, rows = _tested_rows(monkeypatch, q, root)
     E = t._euler[:, np.flatnonzero(root)]
     built = [key for key in t._subs if any(key)]
